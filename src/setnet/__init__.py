@@ -53,30 +53,23 @@ from .mlmetrics import (
     topk_sweep,
 )
 from .numerics import (
-    GammaParams,
     NegBinParams,
-    PoissonParams,
     digamma,
-    gamma_log_pdf,
     log_gamma,
     nb_log_pmf,
-    nb_mean,
     nb_mode,
     nb_pmf_truncated,
-    poisson_log_pmf,
 )
 from .setinfer import (
     CardinalityPMF,
     PredictedSet,
     ScoredElements,
     map_set,
-    sample_rfs,
+    sample_rfs_with,
     sequential_map,
-    vector_set_factor,
 )
 from .synth import (
     BoxImage,
-    MultilabelSample,
     ParamMap,
     SynthConfig,
     counting_default_maps,

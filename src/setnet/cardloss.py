@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericError
-from .numerics import digamma, log_gamma
+from .numerics import NegBinParams, _check_count, digamma, log_gamma
 
 __all__ = [
     "AlphaBeta",
@@ -49,6 +49,10 @@ class AlphaBeta:
         for name, v in (("alpha", self.alpha), ("beta", self.beta)):
             if not math.isfinite(v) or v <= 0.0:
                 raise NumericError(f"{name} must be finite and > 0, got {v!r}")
+
+    def negbin(self) -> NegBinParams:
+        """The marginal count law NB(a=alpha, b=1/(1+beta))."""
+        return NegBinParams(a=self.alpha, b=1.0 / (1.0 + self.beta))
 
 
 @dataclass(frozen=True)
@@ -86,17 +90,9 @@ class LossGrad:
             raise NumericError("gradients must be finite")
 
 
-def _check_m(m: int) -> int:
-    if isinstance(m, float) and m.is_integer():
-        m = int(m)
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise NumericError(f"count must be a non-negative integer, got {m!r}")
-    return m
-
-
 def card_nll(m: int, ab: AlphaBeta) -> float:
     """Negative log NB likelihood of count m under (alpha, beta)."""
-    m = _check_m(m)
+    m = _check_count(m)
     a, b = ab.alpha, ab.beta
     return -(
         log_gamma(m + a)
@@ -109,7 +105,7 @@ def card_nll(m: int, ab: AlphaBeta) -> float:
 
 def card_grad(m: int, ab: AlphaBeta) -> LossGrad:
     """Analytic gradient of ``card_nll`` with respect to (alpha, beta)."""
-    m = _check_m(m)
+    m = _check_count(m)
     a, b = ab.alpha, ab.beta
     d_alpha = -(digamma(m + a) - digamma(a) + math.log(b) - math.log1p(b))
     d_beta = -(a - m * b) / (b * (1.0 + b))
@@ -150,6 +146,6 @@ def head_backward(
 
 def regression_loss(m: int, m_hat: float) -> tuple[float, float]:
     """Squared-error baseline: (0.5*(m_hat-m)^2, d/dm_hat)."""
-    m = _check_m(m)
+    m = _check_count(m)
     r = float(m_hat) - m
     return 0.5 * r * r, r

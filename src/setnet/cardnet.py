@@ -31,7 +31,8 @@ from .cardloss import (
     regression_loss,
 )
 from .errors import DataError, NumericError
-from .numerics import NegBinParams, nb_mode
+from .formats import SCHEMA_VERSION
+from .numerics import _check_count, nb_mode
 
 __all__ = [
     "TrainingSample",
@@ -49,10 +50,8 @@ __all__ = [
     "load_model",
 ]
 
-SCHEMA_VERSION = 1
-
-_ACTIVATIONS = ("tanh", "relu")
-_KINDS = ("negbin", "regression")
+ACTIVATIONS = ("tanh", "relu")
+KINDS = ("negbin", "regression")
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,8 @@ class TrainingSample:
         feats = tuple(float(v) for v in self.features)
         if not all(np.isfinite(feats)):
             raise NumericError("features must be finite")
-        if self.count < 0 or int(self.count) != self.count:
-            raise NumericError(f"count must be a non-negative integer, got {self.count!r}")
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", _check_count(self.count, "count"))
 
 
 @dataclass
@@ -84,9 +81,9 @@ class MLPModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise NumericError(f"unknown activation {self.activation!r}")
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise NumericError(f"unknown model kind {self.kind!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise NumericError("weights and biases must be non-empty and aligned")
@@ -295,8 +292,7 @@ def train(
 def predict_count(model: MLPModel, x) -> int:
     """Point count prediction: NB mode for negbin, rounded output for regression."""
     if model.kind == "negbin":
-        ab = forward(model, x)
-        return nb_mode(NegBinParams(a=ab.alpha, b=1.0 / (1.0 + ab.beta)))
+        return nb_mode(forward(model, x).negbin())
     X = np.asarray(x, dtype=float).reshape(1, -1)
     _, z = _forward_batch(model, X)
     return max(0, int(np.floor(z[0, 0] + 0.5)))

@@ -4,7 +4,9 @@ Every subcommand takes exactly three flags: --config (a flat JSON file of
 command-specific keys), --seed (overrides the config seed) and --out (the
 artifact directory).  Runs print one machine-readable JSON line to stdout
 that echoes the resolved config, its hash and the seed; all artifacts
-embed the same triple.  Failures print {"code", "message"} and exit 1,
+embed the same triple.  Each config value is type-checked against the
+command's schema before the command runs; a wrongly typed or unknown key is
+a "config" error.  Failures print {"code", "message"} and exit 1,
 with code "config", "data" or "numeric".  The SETNET_LOG environment
 variable (error|info|debug) controls stderr verbosity.
 """
@@ -12,105 +14,104 @@ variable (error|info|debug) controls stderr verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
+import types
+import typing
 
 import numpy as np
 
 from . import cardnet, detect, formats, mlmetrics, setinfer, synth
 from .cardloss import HeadWeights
 from .errors import ConfigError, DataError, SetnetError
-from .numerics import NegBinParams, nb_pmf_truncated
+from .numerics import NegBinParams, nb_mode, nb_pmf_truncated
 
 log = logging.getLogger(__name__)
 
 _REQUIRED = object()
 
-# Known keys and defaults per command; unknown config keys are rejected.
-SCHEMAS: dict[str, dict] = {
+
+def _fields(cls) -> dict[str, tuple]:
+    """(type, default) of every field of dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)}
+
+
+def _build(cls, cfg: dict, **given):
+    """Dataclass ``cls`` from the config keys named after its fields."""
+    return cls(**({f.name: cfg[f.name] for f in dataclasses.fields(cls)} | given))
+
+
+# Each command's known keys as (type, default); unknown keys are rejected.
+# A type is int, float, str, dict, list[int], list[float] or a tuple of the
+# allowed strings; null is a valid value only where the default is None.
+_SEED = {"seed": (int, 0)}
+SCHEMAS: dict[str, dict[str, tuple]] = {
     "synth": {
-        "task": _REQUIRED,  # counting | multilabel | boxes
-        "n": 1000,
-        "d": 8,
-        "C": 16,
-        "seed": 0,
-        "noise": 0.2,
-        "alpha_map": None,
-        "beta_map": None,
-        "image_size": 200.0,
-        "cell_count": 5,
-        "box_size": 24.0,
-        "jitter": 0.08,
-        "duplicates": 3,
-        "fp_rate": 0.3,
-        "crowd_frac": 0.35,
+        "task": (("counting", "multilabel", "boxes"), _REQUIRED),
+        **_fields(synth.SynthConfig),
+        # null (or {}) selects the task's default map.
+        "alpha_map": (dict, None),
+        "beta_map": (dict, None),
     },
     "train": {
-        "data": _REQUIRED,
-        "loss": "negbin",  # negbin | regression
-        "hidden": [16],
-        "activation": "tanh",
-        "alpha_max": 160.0,
-        "beta_max": 20.0,
-        "floor": 1e-6,
-        "learning_rate": 0.001,
-        "momentum": 0.9,
-        "weight_decay": 1e-6,
-        "epochs": 20,
-        "batch_size": 32,
-        "seed": 0,
+        "data": (str, _REQUIRED),
+        "loss": (cardnet.KINDS, "negbin"),
+        "hidden": (list[int], [16]),
+        "activation": (cardnet.ACTIVATIONS, "tanh"),
+        **_fields(HeadWeights),
+        **_fields(cardnet.TrainConfig),
     },
     "predict": {
-        "model": _REQUIRED,
-        "features": _REQUIRED,
-        "seed": 0,
+        "model": (str, _REQUIRED),
+        "features": (str, _REQUIRED),
+        **_SEED,
     },
     "eval-ml": {
-        "records": _REQUIRED,
-        "mode": "fixed-k",  # fixed-k | predicted-k
-        "pred": None,
-        "k_values": None,
-        "seed": 0,
+        "records": (str, _REQUIRED),
+        "mode": (("fixed-k", "predicted-k"), "fixed-k"),
+        "pred": (str, None),
+        "k_values": (list[int], None),
+        **_SEED,
     },
     "eval-det": {
-        "dets": _REQUIRED,
-        "gts": _REQUIRED,
-        "iou_thresh": 0.5,
-        "n_images": None,
-        "seed": 0,
+        "dets": (str, _REQUIRED),
+        "gts": (str, _REQUIRED),
+        "iou_thresh": (float, 0.5),
+        "n_images": (int, None),
+        **_SEED,
     },
     "nms": {
-        "proposals": _REQUIRED,
-        "mstar_fixed": None,
-        "mstar_file": None,
-        "mstar_model": None,
-        "mstar_features": None,
-        "t0": 0.4,
-        "step": 0.01,
-        "t_max": 0.95,
-        "seed": 0,
+        "proposals": (str, _REQUIRED),
+        "mstar_fixed": (int, None),
+        "mstar_file": (str, None),
+        "mstar_model": (str, None),
+        "mstar_features": (str, None),
+        **_fields(detect.NMSConfig),
+        **_SEED,
     },
     "sample": {
-        "card": "negbin",  # negbin | pmf
-        "a": 5.0,
-        "b": 0.5,
-        "pmf": None,
-        "element": "categorical",  # categorical | uniform
-        "probs": [0.5, 0.3, 0.2],
-        "lo": 0.0,
-        "hi": 1.0,
-        "n": _REQUIRED,
-        "seed": 0,
+        "card": (("negbin", "pmf"), "negbin"),
+        "a": (float, 5.0),
+        "b": (float, 0.5),
+        "pmf": (list[float], None),
+        "element": (("categorical", "uniform"), "categorical"),
+        "probs": (list[float], [0.5, 0.3, 0.2]),
+        "lo": (float, 0.0),
+        "hi": (float, 1.0),
+        "n": (int, _REQUIRED),
+        **_SEED,
     },
     "gradcheck": {
-        "d": 4,
-        "hidden": [8],
-        "batch": 8,
-        "h": 1e-5,
-        "loss": "negbin",
-        "seed": 0,
+        "d": (int, 4),
+        "hidden": (list[int], [8]),
+        "batch": (int, 8),
+        "h": (float, 1e-5),
+        "loss": (cardnet.KINDS, "negbin"),
+        **_SEED,
     },
 }
 
@@ -124,9 +125,35 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _resolve_config(command: str, config_path: str | None, seed: int | None) -> dict:
+def _cast(kind, value):
+    """``value`` as schema type ``kind``; TypeError if it is not one.
+
+    An int takes an integer or an integral float, a float any number; bools
+    are neither.
+    """
+    if isinstance(kind, types.GenericAlias):
+        if not isinstance(value, list):
+            raise TypeError(value)
+        return [_cast(kind.__args__[0], v) for v in value]
+    if isinstance(kind, tuple):
+        ok = isinstance(value, str) and value in kind
+    elif kind is int:
+        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    elif kind is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, kind)
+    if not ok or isinstance(value, bool):
+        raise TypeError(value)
+    return kind(value) if kind in (int, float) else value
+
+
+def _resolve_config(command: str, config_path: str | None,
+                    seed: int | None) -> tuple[dict, dict]:
+    """The config as given, defaults filled in (echoed and hashed), and the
+    same config with each value cast to its schema type (what commands use)."""
     schema = SCHEMAS[command]
-    config = {k: v for k, v in schema.items() if v is not _REQUIRED}
+    config = {k: d for k, (_, d) in schema.items() if d is not _REQUIRED}
     if config_path is not None:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
@@ -143,11 +170,24 @@ def _resolve_config(command: str, config_path: str | None, seed: int | None) -> 
         config.update(loaded)
     if seed is not None:
         config["seed"] = seed
-    missing = sorted(k for k, v in schema.items()
-                     if v is _REQUIRED and k not in config)
+    missing = sorted(k for k, (_, d) in schema.items()
+                     if d is _REQUIRED and k not in config)
     if missing:
         raise ConfigError(f"missing required config keys for {command}: {missing}")
-    return config
+    typed = {}
+    for key, value in config.items():
+        kind, default = schema[key]
+        try:
+            typed[key] = (None if value is None and default is None
+                          else _cast(kind, value))
+        except (TypeError, OverflowError):
+            what = (f"one of {list(kind)}" if isinstance(kind, tuple)
+                    else str(kind) if isinstance(kind, types.GenericAlias)
+                    else kind.__name__)
+            null = " or null" if default is None else ""
+            raise ConfigError(f"{command} config key {key!r} must be "
+                              f"{what}{null}, got {value!r}") from None
+    return config, typed
 
 
 def _outpath(out_dir: str, name: str) -> str:
@@ -156,33 +196,24 @@ def _outpath(out_dir: str, name: str) -> str:
 
 
 def _synth_config(cfg: dict) -> synth.SynthConfig:
-    task = cfg["task"]
-    if task not in ("counting", "multilabel", "boxes"):
-        raise ConfigError(f"unknown synth task {task!r}")
     defaults = (
         synth.multilabel_default_maps()
-        if task == "multilabel"
+        if cfg["task"] == "multilabel"
         else synth.counting_default_maps()
     )
-    alpha_map = (
-        synth.ParamMap.from_dict(cfg["alpha_map"]) if cfg["alpha_map"] else defaults[0]
-    )
-    beta_map = (
-        synth.ParamMap.from_dict(cfg["beta_map"]) if cfg["beta_map"] else defaults[1]
-    )
-    return synth.SynthConfig(
-        d=int(cfg["d"]), C=int(cfg["C"]), n=int(cfg["n"]), seed=int(cfg["seed"]),
-        alpha_map=alpha_map, beta_map=beta_map, noise=float(cfg["noise"]),
-        image_size=float(cfg["image_size"]), cell_count=int(cfg["cell_count"]),
-        box_size=float(cfg["box_size"]), jitter=float(cfg["jitter"]),
-        duplicates=int(cfg["duplicates"]), fp_rate=float(cfg["fp_rate"]),
-        crowd_frac=float(cfg["crowd_frac"]),
-    )
+    try:
+        alpha_map, beta_map = (
+            synth.ParamMap.from_dict(doc) if doc else default
+            for doc, default in zip((cfg["alpha_map"], cfg["beta_map"]), defaults)
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(
+            f"alpha_map/beta_map need weights, bias, lo and hi: {e!r}") from e
+    return _build(synth.SynthConfig, cfg, alpha_map=alpha_map, beta_map=beta_map)
 
 
-def cmd_synth(cfg: dict, out_dir: str) -> dict:
+def cmd_synth(cfg: dict, header: dict, out_dir: str) -> dict:
     scfg = _synth_config(cfg)
-    header = formats.make_header(cfg, scfg.seed)
     task = cfg["task"]
     files: dict[str, str] = {}
     if task == "counting":
@@ -221,33 +252,24 @@ def cmd_synth(cfg: dict, out_dir: str) -> dict:
             {"image_id": im.image_id, "count": im.count} for im in images
         ))
         files = {"proposals": prop_path, "gt": gt_path, "counts": counts_path}
-    return {"files": files, "n": int(cfg["n"])}
+    return {"files": files, "n": cfg["n"]}
 
 
-def cmd_train(cfg: dict, out_dir: str) -> dict:
+def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
     records = formats.read_counting_records(cfg["data"])
     if not records:
         raise DataError(f"no training records in {cfg['data']}")
     data = [cardnet.TrainingSample(features=f, count=c) for f, c in records]
-    d = len(data[0].features)
     kind = cfg["loss"]
-    if kind not in ("negbin", "regression"):
-        raise ConfigError(f"unknown loss {kind!r}")
-    dims = [d] + [int(h) for h in cfg["hidden"]] + [2 if kind == "negbin" else 1]
-    head = HeadWeights(alpha_max=float(cfg["alpha_max"]),
-                       beta_max=float(cfg["beta_max"]), floor=float(cfg["floor"]))
-    model = cardnet.init_model(dims, activation=cfg["activation"], head=head,
-                               seed=int(cfg["seed"]), kind=kind)
-    tcfg = cardnet.TrainConfig(
-        learning_rate=float(cfg["learning_rate"]), momentum=float(cfg["momentum"]),
-        weight_decay=float(cfg["weight_decay"]), epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]), seed=int(cfg["seed"]),
-    )
+    dims = [len(data[0].features), *cfg["hidden"], 2 if kind == "negbin" else 1]
+    model = cardnet.init_model(dims, activation=cfg["activation"],
+                               head=_build(HeadWeights, cfg), seed=cfg["seed"],
+                               kind=kind)
+    tcfg = _build(cardnet.TrainConfig, cfg)
     losses: list[dict] = []
     trained = cardnet.train(model, data, tcfg,
                             epoch_callback=lambda e, l: losses.append(
                                 {"epoch": e, "loss": l}))
-    header = formats.make_header(cfg, tcfg.seed)
     model_path = _outpath(out_dir, "model.json")
     cardnet.save_model(trained, model_path,
                        meta={"config_hash": header["config_hash"]})
@@ -260,17 +282,16 @@ def cmd_train(cfg: dict, out_dir: str) -> dict:
     }
 
 
-def cmd_predict(cfg: dict, out_dir: str) -> dict:
+def cmd_predict(cfg: dict, header: dict, out_dir: str) -> dict:
     model = cardnet.load_model(cfg["model"])
     rows = []
     for feats in formats.iter_feature_rows(cfg["features"]):
-        mode = cardnet.predict_count(model, feats)
         if model.kind == "negbin":
             ab = cardnet.forward(model, feats)
-            rows.append({"alpha": ab.alpha, "beta": ab.beta, "mode": mode})
+            rows.append({"alpha": ab.alpha, "beta": ab.beta,
+                         "mode": nb_mode(ab.negbin())})
         else:
-            rows.append({"mode": mode})
-    header = formats.make_header(cfg, int(cfg["seed"]))
+            rows.append({"mode": cardnet.predict_count(model, feats)})
     path = _outpath(out_dir, "predictions.jsonl")
     formats.write_jsonl(path, header, rows)
     return {"files": {"predictions": path}, "n": len(rows)}
@@ -290,16 +311,15 @@ def _write_curve_csv(path: str, header: dict, columns: list[str],
             fh.write("\n")
 
 
-def cmd_eval_ml(cfg: dict, out_dir: str) -> dict:
+def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
     records = formats.read_multilabel_records(cfg["records"])
     if not records:
         raise DataError(f"no records in {cfg['records']}")
     n_classes = len(records[0].scores)
-    header = formats.make_header(cfg, int(cfg["seed"]))
     mode = cfg["mode"]
     if mode == "fixed-k":
         k_values = cfg["k_values"] or list(range(0, n_classes + 1))
-        sweep = mlmetrics.topk_sweep(records, [int(k) for k in k_values])
+        sweep = mlmetrics.topk_sweep(records, k_values)
         curve_path = _outpath(out_dir, "curve.csv")
         _write_curve_csv(
             curve_path, header,
@@ -315,7 +335,7 @@ def cmd_eval_ml(cfg: dict, out_dir: str) -> dict:
             "best": best.as_dict(),
         }
         files = {"curve": curve_path}
-    elif mode == "predicted-k":
+    else:
         if not cfg["pred"]:
             raise ConfigError("predicted-k evaluation needs a 'pred' file")
         _, pred_rows = formats.read_jsonl(cfg["pred"])
@@ -330,8 +350,6 @@ def cmd_eval_ml(cfg: dict, out_dir: str) -> dict:
         summary = mlmetrics.predicted_k_eval(records, m_stars)
         result = {"mode": mode, "metrics": summary.as_dict()}
         files = {}
-    else:
-        raise ConfigError(f"unknown eval-ml mode {mode!r}")
     metrics_path = _outpath(out_dir, "metrics.json")
     with open(metrics_path, "w", encoding="utf-8") as fh:
         fh.write(formats.canonical_json({**header, **result}))
@@ -340,23 +358,21 @@ def cmd_eval_ml(cfg: dict, out_dir: str) -> dict:
     return {"files": files, **result}
 
 
-def cmd_eval_det(cfg: dict, out_dir: str) -> dict:
+def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
     dets = formats.read_boxes(cfg["dets"], with_score=True)
     gts = formats.read_boxes(cfg["gts"], with_score=False)
     image_ids = sorted(set(dets) | set(gts))
     if not image_ids:
         raise DataError("no images found in detection/ground-truth files")
-    thresh = float(cfg["iou_thresh"])
     matches = [
-        detect.match_detections(dets.get(i, []), gts.get(i, []), thresh)
+        detect.match_detections(dets.get(i, []), gts.get(i, []), cfg["iou_thresh"])
         for i in image_ids
     ]
-    n_images = int(cfg["n_images"]) if cfg["n_images"] else len(image_ids)
+    n_images = cfg["n_images"] or len(image_ids)
     f1 = detect.detection_f1(matches)
     best_f1 = detect.best_f1_over_thresholds(matches)
     mr = detect.log_avg_miss_rate(matches, n_images)
     miss, fppi = detect.miss_rate_curve(matches, n_images)
-    header = formats.make_header(cfg, int(cfg["seed"]))
     curve_path = _outpath(out_dir, "curve.csv")
     _write_curve_csv(curve_path, header, ["fppi", "miss_rate"],
                      [[float(f), float(m)] for f, m in zip(fppi, miss)])
@@ -370,15 +386,14 @@ def cmd_eval_det(cfg: dict, out_dir: str) -> dict:
 
 def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
     sources = [k for k in ("mstar_fixed", "mstar_file", "mstar_model")
-               if cfg.get(k) is not None]
+               if cfg[k] is not None]
     if len(sources) != 1:
         raise ConfigError(
             "exactly one of mstar_fixed / mstar_file / mstar_model is required"
         )
     source = sources[0]
     if source == "mstar_fixed":
-        m = int(cfg["mstar_fixed"])
-        return {i: m for i in image_ids}
+        return {i: cfg["mstar_fixed"] for i in image_ids}
     if source == "mstar_file":
         _, rows = formats.read_jsonl(cfg["mstar_file"])
         try:
@@ -389,7 +404,7 @@ def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
         if missing:
             raise DataError(f"m* file lacks image ids {missing[:5]}")
         return table
-    if not cfg.get("mstar_features"):
+    if not cfg["mstar_features"]:
         raise ConfigError("mstar_model also needs mstar_features")
     model = cardnet.load_model(cfg["mstar_model"])
     feats = list(formats.iter_feature_rows(cfg["mstar_features"]))
@@ -402,11 +417,10 @@ def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
     }
 
 
-def cmd_nms(cfg: dict, out_dir: str) -> dict:
+def cmd_nms(cfg: dict, header: dict, out_dir: str) -> dict:
     proposals = formats.read_boxes(cfg["proposals"], with_score=True)
     image_ids = sorted(proposals)
-    nms_cfg = detect.NMSConfig(t0=float(cfg["t0"]), step=float(cfg["step"]),
-                               t_max=float(cfg["t_max"]))
+    nms_cfg = _build(detect.NMSConfig, cfg)
     mstar = _mstar_lookup(cfg, image_ids)
     kept_total = 0
     out_images = []
@@ -414,43 +428,36 @@ def cmd_nms(cfg: dict, out_dir: str) -> dict:
         kept = detect.adaptive_nms(proposals[i], mstar[i], nms_cfg)
         kept_total += len(kept)
         out_images.append((i, kept))
-    header = formats.make_header(cfg, int(cfg["seed"]))
     path = _outpath(out_dir, "kept.txt")
     formats.write_boxes(path, header, out_images, with_score=True)
     return {"files": {"kept": path}, "n_images": len(image_ids),
             "n_kept": kept_total}
 
 
-def cmd_sample(cfg: dict, out_dir: str) -> dict:
+def cmd_sample(cfg: dict, header: dict, out_dir: str) -> dict:
     if cfg["card"] == "negbin":
-        params = NegBinParams(a=float(cfg["a"]), b=float(cfg["b"]))
-        pmf = nb_pmf_truncated(params)
-    elif cfg["card"] == "pmf":
-        if not cfg["pmf"]:
-            raise ConfigError("card=pmf needs an explicit 'pmf' list")
-        pmf = [float(p) for p in cfg["pmf"]]
+        pmf = nb_pmf_truncated(NegBinParams(a=cfg["a"], b=cfg["b"]))
+    elif not cfg["pmf"]:
+        raise ConfigError("card=pmf needs an explicit 'pmf' list")
     else:
-        raise ConfigError(f"unknown cardinality spec {cfg['card']!r}")
+        pmf = cfg["pmf"]
     card = setinfer.CardinalityPMF(pmf=tuple(np.asarray(pmf) / np.sum(pmf)))
     if cfg["element"] == "categorical":
-        probs = np.asarray([float(p) for p in cfg["probs"]])
+        probs = np.asarray(cfg["probs"])
         probs = probs / probs.sum()
 
         def sampler(rng: np.random.Generator):
             return int(rng.choice(len(probs), p=probs))
-    elif cfg["element"] == "uniform":
-        lo, hi = float(cfg["lo"]), float(cfg["hi"])
+    else:
+        lo, hi = cfg["lo"], cfg["hi"]
         if not hi > lo:
             raise ConfigError("uniform element law needs hi > lo")
 
         def sampler(rng: np.random.Generator):
             return float(rng.uniform(lo, hi))
-    else:
-        raise ConfigError(f"unknown element spec {cfg['element']!r}")
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     rows = [{"set": setinfer.sample_rfs_with(card, sampler, rng)}
-            for _ in range(int(cfg["n"]))]
-    header = formats.make_header(cfg, int(cfg["seed"]))
+            for _ in range(cfg["n"])]
     path = _outpath(out_dir, "samples.jsonl")
     formats.write_jsonl(path, header, rows)
     sizes = [len(r["set"]) for r in rows]
@@ -458,23 +465,20 @@ def cmd_sample(cfg: dict, out_dir: str) -> dict:
             "mean_cardinality": float(np.mean(sizes)) if sizes else 0.0}
 
 
-def cmd_gradcheck(cfg: dict, out_dir: str) -> dict:
-    rng = np.random.default_rng(int(cfg["seed"]))
-    d = int(cfg["d"])
+def cmd_gradcheck(cfg: dict, header: dict, out_dir: str) -> dict:
+    rng = np.random.default_rng(cfg["seed"])
+    d = cfg["d"]
     kind = cfg["loss"]
-    if kind not in ("negbin", "regression"):
-        raise ConfigError(f"unknown loss {kind!r}")
-    dims = [d] + [int(h) for h in cfg["hidden"]] + [2 if kind == "negbin" else 1]
-    model = cardnet.init_model(dims, seed=int(cfg["seed"]), kind=kind)
+    dims = [d, *cfg["hidden"], 2 if kind == "negbin" else 1]
+    model = cardnet.init_model(dims, seed=cfg["seed"], kind=kind)
     batch = [
         cardnet.TrainingSample(
             features=tuple(rng.uniform(-1.0, 1.0, size=d)),
             count=int(rng.poisson(4.0)),
         )
-        for _ in range(int(cfg["batch"]))
+        for _ in range(cfg["batch"])
     ]
-    err = cardnet.gradient_check(model, batch, h=float(cfg["h"]))
-    header = formats.make_header(cfg, int(cfg["seed"]))
+    err = cardnet.gradient_check(model, batch, h=cfg["h"])
     path = _outpath(out_dir, "gradcheck.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(formats.canonical_json({**header, "max_rel_error": err}))
@@ -521,13 +525,14 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
     try:
-        config = _resolve_config(args.command, args.config, args.seed)
-        result = COMMANDS[args.command](config, args.out)
+        given, config = _resolve_config(args.command, args.config, args.seed)
+        header = formats.make_header(given, config["seed"])
+        result = COMMANDS[args.command](config, header, args.out)
         payload = {
             "command": args.command,
-            "seed": int(config.get("seed", 0)),
-            "config_hash": formats.config_hash(config),
-            "config": config,
+            "seed": config["seed"],
+            "config_hash": header["config_hash"],
+            "config": given,
             **result,
         }
         print(json.dumps(payload, sort_keys=True))

@@ -16,22 +16,18 @@ argmax over the same pmf.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import NumericError
 
 __all__ = [
     "NegBinParams",
-    "PoissonParams",
-    "GammaParams",
     "log_gamma",
     "digamma",
     "nb_log_pmf",
     "nb_mode",
-    "nb_mean",
     "nb_pmf_truncated",
-    "poisson_log_pmf",
-    "gamma_log_pdf",
 ]
 
 _HALF_LOG_TWO_PI = 0.9189385332046727  # ln(2*pi)/2
@@ -58,16 +54,15 @@ def _check_positive(x: float, name: str) -> float:
     return x
 
 
-def _check_count(m: int, name: str = "m") -> int:
-    if isinstance(m, bool) or not isinstance(m, (int,)):
-        # Accept exact integral floats coming from array code.
-        if isinstance(m, float) and m.is_integer():
-            m = int(m)
-        else:
-            raise NumericError(f"{name} must be a non-negative integer, got {m!r}")
-    if m < 0:
-        raise NumericError(f"{name} must be a non-negative integer, got {m!r}")
-    return int(m)
+def _check_count(m, name: str = "m") -> int:
+    """``m`` as an int.  Python and numpy integers and integral floats pass;
+    bools, negatives, fractions and non-numbers raise NumericError."""
+    if type(m) is int and m >= 0:  # fast path: the loss calls this per sample
+        return m
+    if (not isinstance(m, bool) and isinstance(m, numbers.Real)
+            and (isinstance(m, numbers.Integral) or float(m).is_integer()) and m >= 0):
+        return int(m)
+    raise NumericError(f"{name} must be a non-negative integer, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -85,28 +80,6 @@ class NegBinParams:
         b = float(self.b)
         if not math.isfinite(b) or not 0.0 < b < 1.0:
             raise NumericError(f"b must lie in the open interval (0,1), got {b!r}")
-
-
-@dataclass(frozen=True)
-class PoissonParams:
-    """Poisson rate parameter."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        _check_positive(self.lam, "lambda")
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Gamma distribution in shape/rate parameterisation."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        _check_positive(self.shape, "shape")
-        _check_positive(self.rate, "rate")
 
 
 def log_gamma(x: float) -> float:
@@ -190,11 +163,6 @@ def nb_mode(p: NegBinParams) -> int:
     return best_m
 
 
-def nb_mean(p: NegBinParams) -> float:
-    """Expected value a*b/(1-b)."""
-    return p.a * p.b / (1.0 - p.b)
-
-
 def nb_pmf_truncated(
     p: NegBinParams, mass: float = 1.0 - 1e-12, cap: int = 10**6
 ) -> list[float]:
@@ -214,20 +182,3 @@ def nb_pmf_truncated(
         total += q
         m += 1
     return pmf
-
-
-def poisson_log_pmf(m: int, p: PoissonParams) -> float:
-    """ln Poisson(m; lambda)."""
-    m = _check_count(m)
-    return m * math.log(p.lam) - p.lam - log_gamma(m + 1.0)
-
-
-def gamma_log_pdf(x: float, p: GammaParams) -> float:
-    """ln Gamma-density(x; shape, rate) for x > 0."""
-    x = _check_positive(x, "x")
-    return (
-        p.shape * math.log(p.rate)
-        - log_gamma(p.shape)
-        + (p.shape - 1.0) * math.log(x)
-        - p.rate * x
-    )

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .cardloss import AlphaBeta
 from .errors import NumericError
-from .numerics import NegBinParams, log_gamma, nb_mode
+from .mlmetrics import top_k_labels
+from .numerics import nb_mode
 
 __all__ = [
     "ScoredElements",
@@ -25,8 +26,7 @@ __all__ = [
     "CardinalityPMF",
     "map_set",
     "sequential_map",
-    "sample_rfs",
-    "vector_set_factor",
+    "sample_rfs_with",
 ]
 
 
@@ -83,17 +83,7 @@ class CardinalityPMF:
 
 def map_set(scores: ScoredElements, m_star: int) -> PredictedSet:
     """Indices of the m_star highest probabilities; ties go to lower index."""
-    if m_star < 0 or m_star > len(scores):
-        raise NumericError(
-            f"m_star must lie in [0, {len(scores)}], got {m_star!r}"
-        )
-    if m_star == 0:
-        return PredictedSet(indices=())
-    p = np.asarray(scores.probs)
-    # Stable sort on negated probabilities keeps lower indices first on ties.
-    order = np.argsort(-p, kind="stable")
-    chosen = sorted(int(i) for i in order[:m_star])
-    return PredictedSet(indices=tuple(chosen))
+    return PredictedSet(indices=top_k_labels(scores.probs, m_star).labels)
 
 
 def sequential_map(scores: ScoredElements, ab: AlphaBeta) -> PredictedSet:
@@ -101,22 +91,8 @@ def sequential_map(scores: ScoredElements, ab: AlphaBeta) -> PredictedSet:
 
     The NB mode is clamped to the number of available elements.
     """
-    m_star = nb_mode(NegBinParams(a=ab.alpha, b=1.0 / (1.0 + ab.beta)))
+    m_star = nb_mode(ab.negbin())
     return map_set(scores, min(m_star, len(scores)))
-
-
-def sample_rfs(
-    card: CardinalityPMF,
-    element_sampler: Callable[[np.random.Generator], object],
-    rng_seed: int,
-) -> list:
-    """Draw one set: m ~ card, then m i.i.d. element values.
-
-    Returns the draws as a list (a multiset): duplicates produced by
-    discrete element laws are preserved; deduplication is caller policy.
-    """
-    rng = np.random.default_rng(rng_seed)
-    return sample_rfs_with(card, element_sampler, rng)
 
 
 def sample_rfs_with(
@@ -124,33 +100,11 @@ def sample_rfs_with(
     element_sampler: Callable[[np.random.Generator], object],
     rng: np.random.Generator,
 ) -> list:
-    """Like ``sample_rfs`` but drawing from a caller-owned generator."""
+    """Draw one set from ``rng``: m ~ card, then m i.i.d. element values.
+
+    Returns the draws as a list (a multiset): duplicates produced by
+    discrete element laws are preserved; deduplication is caller policy.
+    """
     pmf = np.asarray(card.pmf)
     m = int(rng.choice(len(pmf), p=pmf / pmf.sum()))
     return [element_sampler(rng) for _ in range(m)]
-
-
-def vector_set_factor(m: int) -> float:
-    """ln m!, the permutation factor relating vector and set densities."""
-    if m < 0 or int(m) != m:
-        raise NumericError(f"m must be a non-negative integer, got {m!r}")
-    return log_gamma(float(m) + 1.0)
-
-
-def set_log_density(card: CardinalityPMF, probs: Sequence[float]) -> float:
-    """ln of the i.i.d. set density: ln pmf(m) + ln m! + sum of element logs.
-
-    The unit-of-hypervolume factor is deliberately omitted; it cancels in
-    all mode computations and is unknown in practice.
-    """
-    m = len(probs)
-    if m >= len(card.pmf):
-        raise NumericError(f"cardinality {m} outside pmf support")
-    if card.pmf[m] <= 0.0:
-        return -math.inf
-    total = math.log(card.pmf[m]) + vector_set_factor(m)
-    for p in probs:
-        if p <= 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total

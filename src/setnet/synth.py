@@ -29,7 +29,6 @@ from .mlmetrics import EvalRecord, LabelSet
 __all__ = [
     "ParamMap",
     "SynthConfig",
-    "MultilabelSample",
     "BoxImage",
     "gen_counting",
     "gen_multilabel",

@@ -263,3 +263,118 @@ class TestErrorCodes:
         )
         assert proc.returncode == 1
         assert json.loads(proc.stdout.strip())["code"] == "config"
+
+
+# Every config key's type.  "?" marks the keys whose default is null.
+KEY_TYPES = {
+    "synth": {"task": "choice", "n": "int", "d": "int", "C": "int",
+              "seed": "int", "noise": "float", "alpha_map": "object?",
+              "beta_map": "object?", "image_size": "float",
+              "cell_count": "int", "box_size": "float", "jitter": "float",
+              "duplicates": "int", "fp_rate": "float", "crowd_frac": "float"},
+    "train": {"data": "str", "loss": "choice", "hidden": "list[int]",
+              "activation": "choice", "alpha_max": "float",
+              "beta_max": "float", "floor": "float",
+              "learning_rate": "float", "momentum": "float",
+              "weight_decay": "float", "epochs": "int", "batch_size": "int",
+              "seed": "int"},
+    "predict": {"model": "str", "features": "str", "seed": "int"},
+    "eval-ml": {"records": "str", "mode": "choice", "pred": "str?",
+                "k_values": "list[int]?", "seed": "int"},
+    "eval-det": {"dets": "str", "gts": "str", "iou_thresh": "float",
+                 "n_images": "int?", "seed": "int"},
+    "nms": {"proposals": "str", "mstar_fixed": "int?", "mstar_file": "str?",
+            "mstar_model": "str?", "mstar_features": "str?", "t0": "float",
+            "step": "float", "t_max": "float", "seed": "int"},
+    "sample": {"card": "choice", "a": "float", "b": "float",
+               "pmf": "list[float]?", "element": "choice",
+               "probs": "list[float]", "lo": "float", "hi": "float",
+               "n": "int", "seed": "int"},
+    "gradcheck": {"d": "int", "hidden": "list[int]", "batch": "int",
+                  "h": "float", "loss": "choice", "seed": "int"},
+}
+WRONG = {
+    "int": [2.5, True, "3", [3]],
+    "float": [True, "0.5", [0.5]],
+    "str": [5, True, ["x"]],
+    "choice": ["no-such", 5],
+    "object": [5, [1], "x"],
+    "list[int]": [3, ["x"], [1.5], [True]],
+    "list[float]": [3, ["x"], [True]],
+}
+# The required keys, filled with well-typed values.
+REQUIRED = {
+    "synth": {"task": "counting"},
+    "train": {"data": "data.jsonl"},
+    "predict": {"model": "model.json", "features": "data.jsonl"},
+    "eval-ml": {"records": "records.jsonl"},
+    "eval-det": {"dets": "dets.txt", "gts": "gt.txt"},
+    "nms": {"proposals": "proposals.txt"},
+    "sample": {"n": 10},
+    "gradcheck": {},
+}
+
+
+def _wrong_cases():
+    for command, keys in KEY_TYPES.items():
+        for key, kind in keys.items():
+            values = list(WRONG[kind.rstrip("?")])
+            if not kind.endswith("?"):
+                values.append(None)
+            for value in values:
+                yield pytest.param(command, key, value,
+                                   id=f"{command}-{key}-{json.dumps(value)}")
+
+
+def run_main(capsys, tmp_path, command, cfg):
+    from setnet import cli
+    path = write_config(tmp_path, "cfg.json", cfg)
+    code = cli.main([command, "--config", path, "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    return code, out.splitlines(), err
+
+
+@pytest.mark.parametrize("command,key,value", _wrong_cases())
+def test_wrongly_typed_value_is_config_error(capsys, tmp_path, command, key,
+                                             value):
+    code, lines, err = run_main(capsys, tmp_path, command,
+                                {**REQUIRED[command], key: value})
+    assert code == 1
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == "config", lines
+    assert err == ""
+
+
+def test_integral_float_and_int_values_are_cast_but_echoed_as_given(
+        capsys, tmp_path):
+    code, lines, _ = run_main(capsys, tmp_path, "synth", {
+        "task": "counting", "n": 5.0, "d": 3, "noise": 0, "seed": 3.0,
+    })
+    assert code == 0
+    payload = json.loads(lines[0])
+    assert payload["config"]["n"] == 5.0 and isinstance(payload["config"]["n"], float)
+    assert payload["n"] == 5 and payload["seed"] == 3
+    rows = open(payload["files"]["data"]).read().splitlines()[1:]
+    assert len(rows) == 5 and len(json.loads(rows[0])["features"]) == 3
+
+
+# config_hash of each command's default config (required keys as in
+# REQUIRED): pins every default and the key set.
+GOLDEN_HASHES = {
+    "synth": "afe1357cb0d8",
+    "train": "22d420d46980",
+    "predict": "949ae8da208e",
+    "eval-ml": "a84f3c02a1eb",
+    "eval-det": "a0696ba423fb",
+    "nms": "1c5b991fa873",
+    "sample": "428a161780a3",
+    "gradcheck": "3f40c7575f4b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_HASHES))
+def test_default_config_hash(tmp_path, command):
+    from setnet import cli, formats
+    path = write_config(tmp_path, "cfg.json", REQUIRED[command])
+    given, _ = cli._resolve_config(command, path, None)
+    assert sorted(given) == sorted(KEY_TYPES[command])
+    assert formats.config_hash(given) == GOLDEN_HASHES[command]

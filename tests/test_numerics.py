@@ -12,18 +12,18 @@ import scipy.special as sps
 import scipy.stats as sstats
 
 from setnet import (
-    GammaParams,
+    AlphaBeta,
     NegBinParams,
     NumericError,
-    PoissonParams,
+    TrainingSample,
+    card_grad,
+    card_nll,
     digamma,
-    gamma_log_pdf,
     log_gamma,
     nb_log_pmf,
-    nb_mean,
     nb_mode,
     nb_pmf_truncated,
-    poisson_log_pmf,
+    regression_loss,
 )
 
 # ln Gamma(0.5) = 0.5 * ln(pi), 50-digit reference rounded to double.
@@ -175,46 +175,10 @@ class TestNbMean:
             p = NegBinParams(a=a, b=b)
             pmf = nb_pmf_truncated(p)
             series = sum(m * q for m, q in enumerate(pmf))
-            assert nb_mean(p) == pytest.approx(series, rel=1e-6)
-
-    def test_examples(self):
-        assert nb_mean(NegBinParams(a=5.0, b=0.5)) == pytest.approx(5.0)
-        assert nb_mean(NegBinParams(a=1.0, b=0.5)) == pytest.approx(1.0)
-        assert nb_mean(NegBinParams(a=7.0, b=1e-9)) < 1e-8
+            assert a * b / (1.0 - b) == pytest.approx(series, rel=1e-6)
 
 
 class TestPoissonGamma:
-    def test_poisson_at_zero(self):
-        for lam in (0.3, 1.0, 17.5):
-            assert poisson_log_pmf(0, PoissonParams(lam=lam)) == pytest.approx(
-                -lam, abs=1e-12
-            )
-
-    def test_poisson_matches_scipy(self):
-        rng = np.random.default_rng(6)
-        for _ in range(200):
-            lam = float(10 ** rng.uniform(-1, 2))
-            m = int(rng.integers(0, 60))
-            assert poisson_log_pmf(m, PoissonParams(lam=lam)) == pytest.approx(
-                sstats.poisson.logpmf(m, lam), abs=1e-10
-            )
-
-    def test_gamma_mode_by_grid_search(self):
-        p = GammaParams(shape=4.5, rate=2.0)
-        grid = np.linspace(0.01, 10.0, 20000)
-        dens = [gamma_log_pdf(float(x), p) for x in grid]
-        argmax = grid[int(np.argmax(dens))]
-        assert argmax == pytest.approx((p.shape - 1.0) / p.rate, abs=2e-3)
-
-    def test_gamma_matches_scipy(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            p = GammaParams(shape=float(10 ** rng.uniform(-0.5, 1.5)),
-                            rate=float(10 ** rng.uniform(-0.5, 1.0)))
-            x = float(10 ** rng.uniform(-2, 1.5))
-            ref = sstats.gamma.logpdf(x, p.shape, scale=1.0 / p.rate)
-            assert gamma_log_pdf(x, p) == pytest.approx(ref, abs=1e-10)
-
     def test_gamma_poisson_compound_is_negbin(self):
         # Conjugacy: lambda ~ Gamma(alpha, beta), m ~ Poisson(lambda) has the
         # marginal NB(alpha, 1/(1+beta)); checked in total variation.
@@ -230,10 +194,26 @@ class TestPoissonGamma:
         tv = 0.5 * np.abs(counts - exact).sum() + 0.5 * (1.0 - exact.sum())
         assert tv < 0.01
 
-    def test_domain_errors(self):
+
+# Every caller of the one count validator, as a function of the count.
+COUNT_CALLERS = {
+    "nb_log_pmf": lambda m: nb_log_pmf(m, NegBinParams(a=2.0, b=0.5)),
+    "card_nll": lambda m: card_nll(m, AlphaBeta(alpha=2.0, beta=1.0)),
+    "card_grad": lambda m: card_grad(m, AlphaBeta(alpha=2.0, beta=1.0)),
+    "regression_loss": lambda m: regression_loss(m, 1.5),
+    "TrainingSample": lambda m: TrainingSample(features=(0.0,), count=m).count,
+}
+
+
+class TestCountValidator:
+    @pytest.mark.parametrize("caller", sorted(COUNT_CALLERS))
+    @pytest.mark.parametrize("m", [3, 3.0, np.int64(3)], ids=repr)
+    def test_accepts_integral_counts(self, caller, m):
+        call = COUNT_CALLERS[caller]
+        assert call(m) == call(3)
+
+    @pytest.mark.parametrize("caller", sorted(COUNT_CALLERS))
+    @pytest.mark.parametrize("m", [True, 2.5, -1, "3"], ids=repr)
+    def test_rejects_non_counts(self, caller, m):
         with pytest.raises(NumericError):
-            PoissonParams(lam=0.0)
-        with pytest.raises(NumericError):
-            GammaParams(shape=1.0, rate=-2.0)
-        with pytest.raises(NumericError):
-            gamma_log_pdf(0.0, GammaParams(shape=1.0, rate=1.0))
+            COUNT_CALLERS[caller](m)

@@ -16,11 +16,9 @@ from setnet import (
     map_set,
     nb_mode,
     nb_pmf_truncated,
-    sample_rfs,
+    sample_rfs_with,
     sequential_map,
-    vector_set_factor,
 )
-from setnet.setinfer import sample_rfs_with, set_log_density
 
 
 def brute_force_map_set(probs, m_star):
@@ -116,13 +114,14 @@ class TestSampleRfs:
     def test_point_mass_at_zero(self):
         card = CardinalityPMF(pmf=(1.0,))
         for seed in range(5):
-            assert sample_rfs(card, lambda rng: rng.uniform(), seed) == []
+            rng = np.random.default_rng(seed)
+            assert sample_rfs_with(card, lambda r: r.uniform(), rng) == []
 
     def test_point_mass_at_two(self):
         card = CardinalityPMF(pmf=(0.0, 0.0, 1.0))
         for seed in range(5):
-            draw = sample_rfs(card, lambda rng: int(rng.choice(3, p=[0.5, 0.3, 0.2])),
-                              seed)
+            draw = sample_rfs_with(card, lambda r: int(r.choice(3, p=[0.5, 0.3, 0.2])),
+                                   np.random.default_rng(seed))
             assert len(draw) == 2
 
     def test_cardinality_histogram_tv(self):
@@ -156,28 +155,6 @@ class TestSampleRfs:
             CardinalityPMF(pmf=(0.5, 0.4))
         with pytest.raises(NumericError):
             CardinalityPMF(pmf=(1.2, -0.2))
-
-
-class TestVectorSetFactor:
-    def test_base_cases(self):
-        assert vector_set_factor(0) == pytest.approx(0.0, abs=1e-14)
-        assert vector_set_factor(1) == pytest.approx(0.0, abs=1e-14)
-        assert vector_set_factor(5) == pytest.approx(math.log(120.0), abs=1e-12)
-
-    def test_large_m_stays_finite(self):
-        assert math.isfinite(vector_set_factor(170))
-
-    def test_rejects_negative(self):
-        with pytest.raises(NumericError):
-            vector_set_factor(-1)
-
-    def test_set_density_assembly(self):
-        # ln p({y_1..y_m}) for an i.i.d. process with the hypervolume term
-        # dropped: ln pmf(m) + ln m! + sum of element log-probabilities.
-        card = CardinalityPMF(pmf=(0.2, 0.3, 0.5))
-        probs = [0.4, 0.7]
-        expected = math.log(0.5) + math.log(2.0) + math.log(0.4) + math.log(0.7)
-        assert set_log_density(card, probs) == pytest.approx(expected, abs=1e-12)
 
 
 class TestPredictedSet:
