@@ -26,7 +26,7 @@ import numpy as np
 
 from . import cardnet, detect, formats, mlmetrics, setinfer, synth
 from .cardloss import HeadWeights
-from .errors import ConfigError, DataError, SetnetError
+from .errors import ConfigError, DataError, NumericError, SetnetError
 from .numerics import NegBinParams, nb_mode, nb_pmf_truncated
 
 log = logging.getLogger(__name__)
@@ -41,8 +41,15 @@ def _fields(cls) -> dict[str, tuple]:
 
 
 def _build(cls, cfg: dict, **given):
-    """Dataclass ``cls`` from the config keys named after its fields."""
-    return cls(**({f.name: cfg[f.name] for f in dataclasses.fields(cls)} | given))
+    """Dataclass ``cls`` from the config keys named after its fields.
+
+    A value its ``__post_init__`` rejects is out of range for the config,
+    so it is a config error, not a numeric one.
+    """
+    try:
+        return cls(**({f.name: cfg[f.name] for f in dataclasses.fields(cls)} | given))
+    except (NumericError, ArithmeticError) as e:
+        raise ConfigError(f"invalid {cls.__name__} config: {e}") from e
 
 
 # Each command's known keys as (type, default); unknown keys are rejected.
@@ -256,16 +263,16 @@ def cmd_synth(cfg: dict, header: dict, out_dir: str) -> dict:
 
 
 def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
+    head = _build(HeadWeights, cfg)
+    tcfg = _build(cardnet.TrainConfig, cfg)
     records = formats.read_counting_records(cfg["data"])
     if not records:
         raise DataError(f"no training records in {cfg['data']}")
     data = [cardnet.TrainingSample(features=f, count=c) for f, c in records]
     kind = cfg["loss"]
     dims = [len(data[0].features), *cfg["hidden"], 2 if kind == "negbin" else 1]
-    model = cardnet.init_model(dims, activation=cfg["activation"],
-                               head=_build(HeadWeights, cfg), seed=cfg["seed"],
-                               kind=kind)
-    tcfg = _build(cardnet.TrainConfig, cfg)
+    model = cardnet.init_model(dims, activation=cfg["activation"], head=head,
+                               seed=cfg["seed"], kind=kind)
     losses: list[dict] = []
     trained = cardnet.train(model, data, tcfg,
                             epoch_callback=lambda e, l: losses.append(
@@ -393,6 +400,8 @@ def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
         )
     source = sources[0]
     if source == "mstar_fixed":
+        if cfg["mstar_fixed"] < 0:
+            raise ConfigError(f"mstar_fixed must be >= 0, got {cfg['mstar_fixed']!r}")
         return {i: cfg["mstar_fixed"] for i in image_ids}
     if source == "mstar_file":
         _, rows = formats.read_jsonl(cfg["mstar_file"])
@@ -418,20 +427,23 @@ def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
 
 
 def cmd_nms(cfg: dict, header: dict, out_dir: str) -> dict:
+    nms_cfg = _build(detect.NMSConfig, cfg)
     proposals = formats.read_boxes(cfg["proposals"], with_score=True)
     image_ids = sorted(proposals)
-    nms_cfg = _build(detect.NMSConfig, cfg)
     mstar = _mstar_lookup(cfg, image_ids)
     kept_total = 0
+    # Images where no threshold of the sweep kept m* boxes.
+    n_short = 0
     out_images = []
     for i in image_ids:
         kept = detect.adaptive_nms(proposals[i], mstar[i], nms_cfg)
         kept_total += len(kept)
+        n_short += len(kept) < mstar[i]
         out_images.append((i, kept))
     path = _outpath(out_dir, "kept.txt")
     formats.write_boxes(path, header, out_images, with_score=True)
     return {"files": {"kept": path}, "n_images": len(image_ids),
-            "n_kept": kept_total}
+            "n_kept": kept_total, "n_short": n_short}
 
 
 def cmd_sample(cfg: dict, header: dict, out_dir: str) -> dict:

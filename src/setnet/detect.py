@@ -4,7 +4,14 @@ The adaptive NMS sweeps the overlap threshold upward from its starting
 value until the greedy pass keeps at least the requested number of boxes.
 Note that the kept count of greedy NMS is *not* monotone in the threshold
 (a suppressed box can shadow others), so the sweep stops at the first
-qualifying threshold instead of bisecting.
+qualifying threshold instead of bisecting.  An image's overlaps are
+computed once, in numpy: a box's row (the lower-scored boxes it overlaps
+by more than the sweep's first threshold) is built the first time the box
+is kept and reused by every later threshold of the sweep.  All overlaps,
+those of matching and of ``iou`` included, come from one routine, so each
+threshold comparison sees the same float value whichever caller asks.
+If no threshold keeps m* boxes, fewer are returned; the ``nms`` command
+counts those images as ``n_short``.
 
 Matching and the log-average miss rate follow the usual detection
 benchmark protocol: greedy one-to-one matching in descending score order,
@@ -103,14 +110,29 @@ class MatchResult:
         return self.tp + self.fn
 
 
+def _table(boxes: list[BoxDetection]) -> np.ndarray:
+    """Rows x1, y1, x2, y2, area of ``boxes`` as a (5, n) array."""
+    t = np.array([(b.x1, b.y1, b.x2, b.y2, b.area) for b in boxes], dtype=float)
+    return np.ascontiguousarray(t.reshape(-1, 5).T)
+
+
+def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of the boxes in table ``a`` with those in table ``b`` (broadcast).
+
+    The float operations and their order are those of the scalar
+    definition (min/max, then ix*iy, then inter / (area_a + area_b -
+    inter)), so each value is bit-identical to it; clipping ix and iy at
+    0 gives the disjoint case its 0.
+    """
+    ix = np.maximum(np.minimum(a[2], b[2]) - np.maximum(a[0], b[0]), 0.0)
+    iy = np.maximum(np.minimum(a[3], b[3]) - np.maximum(a[1], b[1]), 0.0)
+    inter = ix * iy
+    return inter / (a[4] + b[4] - inter)
+
+
 def iou(a: BoxDetection, b: BoxDetection) -> float:
     """Intersection area over union area, in [0,1]."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return float(_overlaps(_table([a])[:, 0], _table([b]))[0])
 
 
 def _by_score(boxes: list[BoxDetection]) -> list[BoxDetection]:
@@ -118,15 +140,52 @@ def _by_score(boxes: list[BoxDetection]) -> list[BoxDetection]:
     return sorted(boxes, key=lambda bx: -bx.score)
 
 
+class _Sweep:
+    """Greedy NMS over one image's boxes at any threshold >= ``floor``.
+
+    Row i lists the (j, IoU) pairs of the boxes j after box i in score
+    order whose IoU with it exceeds ``floor``; no threshold of the sweep
+    can suppress by the others.  A row is computed the first time its box
+    is kept and cached, so memory stays at the rows actually needed
+    instead of a dense n x n matrix.
+    """
+
+    def __init__(self, boxes: list[BoxDetection], floor: float) -> None:
+        self.boxes = _by_score(boxes)
+        self._table = _table(self.boxes)
+        self._floor = floor
+        self._rows: list[list[tuple[int, float]] | None] = [None] * len(self.boxes)
+
+    def _row(self, i: int) -> list[tuple[int, float]]:
+        row = _overlaps(self._table[:, i], self._table[:, i + 1:])
+        js = np.flatnonzero(row > self._floor)
+        return list(zip((js + (i + 1)).tolist(), row[js].tolist()))
+
+    def greedy(self, t: float, limit: int | None = None) -> list[BoxDetection]:
+        """Keep box i unless an earlier kept box has IoU > t with it; stop
+        once ``limit`` boxes are kept (the greedy pass's first ``limit``)."""
+        suppressed = [False] * len(self.boxes)
+        kept: list[BoxDetection] = []
+        for i, box in enumerate(self.boxes):
+            if suppressed[i]:
+                continue
+            kept.append(box)
+            if len(kept) == limit:
+                break
+            row = self._rows[i]
+            if row is None:
+                row = self._rows[i] = self._row(i)
+            for j, v in row:
+                if v > t:
+                    suppressed[j] = True
+        return kept
+
+
 def greedy_nms(boxes: list[BoxDetection], t: float) -> list[BoxDetection]:
     """Score-descending sweep keeping boxes whose IoU with every kept box is <= t."""
     if not 0.0 <= t < 1.0:
         raise NumericError(f"threshold must lie in [0,1), got {t!r}")
-    kept: list[BoxDetection] = []
-    for box in _by_score(boxes):
-        if all(iou(box, k) <= t for k in kept):
-            kept.append(box)
-    return kept
+    return _Sweep(boxes, t).greedy(t)
 
 
 def adaptive_nms(
@@ -136,24 +195,28 @@ def adaptive_nms(
 
     Sweeps t = t0, t0+step, ... up to t_max and stops at the first
     threshold whose greedy pass keeps >= m_star boxes; the top-m_star by
-    score are returned.  If no threshold qualifies, all survivors of the
-    final threshold are returned (fewer than m_star).  ``m_star=None``
-    lifts the constraint and returns the survivors of t0 unchanged.
+    score are returned.  ``m_star=None`` lifts the constraint and returns
+    the survivors of t0 unchanged.
+
+    The result never holds more than m_star boxes, and holds exactly
+    m_star whenever some threshold of the sweep keeps that many.  If none
+    does, m_star was missed: all survivors of the final threshold are
+    returned, fewer than m_star, and ``len(result) < m_star`` is how a
+    caller tells (the ``nms`` command counts these images as ``n_short``).
     """
     if m_star is not None and m_star < 0:
         raise NumericError(f"m_star must be >= 0, got {m_star!r}")
     if m_star == 0:
         return []
+    sweep = _Sweep(boxes, cfg.t0)
     n_steps = int(math.floor((cfg.t_max - cfg.t0) / cfg.step + 1e-9))
     kept: list[BoxDetection] = []
     for k in range(n_steps + 1):
         t = min(cfg.t0 + k * cfg.step, cfg.t_max)
-        kept = greedy_nms(boxes, t)
-        if m_star is not None and len(kept) >= m_star:
-            return kept[:m_star]
-        if m_star is None:
-            return kept
-    return kept if m_star is None else kept[:m_star]
+        kept = sweep.greedy(t, m_star)
+        if m_star is None or len(kept) >= m_star:
+            break
+    return kept
 
 
 def match_detections(
@@ -167,18 +230,18 @@ def match_detections(
     """
     if not 0.0 < iou_thresh < 1.0:
         raise NumericError(f"iou_thresh must lie in (0,1), got {iou_thresh!r}")
-    taken = [False] * len(gts)
+    ordered = _by_score(dets)
+    # One row per detection: its IoU with every ground truth.
+    overlaps = _overlaps(_table(ordered)[:, :, None], _table(gts)[:, None, :])
+    taken = np.zeros(len(gts), dtype=bool)
     flags: list[tuple[float, bool]] = []
     tp = 0
-    for det in _by_score(dets):
-        best_i, best_v = -1, 0.0
-        for gi, gt in enumerate(gts):
-            if taken[gi]:
-                continue
-            v = iou(det, gt)
-            if v > best_v:
-                best_i, best_v = gi, v
-        if best_i >= 0 and best_v >= iou_thresh:
+    for det, row in zip(ordered, overlaps):
+        # Among the untaken ground truths, argmax picks the highest IoU and
+        # the lower index on ties; a match needs IoU >= iou_thresh (> 0).
+        row = np.where(taken, 0.0, row)
+        best_i = int(np.argmax(row)) if len(gts) else -1
+        if best_i >= 0 and row[best_i] >= iou_thresh:
             taken[best_i] = True
             tp += 1
             flags.append((det.score, True))

@@ -115,15 +115,17 @@ def read_boxes(path: str, with_score: bool) -> dict[int, list[BoxDetection]]:
                     raise DataError(
                         f"{path}:{ln + 1}: expected {expected} fields, got {len(parts)}"
                     )
+                # A field that does not parse, or a box BoxDetection rejects
+                # (a NumericError, hence a ValueError), is bad data here.
                 try:
                     image_id = int(parts[0])
                     vals = [float(v) for v in parts[1:]]
+                    score = vals[4] if with_score else 1.0
+                    box = BoxDetection(
+                        x1=vals[0], y1=vals[1], x2=vals[2], y2=vals[3], score=score
+                    )
                 except ValueError as e:
                     raise DataError(f"{path}:{ln + 1}: {e}") from e
-                score = vals[4] if with_score else 1.0
-                box = BoxDetection(
-                    x1=vals[0], y1=vals[1], x2=vals[2], y2=vals[3], score=score
-                )
                 images.setdefault(image_id, []).append(box)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e

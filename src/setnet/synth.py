@@ -108,8 +108,8 @@ class SynthConfig:
     crowd_frac: float = 0.35
 
     def __post_init__(self) -> None:
-        if min(self.d, self.C, self.n) < 1:
-            raise NumericError("d, C and n must all be >= 1")
+        if min(self.d, self.C, self.n, self.cell_count) < 1:
+            raise NumericError("d, C, n and cell_count must all be >= 1")
         if not 0.0 <= self.noise <= 1.0:
             raise NumericError(f"noise must lie in [0,1], got {self.noise!r}")
         if self.box_size * 1.6 > self.image_size / self.cell_count:

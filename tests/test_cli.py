@@ -116,6 +116,7 @@ def test_boxes_nms_eval_pipeline(workdir):
     code, out = run_cli("nms", "--config", nms_cfg,
                         "--out", str(workdir / "kept"))
     assert code == 0
+    assert out["n_short"] == 0
     kept_file = out["files"]["kept"]
 
     eval_cfg = write_config(workdir, "evaldet.json",
@@ -143,6 +144,18 @@ def test_nms_fixed_and_model_sources(workdir):
     for line in kept:
         by_image.setdefault(line.split()[0], []).append(line)
     assert all(len(v) <= 2 for v in by_image.values())
+    # The first box of an image is always kept, so every image is listed.
+    assert len(by_image) == out["n_images"]
+    assert out["n_short"] == sum(len(v) < 2 for v in by_image.values())
+
+    # An m* above every image's proposal count is missed on every image.
+    nms_cfg = write_config(workdir, "nms_short.json",
+                           {"proposals": proposals, "mstar_fixed": 10_000})
+    code, out = run_cli("nms", "--config", nms_cfg,
+                        "--out", str(workdir / "kept_short"))
+    assert code == 0
+    assert out["n_short"] == out["n_images"] == len(by_image)
+    assert "n_short" not in open(out["files"]["kept"]).read()
 
 
 def test_nms_model_source(workdir):
@@ -255,6 +268,17 @@ class TestErrorCodes:
         code, out = run_cli("sample", "--config", cfg, "--out", str(workdir))
         assert code == 1
         assert out["code"] == "numeric"
+
+    def test_rejected_box_row_is_data_error(self, capsys, tmp_path):
+        proposals = tmp_path / "proposals.txt"
+        proposals.write_text("1 0 0 5 5 0.5\n1 0 0 0 5 0.5\n")
+        code, lines, err = run_main(capsys, tmp_path, "nms", {
+            "proposals": str(proposals), "mstar_fixed": 1})
+        assert code == 1 and err == ""
+        assert len(lines) == 1
+        out = json.loads(lines[0])
+        assert out["code"] == "data"
+        assert out["message"].startswith(f"{proposals}:2: ")
 
     def test_bad_flag_is_config_error(self, workdir):
         proc = subprocess.run(
@@ -378,3 +402,30 @@ def test_default_config_hash(tmp_path, command):
     given, _ = cli._resolve_config(command, path, None)
     assert sorted(given) == sorted(KEY_TYPES[command])
     assert formats.config_hash(given) == GOLDEN_HASHES[command]
+
+
+# Well-typed values that a library dataclass (or the m* lookup) rejects as
+# out of range.
+OUT_OF_RANGE = [
+    ("nms", {"t0": 0.6, "t_max": 0.5}),
+    ("nms", {"step": 0}),
+    ("nms", {"mstar_fixed": -1}),
+    ("train", {"epochs": 0}),
+    ("train", {"alpha_max": 0.0}),
+    ("synth", {"task": "boxes", "cell_count": 0}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,cfg", OUT_OF_RANGE,
+    ids=[f"{c}-{json.dumps(v)}" for c, v in OUT_OF_RANGE])
+def test_out_of_range_value_is_config_error(capsys, tmp_path, command, cfg):
+    proposals = tmp_path / "proposals.txt"
+    proposals.write_text("1 0 0 5 5 0.5\n")
+    required = {**REQUIRED[command]}
+    if command == "nms":
+        required = {"proposals": str(proposals), "mstar_fixed": 1}
+    code, lines, err = run_main(capsys, tmp_path, command, {**required, **cfg})
+    assert code == 1
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == "config", lines
+    assert err == ""

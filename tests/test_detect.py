@@ -4,12 +4,19 @@ The non-monotonicity fixture uses four concrete boxes (overlaps computed
 from their actual geometry): the kept count of greedy NMS is 3 at t=0.3
 but only 2 at t=0.45, because the mid box B survives the higher threshold
 and then shadows C and D.
+
+The property tests compare the library against a scalar reference (one
+Python ``iou`` call per pair, one greedy pass per threshold), which must
+agree exactly: the same boxes, by identity, in the same order.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from setnet import (
     BoxDetection,
@@ -306,3 +313,192 @@ class TestDetectionF1:
         # Thresholding at 0.9 drops the FP: P=R=1.
         assert best_f1_over_thresholds(ms) == pytest.approx(1.0)
         assert detection_f1(ms) == pytest.approx(2 / 3)
+
+
+# -- scalar reference --------------------------------------------------------
+
+
+def ref_iou(a, b):
+    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
+    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.area + b.area - inter)
+
+
+def ref_by_score(boxes):
+    return sorted(boxes, key=lambda bx: -bx.score)
+
+
+def ref_greedy_nms(boxes, t):
+    kept = []
+    for bx in ref_by_score(boxes):
+        if all(ref_iou(bx, k) <= t for k in kept):
+            kept.append(bx)
+    return kept
+
+
+def ref_adaptive_nms(boxes, m_star, cfg):
+    if m_star == 0:
+        return []
+    n_steps = int(math.floor((cfg.t_max - cfg.t0) / cfg.step + 1e-9))
+    kept = []
+    for k in range(n_steps + 1):
+        t = min(cfg.t0 + k * cfg.step, cfg.t_max)
+        kept = ref_greedy_nms(boxes, t)
+        if m_star is not None and len(kept) >= m_star:
+            return kept[:m_star]
+        if m_star is None:
+            return kept
+    return kept if m_star is None else kept[:m_star]
+
+
+def ref_match_detections(dets, gts, iou_thresh):
+    taken = [False] * len(gts)
+    flags = []
+    tp = 0
+    for det in ref_by_score(dets):
+        best_i, best_v = -1, 0.0
+        for gi, gt in enumerate(gts):
+            if taken[gi]:
+                continue
+            v = ref_iou(det, gt)
+            if v > best_v:
+                best_i, best_v = gi, v
+        if best_i >= 0 and best_v >= iou_thresh:
+            taken[best_i] = True
+            tp += 1
+            flags.append((det.score, True))
+        else:
+            flags.append((det.score, False))
+    return MatchResult(tp=tp, fp=len(dets) - tp, fn=len(gts) - tp,
+                       flags=tuple(flags))
+
+
+# -- strategies ----------------------------------------------------------------
+
+# Coordinates on a coarse grid make shared edges and exact duplicates
+# common; arbitrary floats exercise rounding; a few scores make ties common.
+COORD = st.integers(0, 24).map(lambda v: v / 2.0) | st.floats(0.0, 12.0)
+EXTENT = st.integers(1, 16).map(lambda v: v / 2.0) | st.floats(0.01, 8.0)
+SCORES = st.sampled_from([0.2, 0.5, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def boxes(draw):
+    x1, y1 = draw(COORD), draw(COORD)
+    return box(x1, y1, x1 + draw(EXTENT), y1 + draw(EXTENT), draw(SCORES))
+
+
+@st.composite
+def clouds(draw, max_size=16):
+    base = draw(st.lists(boxes(), min_size=1, max_size=max_size))
+    copies = draw(st.lists(st.sampled_from(base), max_size=6))
+    return draw(st.permutations(base + copies))
+
+
+def pairwise_ious(cloud):
+    return sorted({ref_iou(a, b) for a, b in itertools.combinations(cloud, 2)
+                   if ref_iou(a, b) < 1.0} | {0.0})
+
+
+@st.composite
+def cloud_and_threshold(draw):
+    """A cloud and a threshold, half the time one of its own pairwise IoUs
+    (the IoU == t knife edge)."""
+    cloud = draw(clouds())
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(pairwise_ious(cloud)))
+    else:
+        t = draw(st.floats(0.0, 0.99))
+    return cloud, t
+
+
+@st.composite
+def sweep_configs(draw, cloud):
+    if draw(st.booleans()):
+        # Exact dyadic thresholds 0, 1/8, 1/4, ...: grid boxes often have an
+        # IoU of exactly 1/4 or 1/2, a knife edge in the middle of the sweep.
+        return NMSConfig(t0=0.0, step=draw(st.sampled_from([0.125, 0.25])),
+                         t_max=0.875)
+    ious = pairwise_ious(cloud)
+    t0 = draw(st.sampled_from(ious) | st.floats(0.0, 0.9))
+    t_max = draw(st.sampled_from([v for v in ious if v >= t0] + [0.95]))
+    step = draw(st.sampled_from([0.01, 0.05, 0.1]) | st.floats(0.001, 0.5))
+    return NMSConfig(t0=t0, step=step, t_max=t_max)
+
+
+FOUR_BOX = four_box_fixture()
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
+
+
+def ids(bxs):
+    return [id(b) for b in bxs]
+
+
+class TestAgainstScalarReference:
+    @PROPERTY
+    @given(boxes(), boxes())
+    @example(FOUR_BOX[0], FOUR_BOX[1])
+    def test_iou_bit_identical(self, a, b):
+        assert iou(a, b) == ref_iou(a, b)
+        assert iou(b, a) == ref_iou(b, a)
+
+    @PROPERTY
+    @given(cloud_and_threshold())
+    @example((FOUR_BOX, 0.3))
+    @example((FOUR_BOX, 0.45))
+    @example((FOUR_BOX, 64.0 / 130.0))
+    def test_greedy_nms(self, case):
+        cloud, t = case
+        kept = greedy_nms(cloud, t)
+        assert ids(kept) == ids(ref_greedy_nms(cloud, t))
+        for a, b in itertools.combinations(kept, 2):
+            assert ref_iou(a, b) <= t
+
+    @PROPERTY
+    @given(st.data())
+    def test_adaptive_nms(self, data):
+        cloud = data.draw(clouds(), label="cloud")
+        cfg = data.draw(sweep_configs(cloud), label="cfg")
+        # Reachable, unreachable (more than the boxes) and unconstrained.
+        m_star = data.draw(st.integers(0, len(cloud)) | st.just(len(cloud) + 1)
+                           | st.none(), label="m_star")
+        kept = adaptive_nms(cloud, m_star, cfg)
+        assert ids(kept) == ids(ref_adaptive_nms(cloud, m_star, cfg))
+        t_last = min(cfg.t0 + math.floor((cfg.t_max - cfg.t0) / cfg.step + 1e-9)
+                     * cfg.step, cfg.t_max)
+        for a, b in itertools.combinations(kept, 2):
+            assert ref_iou(a, b) <= t_last
+
+    @pytest.mark.parametrize("m_star", [None, 0, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("t0", [0.3, 0.379, 0.45, 64.0 / 130.0])
+    def test_adaptive_nms_four_box_fixture(self, m_star, t0):
+        for step in (0.01, 0.05, 0.2):
+            cfg = NMSConfig(t0=t0, step=step, t_max=0.95)
+            assert ids(adaptive_nms(FOUR_BOX, m_star, cfg)) == ids(
+                ref_adaptive_nms(FOUR_BOX, m_star, cfg))
+
+    def test_adaptive_nms_knife_edge_mid_sweep(self):
+        # IoU(A, B) is exactly the sweep's second threshold 0.5, so B is kept
+        # there (suppression needs IoU > t); X (IoU 2/3 with A) is not.
+        a = box(0, 0, 4, 4, 0.9)
+        x = box(0, 0, 4, 6, 0.85)
+        b = box(0, 0, 4, 2, 0.8)
+        cfg = NMSConfig(t0=0.25, step=0.25, t_max=0.75)
+        kept = adaptive_nms([b, x, a], 2, cfg)
+        assert ids(kept) == ids(ref_adaptive_nms([b, x, a], 2, cfg)) == ids([a, b])
+
+    @PROPERTY
+    @given(st.lists(boxes(), max_size=12), clouds(max_size=8) | st.just([]),
+           st.sampled_from([0.5, 0.25, 1.0 / 3.0, 64.0 / 130.0])
+           | st.floats(0.01, 0.99))
+    # The first detection overlaps both ground truths equally (IoU 1/3) and
+    # takes the lower index, which leaves the second detection unmatched.
+    @example([box(2, 0, 6, 4, 0.9), box(0, 0, 4, 4, 0.8)],
+             [box(0, 0, 4, 4), box(4, 0, 8, 4)], 0.3)
+    def test_match_detections(self, dets, gts, iou_thresh):
+        assert match_detections(dets, gts, iou_thresh) == ref_match_detections(
+            dets, gts, iou_thresh)

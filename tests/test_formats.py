@@ -1,6 +1,7 @@
 """File format round trips and header embedding."""
 
 import json
+import re
 
 import pytest
 
@@ -74,3 +75,18 @@ def test_malformed_inputs(tmp_path):
         read_boxes(str(badbox), with_score=True)
     with pytest.raises(DataError):
         read_counting_records(str(tmp_path / "missing.jsonl"))
+
+
+@pytest.mark.parametrize("row", [
+    "4 0 0 0 5 0.5",     # zero width
+    "4 0 5 5 0 0.5",     # negative height
+    "4 0 0 5 5 1.5",     # score above 1
+    "4 0 0 5 5 -0.1",    # score below 0
+    "4 0 0 inf 5 0.5",   # non-finite coordinate
+    "4 0 0 5 5 nan",     # non-finite score
+])
+def test_rejected_box_is_data_error_with_line(tmp_path, row):
+    path = tmp_path / "boxes.txt"
+    path.write_text("# {}\n1 0 0 5 5 0.5\n" + row + "\n")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:3: "):
+        read_boxes(str(path), with_score=True)
