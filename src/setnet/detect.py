@@ -65,6 +65,9 @@ class BoxDetection:
             object.__setattr__(self, name, v)
         if self.x2 <= self.x1 or self.y2 <= self.y1:
             raise NumericError(f"box must have positive extent: {self!r}")
+        # With a finite positive area no IoU is 0/0 or inf/inf (NaN).
+        if not 0.0 < self.area < math.inf:
+            raise NumericError(f"box area must be positive and finite: {self!r}")
         if not 0.0 <= self.score <= 1.0:
             raise NumericError(f"score must lie in [0,1]: {self.score!r}")
 

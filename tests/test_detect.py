@@ -91,6 +91,10 @@ class TestIou:
             box(0, 0, 0, 5)
         with pytest.raises(NumericError):
             box(0, 0, 5, 5, score=1.5)
+        with pytest.raises(NumericError, match="area"):
+            box(0, 0, 1e-200, 1e-200)  # the area underflows to 0
+        with pytest.raises(NumericError, match="area"):
+            box(0, 0, 1e200, 1e200)  # the area overflows
 
 
 class TestGreedyNms:

@@ -84,6 +84,7 @@ def test_malformed_inputs(tmp_path):
     "4 0 0 5 5 -0.1",    # score below 0
     "4 0 0 inf 5 0.5",   # non-finite coordinate
     "4 0 0 5 5 nan",     # non-finite score
+    "4 0 0 1e-200 1e-200 0.5",  # area underflows to 0
 ])
 def test_rejected_box_is_data_error_with_line(tmp_path, row):
     path = tmp_path / "boxes.txt"
