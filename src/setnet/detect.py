@@ -122,10 +122,10 @@ def _table(boxes: list[BoxDetection]) -> np.ndarray:
 def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of the boxes in table ``a`` with those in table ``b`` (broadcast).
 
-    The float operations and their order are those of the scalar
-    definition (min/max, then ix*iy, then inter / (area_a + area_b -
-    inter)), so each value is bit-identical to it; clipping ix and iy at
-    0 gives the disjoint case its 0.
+    The float operations and their order are those of a scalar Python
+    IoU (min/max, then ix*iy, then inter / (area_a + area_b - inter)),
+    so each value is bit-identical to it; clipping ix and iy at 0 gives
+    the disjoint case its 0.
     """
     ix = np.maximum(np.minimum(a[2], b[2]) - np.maximum(a[0], b[0]), 0.0)
     iy = np.maximum(np.minimum(a[3], b[3]) - np.maximum(a[1], b[1]), 0.0)
@@ -147,10 +147,10 @@ class _Sweep:
     """Greedy NMS over one image's boxes at any threshold >= ``floor``.
 
     Row i lists the (j, IoU) pairs of the boxes j after box i in score
-    order whose IoU with it exceeds ``floor``; no threshold of the sweep
-    can suppress by the others.  A row is computed the first time its box
-    is kept and cached, so memory stays at the rows actually needed
-    instead of a dense n x n matrix.
+    order whose IoU with it exceeds ``floor``; a smaller IoU cannot
+    suppress at any threshold >= floor.  A row is computed the first time
+    its box is kept and cached, so memory stays at the rows actually
+    needed instead of a dense n x n matrix.
     """
 
     def __init__(self, boxes: list[BoxDetection], floor: float) -> None:

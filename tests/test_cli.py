@@ -422,9 +422,8 @@ OUT_OF_RANGE = [
 def test_out_of_range_value_is_config_error(capsys, tmp_path, command, cfg):
     proposals = tmp_path / "proposals.txt"
     proposals.write_text("1 0 0 5 5 0.5\n")
-    required = {**REQUIRED[command]}
-    if command == "nms":
-        required = {"proposals": str(proposals), "mstar_fixed": 1}
+    required = ({"proposals": str(proposals), "mstar_fixed": 1}
+                if command == "nms" else REQUIRED[command])
     code, lines, err = run_main(capsys, tmp_path, command, {**required, **cfg})
     assert code == 1
     assert len(lines) == 1 and json.loads(lines[0])["code"] == "config", lines
