@@ -12,6 +12,7 @@ from .cardloss import (
     LossGrad,
     card_grad,
     card_nll,
+    card_nll_grad,
     head_backward,
     head_forward,
     regression_loss,
@@ -25,6 +26,7 @@ from .cardnet import (
     init_model,
     load_model,
     loss_and_grads,
+    predict_batch,
     predict_count,
     save_model,
     train,
@@ -58,6 +60,7 @@ from .numerics import (
     log_gamma,
     nb_log_pmf,
     nb_mode,
+    nb_mode_batch,
     nb_pmf_truncated,
 )
 from .setinfer import (

@@ -15,12 +15,17 @@ which equals -ln NB(m; a=alpha, b=1/(1+beta)).  Its partial derivatives
 
 A pair of weighted sigmoids maps unconstrained pre-activations onto
 strictly positive (alpha, beta); the weights bound the reachable range.
+
+The loss, the sigmoid and the heads work elementwise on arrays (one entry
+per sample); ``card_nll`` and ``card_grad`` wrap the loss for one sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NumericError
 from .numerics import NegBinParams, _check_count, digamma, log_gamma
@@ -29,6 +34,7 @@ __all__ = [
     "AlphaBeta",
     "HeadWeights",
     "LossGrad",
+    "card_nll_grad",
     "card_nll",
     "card_grad",
     "head_forward",
@@ -36,6 +42,15 @@ __all__ = [
     "regression_loss",
     "sigmoid",
 ]
+
+
+def _check_alpha_beta(alpha, beta) -> None:
+    """NumericError naming the first alpha or beta that is not finite and > 0."""
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        ok = np.isfinite(v) & (v > 0.0)
+        if not ok.all():
+            raise NumericError(
+                f"{name} must be finite and > 0, got {float(np.extract(~ok, v)[0])!r}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +61,7 @@ class AlphaBeta:
     beta: float
 
     def __post_init__(self) -> None:
-        for name, v in (("alpha", self.alpha), ("beta", self.beta)):
-            if not math.isfinite(v) or v <= 0.0:
-                raise NumericError(f"{name} must be finite and > 0, got {v!r}")
+        _check_alpha_beta(self.alpha, self.beta)
 
     def negbin(self) -> NegBinParams:
         """The marginal count law NB(a=alpha, b=1/(1+beta))."""
@@ -80,72 +93,76 @@ class HeadWeights:
 
 @dataclass(frozen=True)
 class LossGrad:
-    """Gradient of the per-sample loss with respect to (alpha, beta)."""
+    """Finite gradient of the per-sample loss w.r.t. (alpha, beta), from ``card_grad``."""
 
     d_alpha: float
     d_beta: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.d_alpha) and math.isfinite(self.d_beta)):
-            raise NumericError("gradients must be finite")
+
+def card_nll_grad(m, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nll, d nll/d alpha, d nll/d beta) of counts m under valid alpha=a,
+    beta=b, elementwise; NumericError if a gradient is not finite."""
+    m = _check_count(m)
+    log_b, log1p_b = np.log(b), np.log1p(b)
+    nll = -(
+        log_gamma(m + a)
+        - log_gamma(m + 1.0)
+        - log_gamma(a)
+        + a * log_b
+        - (a + m) * log1p_b
+    )
+    d_alpha = -(digamma(m + a) - digamma(a) + log_b - log1p_b)
+    d_beta = -(a - m * b) / (b * (1.0 + b))
+    if not (np.isfinite(d_alpha).all() and np.isfinite(d_beta).all()):
+        raise NumericError("gradients must be finite")
+    return nll, d_alpha, d_beta
 
 
 def card_nll(m: int, ab: AlphaBeta) -> float:
     """Negative log NB likelihood of count m under (alpha, beta)."""
-    m = _check_count(m)
-    a, b = ab.alpha, ab.beta
-    return -(
-        log_gamma(m + a)
-        - log_gamma(m + 1.0)
-        - log_gamma(a)
-        + a * math.log(b)
-        - (a + m) * math.log1p(b)
-    )
+    return float(card_nll_grad(m, ab.alpha, ab.beta)[0])
 
 
 def card_grad(m: int, ab: AlphaBeta) -> LossGrad:
     """Analytic gradient of ``card_nll`` with respect to (alpha, beta)."""
-    m = _check_count(m)
-    a, b = ab.alpha, ab.beta
-    d_alpha = -(digamma(m + a) - digamma(a) + math.log(b) - math.log1p(b))
-    d_beta = -(a - m * b) / (b * (1.0 + b))
-    return LossGrad(d_alpha, d_beta)
+    _, d_alpha, d_beta = card_nll_grad(m, ab.alpha, ab.beta)
+    return LossGrad(float(d_alpha), float(d_beta))
 
 
-def sigmoid(z: float) -> float:
-    """Numerically stable logistic function."""
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+def sigmoid(z) -> np.ndarray:
+    """Numerically stable logistic function, elementwise."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def head_forward(z_alpha: float, z_beta: float, w: HeadWeights) -> AlphaBeta:
-    """Map pre-activations to strictly positive (alpha, beta).
+def head_forward(z_alpha, z_beta, w: HeadWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Map pre-activation arrays to strictly positive (alpha, beta) arrays.
 
     alpha = floor + (alpha_max - floor) * sigmoid(z_alpha), same for beta.
+    NumericError if an output is not finite and > 0.
     """
     alpha = w.floor + (w.alpha_max - w.floor) * sigmoid(z_alpha)
     beta = w.floor + (w.beta_max - w.floor) * sigmoid(z_beta)
     # Saturation towards the scale is representable; towards the floor the
-    # sigmoid may underflow to exactly 0, which the floor absorbs.
-    return AlphaBeta(alpha=alpha, beta=beta)
+    # sigmoid may underflow to exactly 0, which a positive floor absorbs.
+    _check_alpha_beta(alpha, beta)
+    return alpha, beta
 
 
 def head_backward(
-    z_alpha: float, z_beta: float, w: HeadWeights, g: LossGrad
-) -> tuple[float, float]:
-    """Chain ``g`` through the weighted sigmoids; gradients w.r.t. (z_alpha, z_beta)."""
+    z_alpha, z_beta, w: HeadWeights, d_alpha, d_beta
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chain (d_alpha, d_beta) through the weighted sigmoids; gradients
+    w.r.t. (z_alpha, z_beta), elementwise."""
     sa = sigmoid(z_alpha)
     sb = sigmoid(z_beta)
     return (
-        g.d_alpha * (w.alpha_max - w.floor) * sa * (1.0 - sa),
-        g.d_beta * (w.beta_max - w.floor) * sb * (1.0 - sb),
+        d_alpha * (w.alpha_max - w.floor) * sa * (1.0 - sa),
+        d_beta * (w.beta_max - w.floor) * sb * (1.0 - sb),
     )
 
 
-def regression_loss(m: int, m_hat: float) -> tuple[float, float]:
-    """Squared-error baseline: (0.5*(m_hat-m)^2, d/dm_hat)."""
-    m = _check_count(m)
-    r = float(m_hat) - m
+def regression_loss(m, m_hat) -> tuple[np.ndarray, np.ndarray]:
+    """Squared-error baseline, elementwise: (0.5*(m_hat-m)^2, d/dm_hat)."""
+    r = np.asarray(m_hat, dtype=float) - _check_count(m)
     return 0.5 * r * r, r

@@ -16,7 +16,7 @@ always yields a byte-identical serialised model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -24,15 +24,14 @@ import numpy as np
 from .cardloss import (
     AlphaBeta,
     HeadWeights,
-    card_grad,
-    card_nll,
+    card_nll_grad,
     head_backward,
     head_forward,
     regression_loss,
 )
 from .errors import DataError, NumericError
 from .formats import SCHEMA_VERSION
-from .numerics import _check_count, nb_mode
+from .numerics import _check_count, nb_mode_batch
 
 __all__ = [
     "TrainingSample",
@@ -42,6 +41,7 @@ __all__ = [
     "forward",
     "loss_and_grads",
     "train",
+    "predict_batch",
     "predict_count",
     "gradient_check",
     "model_to_json",
@@ -103,16 +103,6 @@ class MLPModel:
     def dims(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
-    def copy(self) -> "MLPModel":
-        return MLPModel(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activation=self.activation,
-            head=self.head,
-            kind=self.kind,
-            seed=self.seed,
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -162,10 +152,6 @@ def init_model(
     )
 
 
-def _act(z: np.ndarray, name: str) -> np.ndarray:
-    return np.tanh(z) if name == "tanh" else np.maximum(z, 0.0)
-
-
 def _forward_batch(model: MLPModel, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Hidden activations per layer plus the final pre-activation matrix."""
     if X.ndim != 2 or X.shape[1] != model.weights[0].shape[1]:
@@ -174,62 +160,38 @@ def _forward_batch(model: MLPModel, X: np.ndarray) -> tuple[list[np.ndarray], np
             f"{model.weights[0].shape}"
         )
     acts = [X]
-    a = X
-    for li, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        if li < len(model.weights) - 1:
-            a = _act(z, model.activation)
-            acts.append(a)
-        else:
-            return acts, z
-    raise AssertionError("unreachable")
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = acts[-1] @ w.T + b
+        acts.append(np.tanh(z) if model.activation == "tanh" else np.maximum(z, 0.0))
+    return acts, acts[-1] @ model.weights[-1].T + model.biases[-1]
 
 
-def forward(model: MLPModel, x) -> AlphaBeta:
-    """Network output for one feature vector (negbin models only)."""
-    if model.kind != "negbin":
-        raise NumericError("forward() returns AlphaBeta; use predict_count for regression")
-    X = np.asarray(x, dtype=float).reshape(1, -1)
-    _, z = _forward_batch(model, X)
-    return head_forward(z[0, 0], z[0, 1], model.head)
-
-
-def _batch_arrays(batch: list[TrainingSample]) -> tuple[np.ndarray, np.ndarray]:
-    if not batch:
-        raise NumericError("batch must be non-empty")
-    X = np.asarray([s.features for s in batch], dtype=float)
-    m = np.asarray([s.count for s in batch], dtype=int)
-    return X, m
+def _stack(samples: list[TrainingSample]) -> tuple[np.ndarray, np.ndarray]:
+    """The (X, counts) arrays of a list of samples."""
+    X = np.asarray([s.features for s in samples], dtype=float)
+    return X, np.asarray([s.count for s in samples], dtype=np.int64)
 
 
 def loss_and_grads(
-    model: MLPModel, batch: list[TrainingSample]
+    model: MLPModel, X: np.ndarray, counts: np.ndarray
 ) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
-    """Mean per-sample loss and its exact gradients (no weight decay here)."""
-    X, counts = _batch_arrays(batch)
+    """Mean loss over the rows of X with their counts, and its exact
+    gradients (no weight decay here)."""
+    n = len(counts)
+    if n == 0:
+        raise NumericError("batch must be non-empty")
     acts, z_out = _forward_batch(model, X)
-    n = len(batch)
-
-    total = 0.0
-    d_out = np.zeros_like(z_out)
     if model.kind == "negbin":
-        for i in range(n):
-            ab = head_forward(z_out[i, 0], z_out[i, 1], model.head)
-            total += card_nll(int(counts[i]), ab)
-            g = card_grad(int(counts[i]), ab)
-            d_out[i, 0], d_out[i, 1] = head_backward(
-                z_out[i, 0], z_out[i, 1], model.head, g
-            )
+        z_alpha, z_beta = z_out[:, 0], z_out[:, 1]
+        alpha, beta = head_forward(z_alpha, z_beta, model.head)
+        loss, d_alpha, d_beta = card_nll_grad(counts, alpha, beta)
+        delta = np.stack(head_backward(z_alpha, z_beta, model.head, d_alpha, d_beta), axis=1)
     else:
-        for i in range(n):
-            loss_i, g_i = regression_loss(int(counts[i]), z_out[i, 0])
-            total += loss_i
-            d_out[i, 0] = g_i
-    d_out /= n
+        loss, d_m_hat = regression_loss(counts, z_out[:, 0])
+        delta = d_m_hat[:, None]
+    delta = delta / n
 
-    grads_w = [np.zeros_like(w) for w in model.weights]
-    grads_b = [np.zeros_like(b) for b in model.biases]
-    delta = d_out
+    grads_w, grads_b = [None] * len(model.weights), [None] * len(model.biases)
     for li in range(len(model.weights) - 1, -1, -1):
         grads_w[li] = delta.T @ acts[li]
         grads_b[li] = delta.sum(axis=0)
@@ -241,7 +203,7 @@ def loss_and_grads(
                 delta = upstream * (1.0 - acts[li] * acts[li])
             else:
                 delta = upstream * (acts[li] > 0.0)
-    return total / n, (grads_w, grads_b)
+    return float(loss.mean()), (grads_w, grads_b)
 
 
 def train(
@@ -259,19 +221,19 @@ def train(
     """
     if not data:
         raise DataError("training data must be non-empty")
-    out = model.copy()
+    X, counts = _stack(data)
+    out = replace(model, weights=[w.copy() for w in model.weights],
+                  biases=[b.copy() for b in model.biases])
     rng = np.random.default_rng(cfg.seed)
     vel_w = [np.zeros_like(w) for w in out.weights]
     vel_b = [np.zeros_like(b) for b in out.biases]
-    n = len(data)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(len(counts))
         epoch_loss = 0.0
         n_batches = 0
-        for start in range(0, n, cfg.batch_size):
+        for start in range(0, len(counts), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch = [data[j] for j in idx]
-            loss, (gw, gb) = loss_and_grads(out, batch)
+            loss, (gw, gb) = loss_and_grads(out, X[idx], counts[idx])
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss {loss!r}")
             epoch_loss += loss
@@ -289,13 +251,32 @@ def train(
     return out
 
 
+def predict_batch(
+    model: MLPModel, X
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """(alpha, beta, mode) for each row of the feature matrix X: the NB mode
+    for negbin models; for regression, alpha and beta are None and the mode
+    is the output rounded to the nearest count (at least 0)."""
+    _, z = _forward_batch(model, np.asarray(X, dtype=float))
+    if model.kind == "regression":
+        if not (np.abs(z) < 2.0**53).all():  # False for nan
+            raise NumericError("regression output must be finite and below 2**53")
+        return None, None, np.maximum(np.floor(z[:, 0] + 0.5), 0.0).astype(np.int64)
+    alpha, beta = head_forward(z[:, 0], z[:, 1], model.head)
+    return alpha, beta, nb_mode_batch(alpha, 1.0 / (1.0 + beta))
+
+
+def forward(model: MLPModel, x) -> AlphaBeta:
+    """Network output for one feature vector (negbin models only)."""
+    if model.kind != "negbin":
+        raise NumericError("forward() returns AlphaBeta; use predict_count for regression")
+    alpha, beta, _ = predict_batch(model, np.reshape(x, (1, -1)))
+    return AlphaBeta(alpha=float(alpha[0]), beta=float(beta[0]))
+
+
 def predict_count(model: MLPModel, x) -> int:
     """Point count prediction: NB mode for negbin, rounded output for regression."""
-    if model.kind == "negbin":
-        return nb_mode(forward(model, x).negbin())
-    X = np.asarray(x, dtype=float).reshape(1, -1)
-    _, z = _forward_batch(model, X)
-    return max(0, int(np.floor(z[0, 0] + 0.5)))
+    return int(predict_batch(model, np.reshape(x, (1, -1)))[2][0])
 
 
 def gradient_check(model: MLPModel, batch: list[TrainingSample], h: float = 1e-5) -> float:
@@ -305,28 +286,23 @@ def gradient_check(model: MLPModel, batch: list[TrainingSample], h: float = 1e-5
     """
     if h <= 0.0:
         raise NumericError("h must be > 0")
-    _, (gw, gb) = loss_and_grads(model, batch)
+    X, counts = _stack(batch)
+    _, (gw, gb) = loss_and_grads(model, X, counts)
     worst = 0.0
-
-    def probe(arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        nonlocal worst
-        for arr, g in zip(arrays, grads):
-            flat = arr.reshape(-1)
-            gflat = g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                step = h * max(1.0, abs(orig))
-                flat[i] = orig + step
-                lp, _ = loss_and_grads(model, batch)
-                flat[i] = orig - step
-                lm, _ = loss_and_grads(model, batch)
-                flat[i] = orig
-                numeric = (lp - lm) / (2.0 * step)
-                denom = max(abs(gflat[i]), abs(numeric), 1e-10)
-                worst = max(worst, abs(gflat[i] - numeric) / denom)
-
-    probe(model.weights, gw)
-    probe(model.biases, gb)
+    for arr, g in zip(model.weights + model.biases, gw + gb):
+        flat = arr.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            step = h * max(1.0, abs(orig))
+            flat[i] = orig + step
+            lp, _ = loss_and_grads(model, X, counts)
+            flat[i] = orig - step
+            lm, _ = loss_and_grads(model, X, counts)
+            flat[i] = orig
+            numeric = (lp - lm) / (2.0 * step)
+            denom = max(abs(gflat[i]), abs(numeric), 1e-10)
+            worst = max(worst, abs(gflat[i] - numeric) / denom)
     return worst
 
 
@@ -341,11 +317,7 @@ def model_to_json(model: MLPModel, meta: dict | None = None) -> str:
             {"weights": w.tolist(), "bias": b.tolist()}
             for w, b in zip(model.weights, model.biases)
         ],
-        "head": {
-            "alpha_max": model.head.alpha_max,
-            "beta_max": model.head.beta_max,
-            "floor": model.head.floor,
-        },
+        "head": asdict(model.head),
         "seed": model.seed,
     }
     if meta:

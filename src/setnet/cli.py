@@ -27,7 +27,7 @@ import numpy as np
 from . import cardnet, detect, formats, mlmetrics, setinfer, synth
 from .cardloss import HeadWeights
 from .errors import ConfigError, DataError, NumericError, SetnetError
-from .numerics import NegBinParams, nb_mode, nb_pmf_truncated
+from .numerics import NegBinParams, nb_pmf_truncated
 
 log = logging.getLogger(__name__)
 
@@ -289,16 +289,25 @@ def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
     }
 
 
+def _feature_matrix(model: cardnet.MLPModel, path: str) -> np.ndarray:
+    """The rows of a features file as one (rows x model input size) matrix."""
+    d = model.dims[0]
+    rows = list(formats.iter_feature_rows(path))
+    for i, row in enumerate(rows):
+        if len(row) != d:
+            raise NumericError(f"{path}: record {i} has {len(row)} features; the model takes {d}")
+    return np.asarray(rows, dtype=float).reshape(len(rows), d)
+
+
 def cmd_predict(cfg: dict, header: dict, out_dir: str) -> dict:
     model = cardnet.load_model(cfg["model"])
-    rows = []
-    for feats in formats.iter_feature_rows(cfg["features"]):
-        if model.kind == "negbin":
-            ab = cardnet.forward(model, feats)
-            rows.append({"alpha": ab.alpha, "beta": ab.beta,
-                         "mode": nb_mode(ab.negbin())})
-        else:
-            rows.append({"mode": cardnet.predict_count(model, feats)})
+    alpha, beta, mode = cardnet.predict_batch(
+        model, _feature_matrix(model, cfg["features"]))
+    if model.kind == "negbin":
+        rows = [{"alpha": a, "beta": b, "mode": m}
+                for a, b, m in zip(alpha.tolist(), beta.tolist(), mode.tolist())]
+    else:
+        rows = [{"mode": m} for m in mode.tolist()]
     path = _outpath(out_dir, "predictions.jsonl")
     formats.write_jsonl(path, header, rows)
     return {"files": {"predictions": path}, "n": len(rows)}
@@ -416,14 +425,12 @@ def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
     if not cfg["mstar_features"]:
         raise ConfigError("mstar_model also needs mstar_features")
     model = cardnet.load_model(cfg["mstar_model"])
-    feats = list(formats.iter_feature_rows(cfg["mstar_features"]))
-    if len(feats) != len(image_ids):
+    X = _feature_matrix(model, cfg["mstar_features"])
+    if len(X) != len(image_ids):
         raise DataError(
-            f"{len(feats)} feature rows for {len(image_ids)} images"
+            f"{len(X)} feature rows for {len(image_ids)} images"
         )
-    return {
-        i: cardnet.predict_count(model, f) for i, f in zip(image_ids, feats)
-    }
+    return dict(zip(image_ids, cardnet.predict_batch(model, X)[2].tolist()))
 
 
 def cmd_nms(cfg: dict, header: dict, out_dir: str) -> dict:
@@ -446,17 +453,27 @@ def cmd_nms(cfg: dict, header: dict, out_dir: str) -> dict:
             "n_kept": kept_total, "n_short": n_short}
 
 
+def _normalised(values: list[float], key: str) -> np.ndarray:
+    """``values`` divided by their sum; ConfigError unless every entry is
+    >= 0 and the sum is positive and finite (a nan or inf entry makes it not)."""
+    w = np.asarray(values, dtype=float)
+    total = w.sum()
+    if not (0.0 < total < np.inf and (w >= 0.0).all()):
+        raise ConfigError(f"{key} entries must be finite and >= 0 with a positive "
+                          f"finite sum, got {values!r}")
+    return w / total
+
+
 def cmd_sample(cfg: dict, header: dict, out_dir: str) -> dict:
     if cfg["card"] == "negbin":
-        pmf = nb_pmf_truncated(NegBinParams(a=cfg["a"], b=cfg["b"]))
+        pmf = nb_pmf_truncated(_build(NegBinParams, cfg))
     elif not cfg["pmf"]:
         raise ConfigError("card=pmf needs an explicit 'pmf' list")
     else:
         pmf = cfg["pmf"]
-    card = setinfer.CardinalityPMF(pmf=tuple(np.asarray(pmf) / np.sum(pmf)))
+    card = setinfer.CardinalityPMF(pmf=tuple(_normalised(pmf, "pmf")))
     if cfg["element"] == "categorical":
-        probs = np.asarray(cfg["probs"])
-        probs = probs / probs.sum()
+        probs = _normalised(cfg["probs"], "probs")
 
         def sampler(rng: np.random.Generator):
             return int(rng.choice(len(probs), p=probs))

@@ -254,26 +254,25 @@ def match_detections(
     return MatchResult(tp=tp, fp=len(dets) - tp, fn=fn, flags=tuple(flags))
 
 
+def _operating_points(matches: list[MatchResult]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Cumulative TP and FP counts at each distinct score, highest first (the
+    point at score s keeps every detection scored >= s), and the GT total."""
+    total_gt = sum(m.n_gt for m in matches)
+    all_flags = sorted((fl for m in matches for fl in m.flags), key=lambda f: -f[0])
+    scores = np.asarray([f[0] for f in all_flags], dtype=float)
+    is_tp = np.asarray([f[1] for f in all_flags], dtype=float)
+    last = np.flatnonzero(np.diff(scores, append=-np.inf) != 0.0)
+    return np.cumsum(is_tp)[last], np.cumsum(1.0 - is_tp)[last], total_gt
+
+
 def miss_rate_curve(
     matches: list[MatchResult], n_images: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Miss rate and FPPI at every score threshold, descending by threshold."""
-    total_gt = sum(m.n_gt for m in matches)
-    all_flags = [fl for m in matches for fl in m.flags]
-    if not all_flags:
-        return np.asarray([1.0]), np.asarray([0.0])
-    all_flags.sort(key=lambda f: -f[0])
-    scores = np.asarray([f[0] for f in all_flags])
-    is_tp = np.asarray([f[1] for f in all_flags], dtype=float)
-    cum_tp = np.cumsum(is_tp)
-    cum_fp = np.cumsum(1.0 - is_tp)
-    # Operating points sit at each distinct score (threshold = that score,
-    # keeping every detection scored >= it).
-    last = np.flatnonzero(np.diff(scores, append=-np.inf) != 0.0)
-    miss = 1.0 - cum_tp[last] / total_gt
-    fppi = cum_fp[last] / n_images
+    tp, fp, total_gt = _operating_points(matches)
     # Prepend the empty operating point (threshold above every score).
-    return np.concatenate([[1.0], miss]), np.concatenate([[0.0], fppi])
+    return (np.concatenate([[1.0], 1.0 - tp / total_gt]),
+            np.concatenate([[0.0], fp / n_images]))
 
 
 def log_avg_miss_rate(matches: list[MatchResult], n_images: int) -> float:
@@ -320,16 +319,9 @@ def best_f1_over_thresholds(matches: list[MatchResult]) -> float:
     The fixed-threshold baseline is evaluated this way (its best operating
     point), which is the strictest comparison for the adaptive variant.
     """
-    total_gt = sum(m.n_gt for m in matches)
-    all_flags = sorted((fl for m in matches for fl in m.flags), key=lambda f: -f[0])
+    tps, fps, total_gt = _operating_points(matches)
     best = f1_score(1.0, 1.0 if total_gt == 0 else 0.0)  # empty-output point
-    tp = fp = 0
-    for i, (score, flag) in enumerate(all_flags):
-        tp += int(flag)
-        fp += int(not flag)
-        if i + 1 < len(all_flags) and all_flags[i + 1][0] == score:
-            continue
-        precision = tp / (tp + fp)
+    for tp, fp in zip(tps.tolist(), fps.tolist()):
         recall = 1.0 if total_gt == 0 else tp / total_gt
-        best = max(best, f1_score(precision, recall))
+        best = max(best, f1_score(tp / (tp + fp), recall))
     return best

@@ -59,9 +59,6 @@ class ParamMap:
         w[: len(self.weights)] = self.weights
         return np.clip(x @ w + self.bias, self.lo, self.hi)
 
-    def as_dict(self) -> dict:
-        return {"weights": list(self.weights), "bias": self.bias, "lo": self.lo, "hi": self.hi}
-
     @staticmethod
     def from_dict(doc: dict) -> "ParamMap":
         return ParamMap(
@@ -110,6 +107,10 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if min(self.d, self.C, self.n, self.cell_count) < 1:
             raise NumericError("d, C, n and cell_count must all be >= 1")
+        for name, pm in (("alpha_map", self.alpha_map), ("beta_map", self.beta_map)):
+            if len(pm.weights) > self.d:
+                raise NumericError(
+                    f"{name} has {len(pm.weights)} weights, more than d={self.d}")
         if not 0.0 <= self.noise <= 1.0:
             raise NumericError(f"noise must lie in [0,1], got {self.noise!r}")
         if self.box_size * 1.6 > self.image_size / self.cell_count:
@@ -191,6 +192,22 @@ def _jittered(
     )
 
 
+def _box_in_cell(
+    cfg: SynthConfig, c: int, rng: np.random.Generator, score_range=None
+) -> BoxDetection:
+    """A box_size square at a random offset in grid cell ``c``; with
+    ``score_range``, a score drawn after the offset, else the default."""
+    cell = cfg.image_size / cfg.cell_count
+    cx = (c % cfg.cell_count) * cell
+    cy = (c // cfg.cell_count) * cell
+    off = rng.uniform(0.0, cell - 1.35 * cfg.box_size, size=2)
+    score = {} if score_range is None else {"score": float(rng.uniform(*score_range))}
+    return BoxDetection(
+        x1=cx + off[0], y1=cy + off[1],
+        x2=cx + off[0] + cfg.box_size, y2=cy + off[1] + cfg.box_size, **score,
+    )
+
+
 def gen_boxes(cfg: SynthConfig) -> list[BoxImage]:
     """Overcomplete proposal clouds around planted ground-truth boxes.
 
@@ -203,7 +220,6 @@ def gen_boxes(cfg: SynthConfig) -> list[BoxImage]:
     """
     rng = np.random.default_rng(cfg.seed)
     n_cells = cfg.cell_count * cfg.cell_count
-    cell = cfg.image_size / cfg.cell_count
     _, counts = _draw_counts(cfg, rng, cfg.n)
     images = []
     for img in range(cfg.n):
@@ -212,13 +228,7 @@ def gen_boxes(cfg: SynthConfig) -> list[BoxImage]:
         free = [c for c in range(n_cells) if c not in set(int(c_) for c_ in cells)]
         gts: list[BoxDetection] = []
         for c in cells:
-            cx = (int(c) % cfg.cell_count) * cell
-            cy = (int(c) // cfg.cell_count) * cell
-            off = rng.uniform(0.0, cell - 1.35 * cfg.box_size, size=2)
-            base = BoxDetection(
-                x1=cx + off[0], y1=cy + off[1],
-                x2=cx + off[0] + cfg.box_size, y2=cy + off[1] + cfg.box_size,
-            )
+            base = _box_in_cell(cfg, int(c), rng)
             gts.append(base)
             if rng.uniform() < cfg.crowd_frac:
                 # Partner shifted ~35% of the width: IoU ~ 0.48 with its mate.
@@ -234,16 +244,8 @@ def gen_boxes(cfg: SynthConfig) -> list[BoxImage]:
                     _jittered(gt, 2.0 * cfg.jitter, float(rng.uniform(0.55, 0.75)), rng)
                 )
         n_fp = int(rng.poisson(cfg.fp_rate))
-        for j in range(min(n_fp, len(free))):
-            c = free[j]
-            cx = (c % cfg.cell_count) * cell
-            cy = (c // cfg.cell_count) * cell
-            off = rng.uniform(0.0, cell - 1.35 * cfg.box_size, size=2)
-            proposals.append(BoxDetection(
-                x1=cx + off[0], y1=cy + off[1],
-                x2=cx + off[0] + cfg.box_size, y2=cy + off[1] + cfg.box_size,
-                score=float(rng.uniform(0.05, 0.45)),
-            ))
+        proposals += [_box_in_cell(cfg, c, rng, score_range=(0.05, 0.45))
+                      for c in free[:n_fp]]
         images.append(BoxImage(
             image_id=img, proposals=tuple(proposals), ground_truth=tuple(gts)
         ))

@@ -8,7 +8,6 @@ import pytest
 from setnet import (
     AlphaBeta,
     HeadWeights,
-    LossGrad,
     NegBinParams,
     NumericError,
     card_grad,
@@ -110,53 +109,52 @@ class TestCardGrad:
 class TestHead:
     def test_midpoint(self):
         w = HeadWeights(alpha_max=160.0, beta_max=20.0, floor=0.0)
-        ab = head_forward(0.0, 0.0, w)
-        assert ab.alpha == pytest.approx(80.0)
-        assert ab.beta == pytest.approx(10.0)
+        alpha, beta = head_forward(0.0, 0.0, w)
+        assert alpha == pytest.approx(80.0)
+        assert beta == pytest.approx(10.0)
 
     def test_monotone_saturation(self):
         w = HeadWeights(alpha_max=160.0, beta_max=20.0)
         prev = 0.0
         for z in (-5.0, 0.0, 5.0, 20.0, 40.0):
-            ab = head_forward(z, z, w)
-            assert ab.alpha > prev
-            prev = ab.alpha
-        ab = head_forward(60.0, 60.0, w)
-        assert ab.alpha == pytest.approx(160.0, rel=1e-12)
-        assert ab.beta == pytest.approx(20.0, rel=1e-12)
+            alpha, _ = head_forward(z, z, w)
+            assert alpha > prev
+            prev = alpha
+        alpha, beta = head_forward(60.0, 60.0, w)
+        assert alpha == pytest.approx(160.0, rel=1e-12)
+        assert beta == pytest.approx(20.0, rel=1e-12)
 
     def test_outputs_always_valid(self):
         w = HeadWeights()
         for z in (-1e6, -745.0, -50.0, 0.0, 50.0, 745.0, 1e6):
-            ab = head_forward(z, z, w)
-            assert 0.0 < ab.alpha <= w.alpha_max
-            assert 0.0 < ab.beta <= w.beta_max
+            alpha, beta = head_forward(z, z, w)
+            assert 0.0 < alpha <= w.alpha_max
+            assert 0.0 < beta <= w.beta_max
 
     def test_forward_derivative(self):
         w = HeadWeights(alpha_max=160.0, beta_max=20.0, floor=1e-6)
         h = 1e-7
         for z in (-2.0, 0.0, 1.3):
-            fd = (head_forward(z + h, 0.0, w).alpha
-                  - head_forward(z - h, 0.0, w).alpha) / (2 * h)
+            fd = (head_forward(z + h, 0.0, w)[0]
+                  - head_forward(z - h, 0.0, w)[0]) / (2 * h)
             s = 1.0 / (1.0 + math.exp(-z))
             analytic = (w.alpha_max - w.floor) * s * (1.0 - s)
             assert analytic == pytest.approx(fd, rel=1e-6)
 
     def test_backward_zero(self):
         w = HeadWeights()
-        assert head_backward(0.3, -0.7, w, LossGrad(0.0, 0.0)) == (0.0, 0.0)
+        assert head_backward(0.3, -0.7, w, 0.0, 0.0) == (0.0, 0.0)
 
     def test_backward_matches_composed_finite_differences(self):
         w = HeadWeights(alpha_max=12.0, beta_max=4.0)
         m = 3
         for za, zb in [(-1.0, 0.5), (0.2, -2.0), (1.5, 1.5)]:
-            ab = head_forward(za, zb, w)
-            g = card_grad(m, ab)
-            gza, gzb = head_backward(za, zb, w, g)
+            g = card_grad(m, AlphaBeta(*head_forward(za, zb, w)))
+            gza, gzb = head_backward(za, zb, w, g.d_alpha, g.d_beta)
             h = 1e-5
 
             def loss(za_, zb_):
-                return card_nll(m, head_forward(za_, zb_, w))
+                return card_nll(m, AlphaBeta(*head_forward(za_, zb_, w)))
 
             fza = (loss(za + h, zb) - loss(za - h, zb)) / (2 * h)
             fzb = (loss(za, zb + h) - loss(za, zb - h)) / (2 * h)
@@ -167,9 +165,8 @@ class TestHead:
 
     def test_saturation_underflow(self):
         w = HeadWeights()
-        g = LossGrad(1.0, 1.0)
         for z in (50.0, -50.0):
-            gya, gyb = head_backward(z, z, w, g)
+            gya, gyb = head_backward(z, z, w, 1.0, 1.0)
             assert abs(gya) < 1e-18
             assert abs(gyb) < 1e-18
 

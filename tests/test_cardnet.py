@@ -1,11 +1,21 @@
-"""Feed-forward cardinality network: backprop, training, serialisation."""
+"""Feed-forward cardinality network: backprop, training, serialisation.
+
+The one-path tests at the end keep the scalar kernels and the per-sample
+loss loop that the array kernels replaced, as a reference: the batched loss
+and gradients must match it, each array kernel must agree bit for bit with
+its scalar wrapper, and the vectorised NB mode must equal a brute-force
+argmax on exact ties.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setnet import (
+    AlphaBeta,
     HeadWeights,
     MLPModel,
     NegBinParams,
@@ -13,17 +23,25 @@ from setnet import (
     TrainConfig,
     TrainingSample,
     card_grad,
+    card_nll,
+    card_nll_grad,
+    digamma,
     forward,
     gradient_check,
     head_backward,
     head_forward,
     init_model,
+    log_gamma,
     loss_and_grads,
     nb_mode,
+    nb_mode_batch,
+    predict_batch,
     predict_count,
     train,
 )
+from setnet.cardloss import sigmoid
 from setnet.cardnet import model_from_json, model_to_json
+from setnet.numerics import _HALF_LOG_TWO_PI, _LANCZOS_COEF, _LANCZOS_G, _nb_log_pmf
 
 
 def make_batch(n, d, seed, count_rate=4.0):
@@ -35,6 +53,12 @@ def make_batch(n, d, seed, count_rate=4.0):
         )
         for _ in range(n)
     ]
+
+
+def as_arrays(batch):
+    """The (X, counts) arrays that loss_and_grads takes."""
+    return (np.asarray([s.features for s in batch], dtype=float),
+            np.asarray([s.count for s in batch]))
 
 
 def single_layer_model(d=3, kind="negbin", head=None, zero=True, seed=0):
@@ -51,9 +75,7 @@ class TestForward:
         head = HeadWeights(alpha_max=160.0, beta_max=20.0, floor=0.0)
         model = single_layer_model(head=head)
         ab = forward(model, [0.4, -1.2, 3.3])
-        ref = head_forward(0.0, 0.0, head)
-        assert ab.alpha == ref.alpha
-        assert ab.beta == ref.beta
+        assert (ab.alpha, ab.beta) == head_forward(0.0, 0.0, head)
 
     def test_hand_computed_fixture(self):
         head = HeadWeights(alpha_max=10.0, beta_max=4.0, floor=0.0)
@@ -89,18 +111,17 @@ class TestLossAndGrads:
         head = HeadWeights(alpha_max=12.0, beta_max=4.0)
         model = single_layer_model(d=3, head=head)
         model.biases[0][:] = [0.4, -0.3]
-        sample = TrainingSample(features=(0.0, 0.0, 0.0), count=2)
-        _, (gw, gb) = loss_and_grads(model, [sample])
-        ab = head_forward(0.4, -0.3, head)
-        expected = head_backward(0.4, -0.3, head, card_grad(2, ab))
+        _, (gw, gb) = loss_and_grads(model, np.zeros((1, 3)), np.array([2]))
+        g = card_grad(2, AlphaBeta(*head_forward(0.4, -0.3, head)))
+        expected = head_backward(0.4, -0.3, head, g.d_alpha, g.d_beta)
         assert gb[0][0] == pytest.approx(expected[0], rel=1e-12)
         assert gb[0][1] == pytest.approx(expected[1], rel=1e-12)
 
     def test_duplicated_batch_invariance(self):
         model = init_model([4, 8, 2], seed=5)
         batch = make_batch(6, 4, seed=6)
-        loss1, (gw1, gb1) = loss_and_grads(model, batch)
-        loss2, (gw2, gb2) = loss_and_grads(model, batch + batch)
+        loss1, (gw1, gb1) = loss_and_grads(model, *as_arrays(batch))
+        loss2, (gw2, gb2) = loss_and_grads(model, *as_arrays(batch + batch))
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         for a, b in zip(gw1 + gb1, gw2 + gb2):
             np.testing.assert_allclose(a, b, rtol=1e-12)
@@ -108,7 +129,7 @@ class TestLossAndGrads:
     def test_empty_batch(self):
         model = init_model([4, 8, 2], seed=5)
         with pytest.raises(NumericError):
-            loss_and_grads(model, [])
+            loss_and_grads(model, np.empty((0, 4)), np.empty(0, dtype=int))
 
     @pytest.mark.parametrize("kind", ["negbin", "regression"])
     def test_full_network_finite_differences(self, kind):
@@ -256,3 +277,245 @@ class TestSerialization:
         with pytest.raises(NumericError):
             MLPModel(weights=[np.zeros((3, 4))], biases=[np.zeros(3)],
                      activation="tanh", head=HeadWeights())
+
+
+# -- one evaluation path: scalar reference ----------------------------------
+#
+# The per-sample path the array kernels replaced: stdlib math, one sample
+# at a time.
+
+
+def ref_log_gamma(x):
+    if x < 0.5:
+        return ref_log_gamma(x + 1.0) - math.log(x)
+    z = x - 1.0
+    s = _LANCZOS_COEF[0]
+    for i in range(1, 9):
+        s += _LANCZOS_COEF[i] / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(s)
+
+
+def ref_digamma(x):
+    acc = 0.0
+    while x < 6.0:
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = inv2 * (
+        1.0 / 12.0 - inv2 * (
+            1.0 / 120.0 - inv2 * (
+                1.0 / 252.0 - inv2 * (
+                    1.0 / 240.0 - inv2 * (
+                        1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 * (1.0 / 12.0))
+                    )
+                )
+            )
+        )
+    )
+    return acc + math.log(x) - 0.5 / x - series
+
+
+def ref_card_nll(m, a, b):
+    return -(ref_log_gamma(m + a) - ref_log_gamma(m + 1.0) - ref_log_gamma(a)
+             + a * math.log(b) - (a + m) * math.log1p(b))
+
+
+def ref_card_grad(m, a, b):
+    d_alpha = -(ref_digamma(m + a) - ref_digamma(a) + math.log(b) - math.log1p(b))
+    d_beta = -(a - m * b) / (b * (1.0 + b))
+    return d_alpha, d_beta
+
+
+def ref_sigmoid(z):
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def ref_head(z, scale, floor):
+    """(head output, its derivative) of one weighted sigmoid."""
+    s = ref_sigmoid(z)
+    return floor + (scale - floor) * s, (scale - floor) * s * (1.0 - s)
+
+
+def ref_loss_and_grads(model, X, counts):
+    acts = [X]
+    for li, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w.T + b
+        if li < len(model.weights) - 1:
+            acts.append(np.tanh(z) if model.activation == "tanh" else np.maximum(z, 0.0))
+    n = len(counts)
+    total = 0.0
+    d_out = np.zeros_like(z)
+    h = model.head
+    for i in range(n):
+        m = int(counts[i])
+        if model.kind == "negbin":
+            alpha, d_za = ref_head(float(z[i, 0]), h.alpha_max, h.floor)
+            beta, d_zb = ref_head(float(z[i, 1]), h.beta_max, h.floor)
+            total += ref_card_nll(m, alpha, beta)
+            d_alpha, d_beta = ref_card_grad(m, alpha, beta)
+            d_out[i, 0], d_out[i, 1] = d_alpha * d_za, d_beta * d_zb
+        else:
+            r = float(z[i, 0]) - m
+            total += 0.5 * r * r
+            d_out[i, 0] = r
+    delta = d_out / n
+    grads_w, grads_b = [None] * len(model.weights), [None] * len(model.weights)
+    for li in range(len(model.weights) - 1, -1, -1):
+        grads_w[li] = delta.T @ acts[li]
+        grads_b[li] = delta.sum(axis=0)
+        if li > 0:
+            upstream = delta @ model.weights[li]
+            if model.activation == "tanh":
+                delta = upstream * (1.0 - acts[li] * acts[li])
+            else:
+                delta = upstream * (acts[li] > 0.0)
+    return total / n, (grads_w, grads_b)
+
+
+def assert_rel_close(got, ref, rtol=1e-12):
+    """Largest deviation within rtol of the largest reference magnitude."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= rtol * np.max(np.abs(ref), initial=0.0)
+
+
+def same_bits(array, scalars):
+    return np.asarray(array, dtype=float).tobytes() == np.asarray(scalars, dtype=float).tobytes()
+
+
+ONE_PATH = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+HEADS = st.sampled_from([HeadWeights(), HeadWeights(alpha_max=12.0, beta_max=4.0),
+                         HeadWeights(alpha_max=3.0, beta_max=0.5, floor=1e-3)])
+# Saturated pre-activations: beyond |z| ~ 745 the sigmoid underflows to 0 (or
+# rounds to 1) and the floor is all that keeps alpha and beta positive.
+PRE_ACTIVATIONS = (st.floats(-800.0, 800.0)
+                   | st.sampled_from([-800.0, -745.5, -40.0, 0.0, 40.0, 745.5, 800.0]))
+COUNTS = st.integers(0, 200)
+POSITIVE = st.floats(1e-300, 1e12) | st.sampled_from([1e-3, 0.5, 1.0, 5.9999999, 6.0])
+
+
+@st.composite
+def pre_activation_batches(draw):
+    n = draw(st.integers(1, 64))
+    z = draw(st.lists(PRE_ACTIVATIONS, min_size=2 * n, max_size=2 * n))
+    counts = draw(st.lists(COUNTS, min_size=n, max_size=n))
+    return np.reshape(z, (n, 2)), np.asarray(counts)
+
+
+class TestOnePath:
+    @ONE_PATH
+    @given(pre_activation_batches(), HEADS)
+    def test_head_and_loss_match_per_sample_reference(self, batch, head):
+        # One identity layer: the network's pre-activations are the features.
+        X, counts = batch
+        model = single_layer_model(d=2, head=head)
+        model.weights[0][:] = np.eye(2)
+        loss, (gw, gb) = loss_and_grads(model, X, counts)
+        ref_loss, (ref_gw, ref_gb) = ref_loss_and_grads(model, X, counts)
+        assert_rel_close(loss, ref_loss)
+        assert_rel_close(gw[0], ref_gw[0])
+        assert_rel_close(gb[0], ref_gb[0])
+
+    @ONE_PATH
+    @given(st.sampled_from(["negbin", "regression"]), st.sampled_from(["tanh", "relu"]),
+           st.integers(0, 2**16), st.floats(0.1, 400.0), st.integers(1, 64), HEADS)
+    def test_network_gradients_match_per_sample_reference(
+            self, kind, activation, seed, scale, n, head):
+        model = init_model([3, 5, 2 if kind == "negbin" else 1], activation=activation,
+                           head=head, seed=seed, kind=kind)
+        model.weights[-1] *= scale  # large scales saturate the head
+        rng = np.random.default_rng(seed)
+        for b in model.biases:
+            b[:] = rng.uniform(-1.0, 1.0, size=b.shape)
+        X = rng.uniform(-2.0, 2.0, size=(n, 3))
+        counts = rng.integers(0, 201, size=n)
+        loss, (gw, gb) = loss_and_grads(model, X, counts)
+        ref_loss, (ref_gw, ref_gb) = ref_loss_and_grads(model, X, counts)
+        assert_rel_close(loss, ref_loss)
+        for got, ref in zip(gw + gb, ref_gw + ref_gb):
+            assert_rel_close(got, ref)
+
+    @ONE_PATH
+    @given(st.lists(POSITIVE | st.floats(1e-3, 7.0), min_size=1, max_size=40))
+    def test_special_functions_match_scalar_reference(self, xs):
+        # Only the last ulps of a few logs may differ from the stdlib path.
+        for f, ref in ((log_gamma, ref_log_gamma), (digamma, ref_digamma)):
+            expected = np.asarray([ref(v) for v in xs])
+            err = np.abs(f(np.asarray(xs)) - expected) / np.maximum(np.abs(expected), 1.0)
+            assert np.max(err) <= 1e-14
+
+    @ONE_PATH
+    @given(st.lists(POSITIVE, min_size=1, max_size=40))
+    def test_special_functions_array_equals_scalar_bits(self, xs):
+        x = np.asarray(xs)
+        for f in (log_gamma, digamma):
+            got = f(x)
+            assert same_bits(got, [f(v) for v in xs])
+            assert same_bits(f(np.repeat(x, 2)[::2]), got)  # strided input
+            assert same_bits(f(x[:1]), [f(np.float64(xs[0]))])  # length 1 and 0-d
+
+    @ONE_PATH
+    @given(pre_activation_batches(), HEADS)
+    def test_loss_and_head_arrays_equal_scalar_bits(self, batch, head):
+        z, counts = batch
+        za, zb = z[:, 0], z[:, 1]
+        alpha, beta = head_forward(za, zb, head)
+        assert same_bits(sigmoid(za), [sigmoid(v) for v in za])
+        pairs = [head_forward(a, b, head) for a, b in zip(za, zb)]
+        assert same_bits(alpha, [p[0] for p in pairs])
+        assert same_bits(beta, [p[1] for p in pairs])
+        nll, d_alpha, d_beta = card_nll_grad(counts, alpha, beta)
+        ab_rows = [AlphaBeta(float(a), float(b)) for a, b in zip(alpha, beta)]
+        assert same_bits(nll, [card_nll(int(m), ab) for m, ab in zip(counts, ab_rows)])
+        grads = [card_grad(int(m), ab) for m, ab in zip(counts, ab_rows)]
+        assert same_bits(d_alpha, [g.d_alpha for g in grads])
+        assert same_bits(d_beta, [g.d_beta for g in grads])
+        g_za, g_zb = head_backward(za, zb, head, d_alpha, d_beta)
+        back = [head_backward(a, b, head, g.d_alpha, g.d_beta)
+                for a, b, g in zip(za, zb, grads)]
+        assert same_bits(g_za, [g[0] for g in back])
+        assert same_bits(g_zb, [g[1] for g in back])
+        b_nb = 1.0 / (1.0 + beta)
+        assert same_bits(nb_mode_batch(alpha, b_nb),
+                         [nb_mode(NegBinParams(float(a), float(b)))
+                          for a, b in zip(alpha, b_nb)])
+
+    @ONE_PATH
+    @given(st.integers(0, 2**16), st.integers(1, 50), st.floats(0.1, 50.0))
+    def test_predict_batch_equals_one_row_wrappers(self, seed, n, scale):
+        model = init_model([4, 6, 2], head=HeadWeights(alpha_max=12.0, beta_max=4.0),
+                           seed=seed)
+        model.weights[-1] *= scale
+        rng = np.random.default_rng(seed)
+        model.biases[-1][:] = rng.uniform(-2.0, 2.0, size=2)
+        X = rng.uniform(-1.0, 1.0, size=(n, 4))
+        alpha, beta, mode = predict_batch(model, X)
+        rows = [forward(model, x) for x in X]
+        # A one-row matrix product may round differently from a batched one.
+        assert_rel_close(alpha, [ab.alpha for ab in rows])
+        assert_rel_close(beta, [ab.beta for ab in rows])
+        assert mode.tolist() == [predict_count(model, x) for x in X]
+        assert mode.tolist() == [nb_mode(ab.negbin()) for ab in rows]
+
+    def test_nb_mode_on_exact_ties_equals_brute_force(self):
+        # For dyadic b, (a-1) b/(1-b) is an exact integer k when a-1 is a
+        # multiple of (1-b)'s denominator over b's: NB(k-1) and NB(k) tie in
+        # exact arithmetic and the last ulp of the kernel decides.
+        a, b = [], []
+        for b_v, period in [(0.5, 1), (0.25, 3), (0.75, 1), (0.125, 7), (0.875, 1),
+                            (0.375, 5), (0.625, 3), (0.0625, 15), (0.9375, 1)]:
+            for j in range(1, 41):
+                if 1.0 + j * period <= 200.0:
+                    a.append(1.0 + j * period)
+                    b.append(b_v)
+        a, b = np.asarray(a), np.asarray(b)
+        k = (a - 1.0) * b / (1.0 - b)
+        assert np.all(k == np.floor(k))
+        brute = [int(np.argmax(_nb_log_pmf(np.arange(int(k_i) + 50), a_i, b_i)))
+                 for a_i, b_i, k_i in zip(a, b, k)]
+        assert nb_mode_batch(a, b).tolist() == brute
+        assert nb_mode(NegBinParams(a=5.0, b=0.5)) == 4

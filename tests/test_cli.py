@@ -263,11 +263,20 @@ class TestErrorCodes:
         assert out["code"] == "data"
 
     def test_numeric_error(self, workdir):
+        # A NaN weight makes the head's alpha NaN: no valid NB to decode.
+        # (An out-of-range sample parameter such as a = -1 is a config error.)
+        from setnet import init_model, save_model
+        model = init_model([2, 2], seed=0)
+        model.weights[0][0, 0] = float("nan")
+        save_model(model, str(workdir / "nan_model.json"))
+        (workdir / "nan_feats.jsonl").write_text('{"features": [1.0, 0.0]}\n')
         cfg = write_config(workdir, "bad4.json",
-                           {"card": "negbin", "a": -1.0, "b": 0.5, "n": 5})
-        code, out = run_cli("sample", "--config", cfg, "--out", str(workdir))
+                           {"model": str(workdir / "nan_model.json"),
+                            "features": str(workdir / "nan_feats.jsonl")})
+        code, out = run_cli("predict", "--config", cfg, "--out", str(workdir))
         assert code == 1
-        assert out["code"] == "numeric"
+        assert out["code"] == "numeric", out
+        assert "alpha must be finite" in out["message"]
 
     def test_rejected_box_row_is_data_error(self, capsys, tmp_path):
         proposals = tmp_path / "proposals.txt"
@@ -279,6 +288,22 @@ class TestErrorCodes:
         out = json.loads(lines[0])
         assert out["code"] == "data"
         assert out["message"].startswith(f"{proposals}:2: ")
+
+    def test_predict_feature_rows_must_fit_the_model(self, capsys, tmp_path):
+        from setnet import init_model, save_model
+        save_model(init_model([2, 3, 2], seed=0), str(tmp_path / "model.json"))
+        feats = tmp_path / "feats.jsonl"
+        cfg = {"model": str(tmp_path / "model.json"), "features": str(feats)}
+        feats.write_text('{"features": [0.1, 0.2]}\n{"features": [0.1, 0.2, 0.3]}\n')
+        code, lines, err = run_main(capsys, tmp_path, "predict", cfg)
+        assert code == 1 and err == "" and len(lines) == 1
+        out = json.loads(lines[0])
+        assert out["code"] == "numeric"
+        assert out["message"] == f"{feats}: record 1 has 3 features; the model takes 2"
+        # A file without rows predicts nothing.
+        feats.write_text("")
+        code, lines, _ = run_main(capsys, tmp_path, "predict", cfg)
+        assert code == 0 and json.loads(lines[0])["n"] == 0
 
     def test_bad_flag_is_config_error(self, workdir):
         proc = subprocess.run(
@@ -413,6 +438,19 @@ OUT_OF_RANGE = [
     ("train", {"epochs": 0}),
     ("train", {"alpha_max": 0.0}),
     ("synth", {"task": "boxes", "cell_count": 0}),
+    ("synth", {"task": "counting", "d": 2}),
+    ("synth", {"task": "multilabel", "d": 1}),
+    ("synth", {"alpha_map": {"weights": [1, 2, 3, 4, 5, 6, 7, 8, 9],
+                             "bias": 0.0, "lo": 0.1, "hi": 1.0}}),
+    ("sample", {"a": -1.0}),
+    ("sample", {"a": 0.0}),
+    ("sample", {"b": 0.0}),
+    ("sample", {"b": 1.0}),
+    ("sample", {"b": 1.5}),
+    ("sample", {"card": "pmf", "pmf": [0.5, -0.1, 0.6]}),
+    ("sample", {"card": "pmf", "pmf": [0.0, 0.0]}),
+    ("sample", {"probs": [0.0, 0.0, 0.0]}),
+    ("sample", {"probs": [0.5, -0.5, 1.0]}),
 ]
 
 
