@@ -27,7 +27,7 @@ import numpy as np
 from . import cardnet, detect, formats, mlmetrics, setinfer, synth
 from .cardloss import HeadWeights
 from .errors import ConfigError, DataError, NumericError, SetnetError
-from .numerics import NegBinParams, nb_pmf_truncated
+from .numerics import NegBinParams, _check_count, nb_pmf_truncated
 
 log = logging.getLogger(__name__)
 
@@ -335,6 +335,9 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
     mode = cfg["mode"]
     if mode == "fixed-k":
         k_values = cfg["k_values"] or list(range(0, n_classes + 1))
+        bad = [k for k in k_values if not 0 <= k <= n_classes]
+        if bad:
+            raise ConfigError(f"k_values must lie in [0, C={n_classes}], got {bad[0]!r}")
         sweep = mlmetrics.topk_sweep(records, k_values)
         curve_path = _outpath(out_dir, "curve.csv")
         _write_curve_csv(
@@ -359,10 +362,12 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
             raise DataError(
                 f"{len(pred_rows)} predictions for {len(records)} records"
             )
-        try:
-            m_stars = [int(r["mode"]) for r in pred_rows]
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"prediction rows need an integer 'mode': {e}") from e
+        m_stars = []
+        for i, row in enumerate(pred_rows):
+            try:
+                m_stars.append(int(_check_count(row["mode"], "mode")))
+            except (KeyError, TypeError, ValueError) as e:
+                raise DataError(f"{cfg['pred']}: record {i}: {e}") from e
         summary = mlmetrics.predicted_k_eval(records, m_stars)
         result = {"mode": mode, "metrics": summary.as_dict()}
         files = {}

@@ -145,6 +145,7 @@ def read_counting_records(path: str) -> list[tuple[tuple[float, ...], int]]:
 
 
 def read_multilabel_records(path: str) -> list[EvalRecord]:
+    """Scored records; every record has as many scores as record 0."""
     _, rows = read_jsonl(path)
     out = []
     for i, row in enumerate(rows):
@@ -155,6 +156,9 @@ def read_multilabel_records(path: str) -> list[EvalRecord]:
             ))
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"{path}: record {i}: {e}") from e
+        if len(out[i].scores) != len(out[0].scores):
+            raise DataError(f"{path}: record {i} has {len(out[i].scores)} scores; "
+                            f"record 0 has {len(out[0].scores)}")
     return out
 
 

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError
+from .numerics import _check_count
 
 __all__ = [
     "LabelSet",
@@ -107,6 +108,60 @@ def precision_recall(pred: LabelSet, truth: LabelSet) -> tuple[float, float]:
     return precision, recall
 
 
+def _summary(tp_c: np.ndarray, pred_c: np.ndarray, gt_c: np.ndarray) -> MetricSummary:
+    """The six metrics from per-class tp, predicted and ground-truth counts."""
+    prec_per_class = np.where(pred_c > 0, tp_c / np.maximum(pred_c, 1), 1.0)
+    rec_per_class = np.where(gt_c > 0, tp_c / np.maximum(gt_c, 1), 1.0)
+    c_p = float(prec_per_class.mean())
+    c_r = float(rec_per_class.mean())
+    tp, npred, ngt = tp_c.sum(), pred_c.sum(), gt_c.sum()
+    o_p = 1.0 if npred == 0 else float(tp / npred)
+    o_r = 1.0 if ngt == 0 else float(tp / ngt)
+    return MetricSummary(c_p, c_r, f1_score(c_p, c_r), o_p, o_r, f1_score(o_p, o_r))
+
+
+def _counts(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-class (tp, predicted, ground-truth) counts of two (n, C) masks."""
+    return tuple(m.sum(0, dtype=float) for m in (pred & truth, pred, truth))
+
+
+def _mask(sets: Sequence[LabelSet], n_classes: int, what: str) -> np.ndarray:
+    """(n, C) membership matrix of ``n`` label sets."""
+    rows = [i for i, s in enumerate(sets) for _ in s.labels]
+    cols = [c for s in sets for c in s.labels]
+    if cols and max(cols) >= n_classes:
+        raise NumericError(f"{what} label {max(cols)} >= C={n_classes}")
+    mask = np.zeros((len(sets), n_classes), dtype=bool)
+    mask[rows, cols] = True
+    return mask
+
+
+def _ranks(scores: np.ndarray) -> np.ndarray:
+    """Each class's 0-based rank in its row of (n, C) scores, ties to the lower
+    index: a stable sort orders the classes, and sorting that order inverts it."""
+    return np.argsort(np.argsort(-scores, axis=1, kind="stable"), axis=1)
+
+
+def _top(ranks: np.ndarray, k) -> np.ndarray:
+    """Mask of each row's k best-ranked classes; k: one count or a column of them."""
+    if np.any(_check_count(k, "k") > ranks.shape[1]):
+        raise NumericError(f"k must lie in [0, {ranks.shape[1]}], got {k!r}")
+    return ranks < k
+
+
+def _stack(records: Sequence[EvalRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Class ranks and truth mask, both (n, C), of a record set."""
+    if not records:
+        raise NumericError("records must be non-empty")
+    n_classes = len(records[0].scores)
+    for i, r in enumerate(records):
+        if len(r.scores) != n_classes:
+            raise NumericError(
+                f"record {i} has {len(r.scores)} scores; record 0 has {n_classes}")
+    scores = np.array([r.scores for r in records], dtype=float)
+    return _ranks(scores), _mask([r.truth for r in records], n_classes, "truth")
+
+
 def aggregate(
     preds: Sequence[LabelSet], truths: Sequence[LabelSet], n_classes: int
 ) -> MetricSummary:
@@ -118,79 +173,35 @@ def aggregate(
     """
     if not preds or len(preds) != len(truths):
         raise NumericError("need equally many non-empty predictions and truths")
-    tp_c = np.zeros(n_classes)
-    pred_c = np.zeros(n_classes)
-    gt_c = np.zeros(n_classes)
-    for pred, truth in zip(preds, truths):
-        if pred.labels and pred.labels[-1] >= n_classes:
-            raise NumericError(f"prediction label {pred.labels[-1]} >= C={n_classes}")
-        if truth.labels and truth.labels[-1] >= n_classes:
-            raise NumericError(f"truth label {truth.labels[-1]} >= C={n_classes}")
-        t = set(truth.labels)
-        for c in pred.labels:
-            pred_c[c] += 1
-            if c in t:
-                tp_c[c] += 1
-        for c in truth.labels:
-            gt_c[c] += 1
-    prec_per_class = np.where(pred_c > 0, tp_c / np.maximum(pred_c, 1), 1.0)
-    rec_per_class = np.where(gt_c > 0, tp_c / np.maximum(gt_c, 1), 1.0)
-    c_p = float(prec_per_class.mean())
-    c_r = float(rec_per_class.mean())
-    tp, npred, ngt = tp_c.sum(), pred_c.sum(), gt_c.sum()
-    o_p = 1.0 if npred == 0 else float(tp / npred)
-    o_r = 1.0 if ngt == 0 else float(tp / ngt)
-    return MetricSummary(
-        c_precision=c_p,
-        c_recall=c_r,
-        c_f1=f1_score(c_p, c_r),
-        o_precision=o_p,
-        o_recall=o_r,
-        o_f1=f1_score(o_p, o_r),
-    )
+    return _summary(*_counts(_mask(preds, n_classes, "prediction"),
+                             _mask(truths, n_classes, "truth")))
 
 
 def top_k_labels(scores: Sequence[float], k: int) -> LabelSet:
     """The k highest-scored categories; ties resolve to the lower index."""
-    if k < 0 or k > len(scores):
-        raise NumericError(f"k must lie in [0, {len(scores)}], got {k!r}")
-    if k == 0:
-        return LabelSet(labels=())
-    order = np.argsort(-np.asarray(scores), kind="stable")
-    return LabelSet(labels=tuple(sorted(int(i) for i in order[:k])))
+    top = _top(_ranks(np.asarray(scores, dtype=float)[None]), k)[0]
+    return LabelSet(labels=tuple(np.flatnonzero(top).tolist()))
 
 
 def topk_sweep(
     records: Sequence[EvalRecord], k_values: Sequence[int]
 ) -> list[tuple[int, MetricSummary]]:
-    """Fixed-k evaluation for each requested k."""
-    if not records:
-        raise NumericError("records must be non-empty")
-    n_classes = len(records[0].scores)
-    truths = [r.truth for r in records]
-    out = []
-    for k in k_values:
-        preds = [top_k_labels(r.scores, k) for r in records]
-        out.append((int(k), aggregate(preds, truths, n_classes)))
-    return out
+    """Fixed-k evaluation for each requested k, from one ranking."""
+    ranks, truth = _stack(records)
+    return [(int(k), _summary(*_counts(_top(ranks, k), truth))) for k in k_values]
 
 
 def predicted_k_eval(
     records: Sequence[EvalRecord], m_stars: Sequence[int]
 ) -> MetricSummary:
-    """Evaluation at per-record predicted cardinalities."""
+    """Evaluation at per-record predicted cardinalities, each clipped to C."""
     if len(records) != len(m_stars):
         raise NumericError(
             f"got {len(m_stars)} cardinalities for {len(records)} records"
         )
-    if not records:
-        raise NumericError("records must be non-empty")
-    n_classes = len(records[0].scores)
-    preds = [
-        top_k_labels(r.scores, min(int(k), len(r.scores)))
-        for r, k in zip(records, m_stars)
-    ]
-    return aggregate(preds, [r.truth for r in records], n_classes)
+    ranks, truth = _stack(records)
+    m = np.minimum(np.asarray(m_stars), ranks.shape[1])
+    return _summary(*_counts(_top(ranks, m[:, None]), truth))
 
 
 def mce(predicted: Sequence[int], truth: Sequence[int]) -> tuple[float, float]:

@@ -466,3 +466,46 @@ def test_out_of_range_value_is_config_error(capsys, tmp_path, command, cfg):
     assert code == 1
     assert len(lines) == 1 and json.loads(lines[0])["code"] == "config", lines
     assert err == ""
+
+
+# eval-ml inputs the reader or the command rejects: (id, records' score
+# counts, prediction modes or None for fixed-k, extra config, code, message
+# start).  "@records" and "@pred" stand for the two files' paths.
+RAGGED = "@records: record 1 has 2 scores; record 0 has 3"
+EVAL_ML_REJECTS = [
+    ("ragged-fixed-k", [3, 2, 3], None, {}, "data", RAGGED),
+    ("ragged-predicted-k", [3, 2, 3], [1, 1, 1], {}, "data", RAGGED),
+    ("k-above-C", [3, 3], None, {"k_values": [1, 5]}, "config",
+     "k_values must lie in [0, C=3], got 5"),
+    ("k-negative", [3, 3], None, {"k_values": [-1]}, "config",
+     "k_values must lie in [0, C=3], got -1"),
+    ("mode-missing", [3, 3], [1, "missing"], {}, "data", "@pred: record 1: "),
+    ("mode-negative", [3, 3], [1, -1], {}, "data", "@pred: record 1: "),
+    ("mode-fractional", [3, 3], [1, 1.7], {}, "data", "@pred: record 1: "),
+    ("mode-bool", [3, 3], [1, True], {}, "data", "@pred: record 1: "),
+    ("mode-null", [3, 3], [1, None], {}, "data", "@pred: record 1: "),
+]
+
+
+@pytest.mark.parametrize("n_scores,modes,extra,code,message",
+                         [case[1:] for case in EVAL_ML_REJECTS],
+                         ids=[case[0] for case in EVAL_ML_REJECTS])
+def test_eval_ml_rejects(capsys, tmp_path, n_scores, modes, extra, code,
+                         message):
+    records = tmp_path / "records.jsonl"
+    records.write_text("".join(
+        json.dumps({"scores": [0.5] * n, "truth": [0]}) + "\n" for n in n_scores))
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("".join(
+        json.dumps({} if m == "missing" else {"mode": m}) + "\n"
+        for m in modes or []))
+    cfg = {"records": str(records), **extra}
+    if modes is not None:
+        cfg.update(mode="predicted-k", pred=str(pred))
+    status, lines, err = run_main(capsys, tmp_path, "eval-ml", cfg)
+    assert status == 1 and err == "" and len(lines) == 1, (lines, err)
+    out = json.loads(lines[0])
+    assert sorted(out) == ["code", "message"]
+    assert out["code"] == code, out
+    assert out["message"].startswith(
+        message.replace("@records", str(records)).replace("@pred", str(pred))), out

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from setnet import (
     EvalRecord,
     LabelSet,
+    MetricSummary,
     NumericError,
     aggregate,
     f1_score,
@@ -246,3 +249,142 @@ class TestLabelSet:
     def test_record_bounds(self):
         with pytest.raises(NumericError):
             EvalRecord(scores=(0.5, 0.5), truth=ls(2))
+
+
+# The per-record path that the rank matrix replaced, kept as the reference:
+# one stable argsort per record and k, and a Python tally per record.
+def ref_top_k_labels(scores, k):
+    if k < 0 or k > len(scores):
+        raise NumericError(f"k must lie in [0, {len(scores)}], got {k!r}")
+    if k == 0:
+        return LabelSet(labels=())
+    order = np.argsort(-np.asarray(scores), kind="stable")
+    return LabelSet(labels=tuple(sorted(int(i) for i in order[:k])))
+
+
+def ref_aggregate(preds, truths, n_classes):
+    tp_c = np.zeros(n_classes)
+    pred_c = np.zeros(n_classes)
+    gt_c = np.zeros(n_classes)
+    for pred, truth in zip(preds, truths):
+        t = set(truth.labels)
+        for c in pred.labels:
+            pred_c[c] += 1
+            if c in t:
+                tp_c[c] += 1
+        for c in truth.labels:
+            gt_c[c] += 1
+    prec_per_class = np.where(pred_c > 0, tp_c / np.maximum(pred_c, 1), 1.0)
+    rec_per_class = np.where(gt_c > 0, tp_c / np.maximum(gt_c, 1), 1.0)
+    c_p = float(prec_per_class.mean())
+    c_r = float(rec_per_class.mean())
+    tp, npred, ngt = tp_c.sum(), pred_c.sum(), gt_c.sum()
+    o_p = 1.0 if npred == 0 else float(tp / npred)
+    o_r = 1.0 if ngt == 0 else float(tp / ngt)
+    return MetricSummary(c_p, c_r, f1_score(c_p, c_r), o_p, o_r,
+                         f1_score(o_p, o_r))
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
+# Few distinct values, so most rows hold ties; signed zeros tie as well.
+SCORES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def label_sets(draw, n_classes):
+    return ls(*sorted(draw(st.sets(st.integers(0, n_classes - 1)))))
+
+
+@st.composite
+def record_sets(draw):
+    """(records, k_values, m_stars, preds) on one C; truths may be empty."""
+    n_classes = draw(st.integers(1, 6), label="C")
+    n = draw(st.integers(1, 8), label="n")
+    records = [EvalRecord(scores=tuple(draw(st.lists(SCORES, min_size=n_classes,
+                                                      max_size=n_classes))),
+                          truth=draw(label_sets(n_classes)))
+               for _ in range(n)]
+    ks = st.integers(0, n_classes)
+    k_values = [0, n_classes] + draw(st.lists(ks, max_size=4), label="k_values")
+    # m* up to C + 2: past C the prediction is every class.
+    m_stars = draw(st.lists(st.integers(0, n_classes + 2), min_size=n,
+                            max_size=n), label="m_stars")
+    preds = [draw(label_sets(n_classes)) for _ in range(n)]
+    return records, k_values, m_stars, preds
+
+
+ONE_CLASS = ([EvalRecord(scores=(0.5,), truth=ls())], [0, 1], [3], [ls(0)])
+ALL_TIED = ([EvalRecord(scores=(0.5, 0.5, 0.5), truth=ls(2)),
+             EvalRecord(scores=(0.0, -0.0, 0.0), truth=ls(0, 1))],
+            [0, 1, 2, 3], [1, 5], [ls(), ls(0, 1, 2)])
+
+
+class TestOneRankPath:
+    """The rank-matrix path returns exactly what the per-record path did."""
+
+    @PROPERTY
+    @given(record_sets())
+    @example(ONE_CLASS)
+    @example(ALL_TIED)
+    def test_topk_sweep(self, case):
+        records, k_values, _, _ = case
+        n_classes = len(records[0].scores)
+        truths = [r.truth for r in records]
+        assert topk_sweep(records, k_values) == [
+            (k, ref_aggregate([ref_top_k_labels(r.scores, k) for r in records],
+                              truths, n_classes))
+            for k in k_values]
+
+    @PROPERTY
+    @given(record_sets())
+    @example(ONE_CLASS)
+    @example(ALL_TIED)
+    def test_predicted_k_eval(self, case):
+        records, _, m_stars, _ = case
+        n_classes = len(records[0].scores)
+        preds = [ref_top_k_labels(r.scores, min(m, n_classes))
+                 for r, m in zip(records, m_stars)]
+        assert predicted_k_eval(records, m_stars) == ref_aggregate(
+            preds, [r.truth for r in records], n_classes)
+
+    @PROPERTY
+    @given(record_sets())
+    @example(ONE_CLASS)
+    @example(ALL_TIED)
+    def test_aggregate(self, case):
+        records, _, _, preds = case
+        n_classes = len(records[0].scores)
+        truths = [r.truth for r in records]
+        assert aggregate(preds, truths, n_classes) == ref_aggregate(
+            preds, truths, n_classes)
+
+    @PROPERTY
+    @given(record_sets())
+    @example(ONE_CLASS)
+    @example(ALL_TIED)
+    def test_top_k_labels(self, case):
+        records, k_values, _, _ = case
+        for r in records:
+            for k in k_values:
+                assert top_k_labels(r.scores, k) == ref_top_k_labels(r.scores, k)
+
+    def test_out_of_range_k_is_rejected(self):
+        records = three_record_fixture()
+        for k in (-1, 5):
+            with pytest.raises(NumericError):
+                topk_sweep(records, [k])
+            with pytest.raises(NumericError):
+                top_k_labels(records[0].scores, k)
+        with pytest.raises(NumericError):
+            predicted_k_eval(records, [1, -1, 2])
+
+    def test_ragged_records_are_rejected(self):
+        records = three_record_fixture() + [
+            EvalRecord(scores=(0.9, 0.1), truth=ls(0))]
+        with pytest.raises(NumericError,
+                           match="record 3 has 2 scores; record 0 has 4"):
+            topk_sweep(records, [1])
+        with pytest.raises(NumericError,
+                           match="record 3 has 2 scores; record 0 has 4"):
+            predicted_k_eval(records, [1, 1, 1, 1])
