@@ -247,13 +247,13 @@ def cmd_synth(cfg: dict, header: dict, out_dir: str) -> dict:
     else:
         images = synth.gen_boxes(scfg)
         prop_path = _outpath(out_dir, "proposals.txt")
-        formats.write_boxes(prop_path, header,
-                            ((im.image_id, im.proposals) for im in images),
-                            with_score=True)
+        formats.write_boxes(prop_path, header, (
+            (im.image_id, detect.box_table(im.proposals)) for im in images
+        ), with_score=True)
         gt_path = _outpath(out_dir, "gt.txt")
-        formats.write_boxes(gt_path, header,
-                            ((im.image_id, im.ground_truth) for im in images),
-                            with_score=False)
+        formats.write_boxes(gt_path, header, (
+            (im.image_id, detect.box_table(im.ground_truth)) for im in images
+        ), with_score=False)
         counts_path = _outpath(out_dir, "counts.jsonl")
         formats.write_jsonl(counts_path, header, (
             {"image_id": im.image_id, "count": im.count} for im in images
@@ -385,8 +385,9 @@ def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
     image_ids = sorted(set(dets) | set(gts))
     if not image_ids:
         raise DataError("no images found in detection/ground-truth files")
+    empty = np.zeros((0, 5))
     matches = [
-        detect.match_detections(dets.get(i, []), gts.get(i, []), cfg["iou_thresh"])
+        detect.match_tables(dets.get(i, empty), gts.get(i, empty), cfg["iou_thresh"])
         for i in image_ids
     ]
     n_images = cfg["n_images"] or len(image_ids)
@@ -443,19 +444,14 @@ def cmd_nms(cfg: dict, header: dict, out_dir: str) -> dict:
     proposals = formats.read_boxes(cfg["proposals"], with_score=True)
     image_ids = sorted(proposals)
     mstar = _mstar_lookup(cfg, image_ids)
-    kept_total = 0
-    # Images where no threshold of the sweep kept m* boxes.
-    n_short = 0
-    out_images = []
-    for i in image_ids:
-        kept = detect.adaptive_nms(proposals[i], mstar[i], nms_cfg)
-        kept_total += len(kept)
-        n_short += len(kept) < mstar[i]
-        out_images.append((i, kept))
+    kept = {i: proposals[i][detect.adaptive_nms_rows(proposals[i], mstar[i], nms_cfg)]
+            for i in image_ids}
     path = _outpath(out_dir, "kept.txt")
-    formats.write_boxes(path, header, out_images, with_score=True)
+    formats.write_boxes(path, header, kept.items(), with_score=True)
+    # n_short: the images where no threshold of the sweep kept m* boxes.
     return {"files": {"kept": path}, "n_images": len(image_ids),
-            "n_kept": kept_total, "n_short": n_short}
+            "n_kept": sum(map(len, kept.values())),
+            "n_short": sum(len(kept[i]) < mstar[i] for i in image_ids)}
 
 
 def _normalised(values: list[float], key: str) -> np.ndarray:

@@ -13,6 +13,9 @@ threshold comparison sees the same float value whichever caller asks.
 If no threshold keeps m* boxes, fewer are returned; the ``nms`` command
 counts those images as ``n_short``.
 
+The cores take an image's boxes as an (n, 5) table of x1, y1, x2, y2, score
+rows; the functions on lists of BoxDetection convert with ``box_table``.
+
 Matching and the log-average miss rate follow the usual detection
 benchmark protocol: greedy one-to-one matching in descending score order,
 miss rate sampled at 9 log-spaced false-positives-per-image reference
@@ -33,10 +36,13 @@ __all__ = [
     "BoxDetection",
     "NMSConfig",
     "MatchResult",
+    "box_table",
     "iou",
     "greedy_nms",
     "adaptive_nms",
+    "adaptive_nms_rows",
     "match_detections",
+    "match_tables",
     "log_avg_miss_rate",
     "miss_rate_curve",
     "detection_f1",
@@ -74,6 +80,17 @@ class BoxDetection:
     @property
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
+
+    @staticmethod
+    def rejected_rows(table: np.ndarray) -> np.ndarray:
+        """Indices of the rows of a box table that the checks above reject."""
+        x1, y1, x2, y2, score = table.T
+        with np.errstate(invalid="ignore", over="ignore"):
+            area = (x2 - x1) * (y2 - y1)
+        # Given x2 > x1, a positive area means y2 > y1; a non-finite field
+        # fails a comparison or makes the area non-finite.
+        ok = (x2 > x1) & (0.0 < area) & (area < np.inf) & (0.0 <= score) & (score <= 1.0)
+        return np.flatnonzero(~ok)
 
 
 @dataclass(frozen=True)
@@ -113,14 +130,23 @@ class MatchResult:
         return self.tp + self.fn
 
 
-def _table(boxes: list[BoxDetection]) -> np.ndarray:
-    """Rows x1, y1, x2, y2, area of ``boxes`` as a (5, n) array."""
-    t = np.array([(b.x1, b.y1, b.x2, b.y2, b.area) for b in boxes], dtype=float)
-    return np.ascontiguousarray(t.reshape(-1, 5).T)
+def box_table(boxes: list[BoxDetection]) -> np.ndarray:
+    """``boxes`` as an (n, 5) table of x1, y1, x2, y2, score rows."""
+    rows = [(b.x1, b.y1, b.x2, b.y2, b.score) for b in boxes]
+    return np.array(rows, dtype=float).reshape(-1, 5)
+
+
+def _geometry(t: np.ndarray) -> np.ndarray:
+    """Rows x1, y1, x2, y2, area (as BoxDetection computes it) of a box table."""
+    return np.vstack([t[:, :4].T, (t[:, 2] - t[:, 0]) * (t[:, 3] - t[:, 1])])
+
+
+def _by_score(table: np.ndarray) -> np.ndarray:
+    return np.argsort(-table[:, 4], kind="stable")  # equal scores keep their order
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of the boxes in table ``a`` with those in table ``b`` (broadcast).
+    """IoU of the boxes in geometry ``a`` with those in geometry ``b`` (broadcast).
 
     The float operations and their order are those of a scalar Python
     IoU (min/max, then ix*iy, then inter / (area_a + area_b - inter)),
@@ -135,16 +161,12 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def iou(a: BoxDetection, b: BoxDetection) -> float:
     """Intersection area over union area, in [0,1]."""
-    return float(_overlaps(_table([a])[:, 0], _table([b]))[0])
-
-
-def _by_score(boxes: list[BoxDetection]) -> list[BoxDetection]:
-    # Stable sort: equal scores keep input order.
-    return sorted(boxes, key=lambda bx: -bx.score)
+    g = _geometry(box_table([a, b]))
+    return float(_overlaps(g[:, 0], g[:, 1]))
 
 
 class _Sweep:
-    """Greedy NMS over one image's boxes at any threshold >= ``floor``.
+    """Greedy NMS over one image's box table at any threshold >= ``floor``.
 
     Row i lists the (j, IoU) pairs of the boxes j after box i in score
     order whose IoU with it exceeds ``floor``; a smaller IoU cannot
@@ -153,26 +175,26 @@ class _Sweep:
     needed instead of a dense n x n matrix.
     """
 
-    def __init__(self, boxes: list[BoxDetection], floor: float) -> None:
-        self.boxes = _by_score(boxes)
-        self._table = _table(self.boxes)
+    def __init__(self, table: np.ndarray, floor: float) -> None:
+        self.order = _by_score(table)
+        self._geometry = _geometry(table[self.order])
         self._floor = floor
-        self._rows: list[list[tuple[int, float]] | None] = [None] * len(self.boxes)
+        self._rows: list[list[tuple[int, float]] | None] = [None] * len(table)
 
     def _row(self, i: int) -> list[tuple[int, float]]:
-        row = _overlaps(self._table[:, i], self._table[:, i + 1:])
+        row = _overlaps(self._geometry[:, i], self._geometry[:, i + 1:])
         js = np.flatnonzero(row > self._floor)
         return list(zip((js + (i + 1)).tolist(), row[js].tolist()))
 
-    def greedy(self, t: float, limit: int | None = None) -> list[BoxDetection]:
-        """Keep box i unless an earlier kept box has IoU > t with it; stop
-        once ``limit`` boxes are kept (the greedy pass's first ``limit``)."""
-        suppressed = [False] * len(self.boxes)
-        kept: list[BoxDetection] = []
-        for i, box in enumerate(self.boxes):
+    def greedy(self, t: float, limit: int | None = None) -> np.ndarray:
+        """Table rows kept, in score order: keep box i unless an earlier kept
+        box has IoU > t with it; stop once ``limit`` boxes are kept."""
+        suppressed = [False] * len(self.order)
+        kept: list[int] = []
+        for i in range(len(self.order)):
             if suppressed[i]:
                 continue
-            kept.append(box)
+            kept.append(i)
             if len(kept) == limit:
                 break
             row = self._rows[i]
@@ -181,14 +203,14 @@ class _Sweep:
             for j, v in row:
                 if v > t:
                     suppressed[j] = True
-        return kept
+        return self.order[kept]
 
 
 def greedy_nms(boxes: list[BoxDetection], t: float) -> list[BoxDetection]:
     """Score-descending sweep keeping boxes whose IoU with every kept box is <= t."""
     if not 0.0 <= t < 1.0:
         raise NumericError(f"threshold must lie in [0,1), got {t!r}")
-    return _Sweep(boxes, t).greedy(t)
+    return [boxes[i] for i in _Sweep(box_table(boxes), t).greedy(t)]
 
 
 def adaptive_nms(
@@ -207,13 +229,18 @@ def adaptive_nms(
     returned, fewer than m_star, and ``len(result) < m_star`` is how a
     caller tells (the ``nms`` command counts these images as ``n_short``).
     """
+    return [boxes[i] for i in adaptive_nms_rows(box_table(boxes), m_star, cfg)]
+
+
+def adaptive_nms_rows(table: np.ndarray, m_star: int | None,
+                      cfg: NMSConfig = NMSConfig()) -> np.ndarray:
+    """``adaptive_nms`` on a box table: the kept rows' indices, in score order."""
     if m_star is not None and m_star < 0:
         raise NumericError(f"m_star must be >= 0, got {m_star!r}")
     if m_star == 0:
-        return []
-    sweep = _Sweep(boxes, cfg.t0)
+        return np.zeros(0, dtype=np.intp)
+    sweep = _Sweep(table, cfg.t0)
     n_steps = int(math.floor((cfg.t_max - cfg.t0) / cfg.step + 1e-9))
-    kept: list[BoxDetection] = []
     for k in range(n_steps + 1):
         t = min(cfg.t0 + k * cfg.step, cfg.t_max)
         kept = sweep.greedy(t, m_star)
@@ -231,27 +258,29 @@ def match_detections(
     truth reaches ``iou_thresh``; equal overlaps resolve to the lower
     ground-truth index.  Ground truths left unmatched count as misses.
     """
+    return match_tables(box_table(dets), box_table(gts), iou_thresh)
+
+
+def match_tables(dets: np.ndarray, gts: np.ndarray, iou_thresh: float) -> MatchResult:
+    """``match_detections`` on two box tables."""
     if not 0.0 < iou_thresh < 1.0:
         raise NumericError(f"iou_thresh must lie in (0,1), got {iou_thresh!r}")
-    ordered = _by_score(dets)
+    ordered = dets[_by_score(dets)]
     # One row per detection: its IoU with every ground truth.
-    overlaps = _overlaps(_table(ordered)[:, :, None], _table(gts)[:, None, :])
+    overlaps = _overlaps(_geometry(ordered)[:, :, None], _geometry(gts)[:, None, :])
     taken = np.zeros(len(gts), dtype=bool)
     flags: list[tuple[float, bool]] = []
-    tp = 0
-    for det, row in zip(ordered, overlaps):
+    for score, row in zip(ordered[:, 4].tolist(), overlaps):
         # Among the untaken ground truths, argmax picks the highest IoU and
         # the lower index on ties; a match needs IoU >= iou_thresh (> 0).
         row = np.where(taken, 0.0, row)
         best_i = int(np.argmax(row)) if len(gts) else -1
-        if best_i >= 0 and row[best_i] >= iou_thresh:
+        hit = best_i >= 0 and bool(row[best_i] >= iou_thresh)
+        if hit:
             taken[best_i] = True
-            tp += 1
-            flags.append((det.score, True))
-        else:
-            flags.append((det.score, False))
-    fn = len(gts) - tp
-    return MatchResult(tp=tp, fp=len(dets) - tp, fn=fn, flags=tuple(flags))
+        flags.append((score, hit))
+    tp = sum(hit for _, hit in flags)
+    return MatchResult(tp=tp, fp=len(dets) - tp, fn=len(gts) - tp, flags=tuple(flags))
 
 
 def _operating_points(matches: list[MatchResult]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -287,27 +316,16 @@ def log_avg_miss_rate(matches: list[MatchResult], n_images: int) -> float:
     if sum(m.n_gt for m in matches) == 0:
         raise NumericError("log-average miss rate is undefined without ground truth")
     miss, fppi = miss_rate_curve(matches, n_images)
-    sampled = []
-    for ref in FPPI_REFERENCES:
-        # fppi is non-decreasing along the curve; the last point at or below
-        # the reference has both the nearest FPPI and the lowest miss rate.
-        idx = int(np.searchsorted(fppi, ref, side="right")) - 1
-        mr = 1.0 if idx < 0 else float(miss[idx])
-        sampled.append(max(mr, MISS_RATE_FLOOR))
+    # fppi is non-decreasing along the curve; the last point at or below a
+    # reference has both the nearest FPPI and the lowest miss rate.
+    idx = np.searchsorted(fppi, FPPI_REFERENCES, side="right") - 1
+    sampled = np.maximum(np.where(idx < 0, 1.0, miss[idx]), MISS_RATE_FLOOR)
     return float(math.exp(np.mean(np.log(sampled))))
-
-
-def _aggregate_counts(matches: list[MatchResult]) -> tuple[int, int, int]:
-    return (
-        sum(m.tp for m in matches),
-        sum(m.fp for m in matches),
-        sum(m.fn for m in matches),
-    )
 
 
 def detection_f1(matches: list[MatchResult]) -> float:
     """F1 from aggregated counts; empty denominators count as 100%."""
-    tp, fp, fn = _aggregate_counts(matches)
+    tp, fp, fn = (sum(getattr(m, k) for m in matches) for k in ("tp", "fp", "fn"))
     precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
     recall = 1.0 if tp + fn == 0 else tp / (tp + fn)
     return f1_score(precision, recall)

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .detect import BoxDetection
 from .errors import DataError
@@ -84,52 +87,58 @@ def read_jsonl(path: str) -> tuple[dict | None, list[dict]]:
 
 
 def write_boxes(
-    path: str, header: dict, images: Iterable[tuple[int, Iterable[BoxDetection]]],
+    path: str, header: dict, images: Iterable[tuple[int, np.ndarray]],
     with_score: bool,
 ) -> None:
+    """One line per box; each image's boxes are a box table or its rows."""
+    cols = 5 if with_score else 4
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# ")
-        fh.write(canonical_json(header))
-        fh.write("\n")
+        fh.write(f"# {canonical_json(header)}\n")
         for image_id, boxes in images:
-            for b in boxes:
-                fields = [image_id, repr(b.x1), repr(b.y1), repr(b.x2), repr(b.y2)]
-                if with_score:
-                    fields.append(repr(b.score))
-                fh.write(" ".join(str(f) for f in fields))
-                fh.write("\n")
+            rows = np.asarray(boxes, dtype=float).reshape(-1, 5)[:, :cols].tolist()
+            fh.writelines(f"{image_id} {' '.join(map(repr, row))}\n" for row in rows)
 
 
-def read_boxes(path: str, with_score: bool) -> dict[int, list[BoxDetection]]:
-    """Boxes grouped by image id; GT files (no score column) default to 1.0."""
-    images: dict[int, list[BoxDetection]] = {}
+def read_boxes(path: str, with_score: bool) -> dict[int, np.ndarray]:
+    """Box tables by image id, rows in file order; GT files (no score column)
+    get score 1.0.  The earliest bad row is a DataError naming its line."""
+    expected = 6 if with_score else 5
+    vals = array("d")  # x1, y1, x2, y2, score of each row in turn
+    lines: list[int] = []  # the file line of each row
+    rows: dict[int, list[int]] = {}  # image id -> its rows
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for ln, line in enumerate(fh):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
+            for ln, line in enumerate(fh, 1):
                 parts = line.split()
-                expected = 6 if with_score else 5
-                if len(parts) != expected:
-                    raise DataError(
-                        f"{path}:{ln + 1}: expected {expected} fields, got {len(parts)}"
-                    )
-                # A field that does not parse, or a box BoxDetection rejects
-                # (a NumericError, hence a ValueError), is bad data here.
+                if not parts or parts[0].startswith("#"):
+                    continue
                 try:
+                    if len(parts) != expected:
+                        raise ValueError(f"expected {expected} fields, got {len(parts)}")
                     image_id = int(parts[0])
-                    vals = [float(v) for v in parts[1:]]
-                    score = vals[4] if with_score else 1.0
-                    box = BoxDetection(
-                        x1=vals[0], y1=vals[1], x2=vals[2], y2=vals[3], score=score
-                    )
+                    vals.extend(map(float, parts[1:]))
                 except ValueError as e:
-                    raise DataError(f"{path}:{ln + 1}: {e}") from e
-                images.setdefault(image_id, []).append(box)
+                    _check_boxes(path, vals, lines)  # an earlier bad row first
+                    raise DataError(f"{path}:{ln}: {e}") from e
+                if not with_score:
+                    vals.append(1.0)
+                rows.setdefault(image_id, []).append(len(lines))
+                lines.append(ln)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
-    return images
+    table = _check_boxes(path, vals, lines)
+    return {image_id: table[r] for image_id, r in rows.items()}
+
+
+def _check_boxes(path: str, vals: array, lines: list[int]) -> np.ndarray:
+    """The rows read so far as a box table; a row BoxDetection rejects is a DataError."""
+    t = np.frombuffer(vals, dtype=float)[:5 * len(lines)].reshape(-1, 5)
+    for i in BoxDetection.rejected_rows(t):
+        try:
+            BoxDetection(*t[i].tolist())
+        except ValueError as e:
+            raise DataError(f"{path}:{lines[i]}: {e}") from e
+    return t
 
 
 def read_counting_records(path: str) -> list[tuple[tuple[float, ...], int]]:
@@ -156,6 +165,8 @@ def read_multilabel_records(path: str) -> list[EvalRecord]:
             ))
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"{path}: record {i}: {e}") from e
+        if not out[0].scores:
+            raise DataError(f"{path}: record 0 has no scores")
         if len(out[i].scores) != len(out[0].scores):
             raise DataError(f"{path}: record {i} has {len(out[i].scores)} scores; "
                             f"record 0 has {len(out[0].scores)}")

@@ -509,3 +509,13 @@ def test_eval_ml_rejects(capsys, tmp_path, n_scores, modes, extra, code,
     assert out["code"] == code, out
     assert out["message"].startswith(
         message.replace("@records", str(records)).replace("@pred", str(pred))), out
+
+
+def test_eval_ml_rejects_records_without_scores(capsys, tmp_path):
+    # With C = 0 there is no class to average over: the metrics would be NaN.
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"scores": [], "truth": []}\n' * 2)
+    status, lines, err = run_main(capsys, tmp_path, "eval-ml", {"records": str(records)})
+    assert status == 1 and err == "" and len(lines) == 1, (lines, err)
+    assert json.loads(lines[0]) == {"code": "data",
+                                    "message": f"{records}: record 0 has no scores"}

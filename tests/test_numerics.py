@@ -25,6 +25,7 @@ from setnet import (
     nb_pmf_truncated,
     regression_loss,
 )
+from setnet.numerics import _nb_log_pmf
 
 # ln Gamma(0.5) = 0.5 * ln(pi), 50-digit reference rounded to double.
 LGAMMA_HALF = 0.5723649429247001
@@ -133,13 +134,9 @@ class TestNegBin:
 
 
 def brute_force_mode(p: NegBinParams, m_max: int = 10**4) -> int:
-    """Exhaustive argmax of nb_log_pmf; first maximum wins on ties."""
-    best_m, best_v = 0, nb_log_pmf(0, p)
-    for m in range(1, m_max + 1):
-        v = nb_log_pmf(m, p)
-        if v > best_v:
-            best_m, best_v = m, v
-    return best_m
+    """Exhaustive argmax of the NB log-pmf over 0..m_max, from one array call
+    of the kernel behind nb_log_pmf; the first maximum wins on ties."""
+    return int(np.argmax(_nb_log_pmf(np.arange(m_max + 1.0), p.a, p.b)))
 
 
 class TestNbMode:
