@@ -21,7 +21,6 @@ from .cardnet import (
     MLPModel,
     TrainConfig,
     TrainingSample,
-    forward,
     gradient_check,
     init_model,
     load_model,
@@ -38,7 +37,6 @@ from .detect import (
     adaptive_nms,
     detection_f1,
     greedy_nms,
-    iou,
     log_avg_miss_rate,
     match_detections,
 )
@@ -47,7 +45,6 @@ from .mlmetrics import (
     EvalRecord,
     LabelSet,
     MetricSummary,
-    aggregate,
     f1_score,
     mce,
     precision_recall,
@@ -69,7 +66,6 @@ from .setinfer import (
     ScoredElements,
     map_set,
     sample_rfs_with,
-    sequential_map,
 )
 from .synth import (
     BoxImage,

@@ -18,6 +18,8 @@ strictly positive (alpha, beta); the weights bound the reachable range.
 
 The loss, the sigmoid and the heads work elementwise on arrays (one entry
 per sample); ``card_nll`` and ``card_grad`` wrap the loss for one sample.
+``AlphaBeta`` and the heads reject an alpha or beta that is not finite and
+> 0 with the positivity check of ``numerics``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .numerics import NegBinParams, _check_count, digamma, log_gamma
+from .numerics import _check_count, _check_positive, digamma, log_gamma
 
 __all__ = [
     "AlphaBeta",
@@ -44,15 +46,6 @@ __all__ = [
 ]
 
 
-def _check_alpha_beta(alpha, beta) -> None:
-    """NumericError naming the first alpha or beta that is not finite and > 0."""
-    for name, v in (("alpha", alpha), ("beta", beta)):
-        ok = np.isfinite(v) & (v > 0.0)
-        if not ok.all():
-            raise NumericError(
-                f"{name} must be finite and > 0, got {float(np.extract(~ok, v)[0])!r}")
-
-
 @dataclass(frozen=True)
 class AlphaBeta:
     """Per-input Gamma hyperparameters predicted by the cardinality head."""
@@ -61,11 +54,8 @@ class AlphaBeta:
     beta: float
 
     def __post_init__(self) -> None:
-        _check_alpha_beta(self.alpha, self.beta)
-
-    def negbin(self) -> NegBinParams:
-        """The marginal count law NB(a=alpha, b=1/(1+beta))."""
-        return NegBinParams(a=self.alpha, b=1.0 / (1.0 + self.beta))
+        _check_positive(self.alpha, "alpha")
+        _check_positive(self.beta, "beta")
 
 
 @dataclass(frozen=True)
@@ -145,8 +135,7 @@ def head_forward(z_alpha, z_beta, w: HeadWeights) -> tuple[np.ndarray, np.ndarra
     beta = w.floor + (w.beta_max - w.floor) * sigmoid(z_beta)
     # Saturation towards the scale is representable; towards the floor the
     # sigmoid may underflow to exactly 0, which a positive floor absorbs.
-    _check_alpha_beta(alpha, beta)
-    return alpha, beta
+    return _check_positive(alpha, "alpha"), _check_positive(beta, "beta")
 
 
 def head_backward(

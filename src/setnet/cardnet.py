@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .cardloss import (
-    AlphaBeta,
     HeadWeights,
     card_nll_grad,
     head_backward,
@@ -38,7 +37,6 @@ __all__ = [
     "MLPModel",
     "TrainConfig",
     "init_model",
-    "forward",
     "loss_and_grads",
     "train",
     "predict_batch",
@@ -264,14 +262,6 @@ def predict_batch(
         return None, None, np.maximum(np.floor(z[:, 0] + 0.5), 0.0).astype(np.int64)
     alpha, beta = head_forward(z[:, 0], z[:, 1], model.head)
     return alpha, beta, nb_mode_batch(alpha, 1.0 / (1.0 + beta))
-
-
-def forward(model: MLPModel, x) -> AlphaBeta:
-    """Network output for one feature vector (negbin models only)."""
-    if model.kind != "negbin":
-        raise NumericError("forward() returns AlphaBeta; use predict_count for regression")
-    alpha, beta, _ = predict_batch(model, np.reshape(x, (1, -1)))
-    return AlphaBeta(alpha=float(alpha[0]), beta=float(beta[0]))
 
 
 def predict_count(model: MLPModel, x) -> int:

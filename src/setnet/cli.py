@@ -197,6 +197,12 @@ def _resolve_config(command: str, config_path: str | None,
     return config, typed
 
 
+def _check(cfg: dict, key: str, ok: bool, want: str) -> None:
+    """ConfigError unless ``ok``, the range check of config value ``key``."""
+    if not ok:
+        raise ConfigError(f"{key} must be {want}, got {cfg[key]!r}")
+
+
 def _outpath(out_dir: str, name: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
@@ -263,6 +269,7 @@ def cmd_synth(cfg: dict, header: dict, out_dir: str) -> dict:
 
 
 def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
+    _check(cfg, "hidden", min(cfg["hidden"], default=1) >= 1, "widths >= 1")
     head = _build(HeadWeights, cfg)
     tcfg = _build(cardnet.TrainConfig, cfg)
     records = formats.read_counting_records(cfg["data"])
@@ -292,7 +299,7 @@ def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
 def _feature_matrix(model: cardnet.MLPModel, path: str) -> np.ndarray:
     """The rows of a features file as one (rows x model input size) matrix."""
     d = model.dims[0]
-    rows = list(formats.iter_feature_rows(path))
+    rows = formats.read_records(path, lambda row: tuple(float(v) for v in row["features"]))
     for i, row in enumerate(rows):
         if len(row) != d:
             raise NumericError(f"{path}: record {i} has {len(row)} features; the model takes {d}")
@@ -313,6 +320,14 @@ def cmd_predict(cfg: dict, header: dict, out_dir: str) -> dict:
     return {"files": {"predictions": path}, "n": len(rows)}
 
 
+def _write_json(out_dir: str, name: str, doc: dict) -> str:
+    """Write ``doc`` as one canonical JSON line to ``name`` in ``out_dir``."""
+    path = _outpath(out_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(formats.canonical_json(doc) + "\n")
+    return path
+
+
 def _write_curve_csv(path: str, header: dict, columns: list[str],
                      rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -328,13 +343,17 @@ def _write_curve_csv(path: str, header: dict, columns: list[str],
 
 
 def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
+    mode = cfg["mode"]
+    _check(cfg, "k_values", mode != "fixed-k" or cfg["k_values"] != [], "null or non-empty")
+    if mode == "predicted-k" and not cfg["pred"]:
+        raise ConfigError("predicted-k evaluation needs a 'pred' file")
     records = formats.read_multilabel_records(cfg["records"])
     if not records:
         raise DataError(f"no records in {cfg['records']}")
     n_classes = len(records[0].scores)
-    mode = cfg["mode"]
     if mode == "fixed-k":
-        k_values = cfg["k_values"] or list(range(0, n_classes + 1))
+        k_values = (list(range(0, n_classes + 1)) if cfg["k_values"] is None
+                    else cfg["k_values"])
         bad = [k for k in k_values if not 0 <= k <= n_classes]
         if bad:
             raise ConfigError(f"k_values must lie in [0, C={n_classes}], got {bad[0]!r}")
@@ -355,31 +374,20 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
         }
         files = {"curve": curve_path}
     else:
-        if not cfg["pred"]:
-            raise ConfigError("predicted-k evaluation needs a 'pred' file")
-        _, pred_rows = formats.read_jsonl(cfg["pred"])
-        if len(pred_rows) != len(records):
-            raise DataError(
-                f"{len(pred_rows)} predictions for {len(records)} records"
-            )
-        m_stars = []
-        for i, row in enumerate(pred_rows):
-            try:
-                m_stars.append(int(_check_count(row["mode"], "mode")))
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{cfg['pred']}: record {i}: {e}") from e
+        m_stars = formats.read_records(
+            cfg["pred"], lambda row: int(_check_count(row["mode"], "mode")))
+        if len(m_stars) != len(records):
+            raise DataError(f"{len(m_stars)} predictions for {len(records)} records")
         summary = mlmetrics.predicted_k_eval(records, m_stars)
         result = {"mode": mode, "metrics": summary.as_dict()}
         files = {}
-    metrics_path = _outpath(out_dir, "metrics.json")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(formats.canonical_json({**header, **result}))
-        fh.write("\n")
-    files["metrics"] = metrics_path
+    files["metrics"] = _write_json(out_dir, "metrics.json", {**header, **result})
     return {"files": files, **result}
 
 
 def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
+    _check(cfg, "iou_thresh", 0.0 < cfg["iou_thresh"] < 1.0, "in (0, 1)")
+    _check(cfg, "n_images", cfg["n_images"] is None or cfg["n_images"] >= 1, "null or >= 1")
     dets = formats.read_boxes(cfg["dets"], with_score=True)
     gts = formats.read_boxes(cfg["gts"], with_score=False)
     image_ids = sorted(set(dets) | set(gts))
@@ -390,7 +398,7 @@ def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
         detect.match_tables(dets.get(i, empty), gts.get(i, empty), cfg["iou_thresh"])
         for i in image_ids
     ]
-    n_images = cfg["n_images"] or len(image_ids)
+    n_images = len(image_ids) if cfg["n_images"] is None else cfg["n_images"]
     f1 = detect.detection_f1(matches)
     best_f1 = detect.best_f1_over_thresholds(matches)
     mr = detect.log_avg_miss_rate(matches, n_images)
@@ -399,10 +407,7 @@ def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
     _write_curve_csv(curve_path, header, ["fppi", "miss_rate"],
                      [[float(f), float(m)] for f, m in zip(fppi, miss)])
     result = {"f1": f1, "best_f1": best_f1, "mr": mr, "n_images": n_images}
-    metrics_path = _outpath(out_dir, "metrics.json")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(formats.canonical_json({**header, **result}))
-        fh.write("\n")
+    metrics_path = _write_json(out_dir, "metrics.json", {**header, **result})
     return {"files": {"curve": curve_path, "metrics": metrics_path}, **result}
 
 
@@ -415,8 +420,7 @@ def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
         )
     source = sources[0]
     if source == "mstar_fixed":
-        if cfg["mstar_fixed"] < 0:
-            raise ConfigError(f"mstar_fixed must be >= 0, got {cfg['mstar_fixed']!r}")
+        _check(cfg, "mstar_fixed", cfg["mstar_fixed"] >= 0, ">= 0")
         return {i: cfg["mstar_fixed"] for i in image_ids}
     if source == "mstar_file":
         _, rows = formats.read_jsonl(cfg["mstar_file"])
@@ -466,6 +470,7 @@ def _normalised(values: list[float], key: str) -> np.ndarray:
 
 
 def cmd_sample(cfg: dict, header: dict, out_dir: str) -> dict:
+    _check(cfg, "n", cfg["n"] >= 0, ">= 0")
     if cfg["card"] == "negbin":
         pmf = nb_pmf_truncated(_build(NegBinParams, cfg))
     elif not cfg["pmf"]:
@@ -496,6 +501,10 @@ def cmd_sample(cfg: dict, header: dict, out_dir: str) -> dict:
 
 
 def cmd_gradcheck(cfg: dict, header: dict, out_dir: str) -> dict:
+    for key in ("d", "batch"):
+        _check(cfg, key, cfg[key] >= 1, ">= 1")
+    _check(cfg, "hidden", min(cfg["hidden"], default=1) >= 1, "widths >= 1")
+    _check(cfg, "h", 0.0 < cfg["h"] < np.inf, "finite and > 0")
     rng = np.random.default_rng(cfg["seed"])
     d = cfg["d"]
     kind = cfg["loss"]
@@ -509,10 +518,7 @@ def cmd_gradcheck(cfg: dict, header: dict, out_dir: str) -> dict:
         for _ in range(cfg["batch"])
     ]
     err = cardnet.gradient_check(model, batch, h=cfg["h"])
-    path = _outpath(out_dir, "gradcheck.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(formats.canonical_json({**header, "max_rel_error": err}))
-        fh.write("\n")
+    path = _write_json(out_dir, "gradcheck.json", {**header, "max_rel_error": err})
     return {"files": {"report": path}, "max_rel_error": err}
 
 

@@ -7,9 +7,9 @@ Note that the kept count of greedy NMS is *not* monotone in the threshold
 qualifying threshold instead of bisecting.  An image's overlaps are
 computed once, in numpy: a box's row (the lower-scored boxes it overlaps
 by more than the sweep's first threshold) is built the first time the box
-is kept and reused by every later threshold of the sweep.  All overlaps,
-those of matching and of ``iou`` included, come from one routine, so each
-threshold comparison sees the same float value whichever caller asks.
+is kept and reused by every later threshold of the sweep.  The sweep and
+matching take every IoU from one routine, ``_overlaps``, so a threshold
+comparison sees the same float value whichever caller asks.
 If no threshold keeps m* boxes, fewer are returned; the ``nms`` command
 counts those images as ``n_short``.
 
@@ -37,7 +37,6 @@ __all__ = [
     "NMSConfig",
     "MatchResult",
     "box_table",
-    "iou",
     "greedy_nms",
     "adaptive_nms",
     "adaptive_nms_rows",
@@ -157,12 +156,6 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     iy = np.maximum(np.minimum(a[3], b[3]) - np.maximum(a[1], b[1]), 0.0)
     inter = ix * iy
     return inter / (a[4] + b[4] - inter)
-
-
-def iou(a: BoxDetection, b: BoxDetection) -> float:
-    """Intersection area over union area, in [0,1]."""
-    g = _geometry(box_table([a, b]))
-    return float(_overlaps(g[:, 0], g[:, 1]))
 
 
 class _Sweep:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "read_jsonl",
     "write_boxes",
     "read_boxes",
+    "read_records",
     "read_counting_records",
     "read_multilabel_records",
 ]
@@ -141,42 +142,39 @@ def _check_boxes(path: str, vals: array, lines: list[int]) -> np.ndarray:
     return t
 
 
-def read_counting_records(path: str) -> list[tuple[tuple[float, ...], int]]:
-    """(features, count) pairs from a counting JSONL file."""
+def read_records(path: str, parse: Callable[[dict], object]) -> list:
+    """``parse`` of each record of a JSONL file, in order.  The first record it
+    cannot parse is a DataError naming the record; a DataError from ``parse``
+    itself passes through, so the earliest bad record wins either way."""
     _, rows = read_jsonl(path)
     out = []
     for i, row in enumerate(rows):
         try:
-            out.append((tuple(float(v) for v in row["features"]), int(row["count"])))
+            out.append(parse(row))
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"{path}: record {i}: {e}") from e
     return out
+
+
+def read_counting_records(path: str) -> list[tuple[tuple[float, ...], int]]:
+    """(features, count) pairs from a counting JSONL file."""
+    return read_records(path, lambda row: (
+        tuple(float(v) for v in row["features"]), int(row["count"])))
 
 
 def read_multilabel_records(path: str) -> list[EvalRecord]:
-    """Scored records; every record has as many scores as record 0."""
-    _, rows = read_jsonl(path)
-    out = []
-    for i, row in enumerate(rows):
-        try:
-            out.append(EvalRecord(
-                scores=tuple(float(v) for v in row["scores"]),
-                truth=LabelSet(labels=tuple(int(v) for v in row["truth"])),
-            ))
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}: record {i}: {e}") from e
-        if not out[0].scores:
+    """Scored records; every record has as many scores as record 0, which has some."""
+    widths: list[int] = []  # the score count of each record parsed so far
+
+    def parse(row: dict) -> EvalRecord:
+        record = EvalRecord(scores=tuple(float(v) for v in row["scores"]),
+                            truth=LabelSet(labels=tuple(int(v) for v in row["truth"])))
+        widths.append(len(record.scores))
+        if not widths[0]:
             raise DataError(f"{path}: record 0 has no scores")
-        if len(out[i].scores) != len(out[0].scores):
-            raise DataError(f"{path}: record {i} has {len(out[i].scores)} scores; "
-                            f"record 0 has {len(out[0].scores)}")
-    return out
+        if widths[-1] != widths[0]:
+            raise DataError(f"{path}: record {len(widths) - 1} has {widths[-1]} scores; "
+                            f"record 0 has {widths[0]}")
+        return record
 
-
-def iter_feature_rows(path: str) -> Iterator[tuple[float, ...]]:
-    _, rows = read_jsonl(path)
-    for i, row in enumerate(rows):
-        try:
-            yield tuple(float(v) for v in row["features"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}: record {i}: {e}") from e
+    return read_records(path, parse)

@@ -24,7 +24,6 @@ __all__ = [
     "MetricSummary",
     "f1_score",
     "precision_recall",
-    "aggregate",
     "top_k_labels",
     "topk_sweep",
     "predicted_k_eval",
@@ -125,12 +124,10 @@ def _counts(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(m.sum(0, dtype=float) for m in (pred & truth, pred, truth))
 
 
-def _mask(sets: Sequence[LabelSet], n_classes: int, what: str) -> np.ndarray:
-    """(n, C) membership matrix of ``n`` label sets."""
+def _mask(sets: Sequence[LabelSet], n_classes: int) -> np.ndarray:
+    """(n, C) membership matrix of ``n`` label sets, each label below C."""
     rows = [i for i, s in enumerate(sets) for _ in s.labels]
     cols = [c for s in sets for c in s.labels]
-    if cols and max(cols) >= n_classes:
-        raise NumericError(f"{what} label {max(cols)} >= C={n_classes}")
     mask = np.zeros((len(sets), n_classes), dtype=bool)
     mask[rows, cols] = True
     return mask
@@ -159,22 +156,7 @@ def _stack(records: Sequence[EvalRecord]) -> tuple[np.ndarray, np.ndarray]:
             raise NumericError(
                 f"record {i} has {len(r.scores)} scores; record 0 has {n_classes}")
     scores = np.array([r.scores for r in records], dtype=float)
-    return _ranks(scores), _mask([r.truth for r in records], n_classes, "truth")
-
-
-def aggregate(
-    preds: Sequence[LabelSet], truths: Sequence[LabelSet], n_classes: int
-) -> MetricSummary:
-    """Per-class averaged and corpus-level metrics over a prediction run.
-
-    Every one of the ``n_classes`` categories contributes to the per-class
-    averages; a class never predicted and never present scores 1.0 on both
-    by the 100% rule.
-    """
-    if not preds or len(preds) != len(truths):
-        raise NumericError("need equally many non-empty predictions and truths")
-    return _summary(*_counts(_mask(preds, n_classes, "prediction"),
-                             _mask(truths, n_classes, "truth")))
+    return _ranks(scores), _mask([r.truth for r in records], n_classes)
 
 
 def top_k_labels(scores: Sequence[float], k: int) -> LabelSet:

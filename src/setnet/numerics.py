@@ -61,7 +61,7 @@ def _check_positive(x, name: str):
     ok = (x > 0.0) & (x < np.inf)  # False for nan
     if not ok.all():
         raise NumericError(
-            f"{name} must be a finite positive real, got {float(np.extract(~ok, x)[0])!r}")
+            f"{name} must be finite and > 0, got {float(np.extract(~ok, x)[0])!r}")
     return x
 
 

@@ -1,10 +1,13 @@
-"""Sequential set-MAP inference and random-finite-set sampling.
+"""Set-MAP selection and random-finite-set sampling.
 
-Inference proceeds in two stages: the mode m* of the predicted cardinality
-distribution is computed first, then the m* elements with the highest
-probabilities are selected (the joint density of i.i.d. elements is
-maximised element-wise).  The sampler draws a cardinality from an explicit
-pmf and then that many i.i.d. element values.
+Sequential set-MAP inference has two stages: the mode m* of the predicted
+cardinality distribution first (``numerics.nb_mode_batch``, which
+``cardnet.predict_batch`` runs on a feature matrix), then the m* elements
+with the highest probabilities (``map_set``; the joint density of i.i.d.
+elements is maximised element-wise).  ``map_set`` rejects an m* above the
+number of elements; ``mlmetrics.predicted_k_eval`` selects for a whole
+record set and clips each m* to C.  The sampler draws a cardinality from
+an explicit pmf and then that many i.i.d. element values.
 """
 
 from __future__ import annotations
@@ -15,17 +18,14 @@ from typing import Callable
 
 import numpy as np
 
-from .cardloss import AlphaBeta
 from .errors import NumericError
 from .mlmetrics import top_k_labels
-from .numerics import nb_mode
 
 __all__ = [
     "ScoredElements",
     "PredictedSet",
     "CardinalityPMF",
     "map_set",
-    "sequential_map",
     "sample_rfs_with",
 ]
 
@@ -42,9 +42,6 @@ class ScoredElements:
             if not math.isfinite(p) or not 0.0 <= p <= 1.0:
                 raise NumericError(f"element probability out of [0,1]: {p!r}")
         object.__setattr__(self, "probs", probs)
-
-    def __len__(self) -> int:
-        return len(self.probs)
 
 
 @dataclass(frozen=True)
@@ -84,15 +81,6 @@ class CardinalityPMF:
 def map_set(scores: ScoredElements, m_star: int) -> PredictedSet:
     """Indices of the m_star highest probabilities; ties go to lower index."""
     return PredictedSet(indices=top_k_labels(scores.probs, m_star).labels)
-
-
-def sequential_map(scores: ScoredElements, ab: AlphaBeta) -> PredictedSet:
-    """Cardinality mode first, then the top-m* elements.
-
-    The NB mode is clamped to the number of available elements.
-    """
-    m_star = nb_mode(ab.negbin())
-    return map_set(scores, min(m_star, len(scores)))
 
 
 def sample_rfs_with(

@@ -1,0 +1,56 @@
+"""No public function exists that only its own tests use.
+
+Every function listed in a layer's ``__all__`` must be named somewhere in
+``src/setnet`` outside its own body (its ``def``, its ``__all__`` string and
+the package re-export are not uses), or be imported by the acceptance suite.
+Uses are matched by identifier: a bare name or an attribute such as
+``detect.box_table``.
+"""
+
+import ast
+import importlib
+import inspect
+import pathlib
+
+import pytest
+
+import setnet
+
+SRC = pathlib.Path(setnet.__file__).parent
+ACCEPTANCE = pathlib.Path(__file__).with_name("test_acceptance.py")
+LAYERS = sorted(p.stem for p in SRC.glob("*.py") if not p.stem.startswith("_"))
+
+
+def names_used_in_src():
+    """Identifiers loaded in src/setnet, each top-level def's own name aside."""
+    used = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            used |= names - {getattr(top, "name", None)}
+    return used
+
+
+def names_imported_by_acceptance():
+    return {alias.name for node in ast.walk(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def public_functions():
+    for layer in LAYERS:
+        module = importlib.import_module(f"setnet.{layer}")
+        for name in getattr(module, "__all__", ()):
+            if inspect.isfunction(getattr(module, name)):
+                yield f"{layer}.{name}"
+
+
+USED = names_used_in_src() | names_imported_by_acceptance()
+
+
+@pytest.mark.parametrize("qualname", list(public_functions()))
+def test_public_function_has_a_caller(qualname):
+    assert qualname.split(".")[1] in USED, (
+        f"{qualname} is public, but nothing in src/setnet calls it and the "
+        "acceptance suite does not import it")

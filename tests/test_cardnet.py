@@ -1,5 +1,8 @@
 """Feed-forward cardinality network: backprop, training, serialisation.
 
+The network's forward pass is read through ``predict_batch``, the one
+path from features to (alpha, beta, mode).
+
 The one-path tests at the end keep the scalar kernels and the per-sample
 loss loop that the array kernels replaced, as a reference: the batched loss
 and gradients must match it, each array kernel must agree bit for bit with
@@ -26,7 +29,6 @@ from setnet import (
     card_nll,
     card_nll_grad,
     digamma,
-    forward,
     gradient_check,
     head_backward,
     head_forward,
@@ -61,6 +63,12 @@ def as_arrays(batch):
             np.asarray([s.count for s in batch]))
 
 
+def alpha_beta(model, x):
+    """(alpha, beta) of one feature vector, from a one-row ``predict_batch``."""
+    alpha, beta, _ = predict_batch(model, [x])
+    return float(alpha[0]), float(beta[0])
+
+
 def single_layer_model(d=3, kind="negbin", head=None, zero=True, seed=0):
     model = init_model([d, 2 if kind == "negbin" else 1],
                        head=head or HeadWeights(), seed=seed, kind=kind)
@@ -74,8 +82,7 @@ class TestForward:
     def test_zero_network_equals_head_midpoint(self):
         head = HeadWeights(alpha_max=160.0, beta_max=20.0, floor=0.0)
         model = single_layer_model(head=head)
-        ab = forward(model, [0.4, -1.2, 3.3])
-        assert (ab.alpha, ab.beta) == head_forward(0.0, 0.0, head)
+        assert alpha_beta(model, [0.4, -1.2, 3.3]) == head_forward(0.0, 0.0, head)
 
     def test_hand_computed_fixture(self):
         head = HeadWeights(alpha_max=10.0, beta_max=4.0, floor=0.0)
@@ -86,22 +93,23 @@ class TestForward:
         # z_alpha = 0.3 + 0.8 + 0.1 = 1.2; z_beta = -0.3 + 0.2 - 0.2 = -0.3
         sa = 1.0 / (1.0 + math.exp(-1.2))
         sb = 1.0 / (1.0 + math.exp(0.3))
-        ab = forward(model, x)
-        assert ab.alpha == pytest.approx(10.0 * sa, rel=1e-12)
-        assert ab.beta == pytest.approx(4.0 * sb, rel=1e-12)
+        alpha, beta = alpha_beta(model, x)
+        assert alpha == pytest.approx(10.0 * sa, rel=1e-12)
+        assert beta == pytest.approx(4.0 * sb, rel=1e-12)
 
     def test_pure_function(self):
         model = init_model([4, 8, 2], seed=3)
-        x = [0.1, 0.2, 0.3, 0.4]
-        first = forward(model, x)
+        X = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 4))
+        first = predict_batch(model, X)
         for _ in range(3):
-            again = forward(model, x)
-            assert (again.alpha, again.beta) == (first.alpha, first.beta)
+            again = predict_batch(model, X)
+            for a, b in zip(again, first):
+                assert a.tobytes() == b.tobytes()
 
     def test_dimension_mismatch(self):
         model = init_model([4, 8, 2], seed=3)
         with pytest.raises(NumericError):
-            forward(model, [1.0, 2.0])
+            predict_batch(model, [[1.0, 2.0]])
 
 
 class TestLossAndGrads:
@@ -212,10 +220,8 @@ class TestTrain:
                                                              beta_max=4.0),
                                  seed=19),
                       data, cfg)
-        for s in data:
-            ab = forward(model, s.features)
-            assert ab.alpha > 0.0
-            assert ab.beta > 0.0
+        alpha, beta, _ = predict_batch(model, [s.features for s in data])
+        assert (alpha > 0.0).all() and (beta > 0.0).all()
 
 
 class TestPredictCount:
@@ -238,9 +244,9 @@ class TestPredictCount:
                            seed=21)
         for _ in range(50):
             x = tuple(rng.uniform(-1, 1, size=4))
-            ab = forward(model, x)
+            alpha, beta = alpha_beta(model, x)
             assert predict_count(model, x) == nb_mode(
-                NegBinParams(a=ab.alpha, b=1.0 / (1.0 + ab.beta))
+                NegBinParams(a=alpha, b=1.0 / (1.0 + beta))
             )
 
     def test_regression_decode(self):
@@ -256,11 +262,9 @@ class TestSerialization:
         model = init_model([4, 8, 2], seed=22)
         text = model_to_json(model)
         clone = model_from_json(text)
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            x = tuple(rng.uniform(-2, 2, size=4))
-            a, b = forward(model, x), forward(clone, x)
-            assert (a.alpha, a.beta) == (b.alpha, b.beta)
+        X = np.random.default_rng(23).uniform(-2, 2, size=(20, 4))
+        for a, b in zip(predict_batch(model, X), predict_batch(clone, X)):
+            assert a.tobytes() == b.tobytes()
         assert model_to_json(clone) == text
 
     def test_schema_version_checked(self):
@@ -494,12 +498,13 @@ class TestOnePath:
         model.biases[-1][:] = rng.uniform(-2.0, 2.0, size=2)
         X = rng.uniform(-1.0, 1.0, size=(n, 4))
         alpha, beta, mode = predict_batch(model, X)
-        rows = [forward(model, x) for x in X]
+        rows = [alpha_beta(model, x) for x in X]
         # A one-row matrix product may round differently from a batched one.
-        assert_rel_close(alpha, [ab.alpha for ab in rows])
-        assert_rel_close(beta, [ab.beta for ab in rows])
+        assert_rel_close(alpha, [a for a, _ in rows])
+        assert_rel_close(beta, [b for _, b in rows])
         assert mode.tolist() == [predict_count(model, x) for x in X]
-        assert mode.tolist() == [nb_mode(ab.negbin()) for ab in rows]
+        assert mode.tolist() == [nb_mode(NegBinParams(a, 1.0 / (1.0 + b)))
+                                 for a, b in zip(alpha.tolist(), beta.tolist())]
 
     def test_nb_mode_on_exact_ties_equals_brute_force(self):
         # For dyadic b, (a-1) b/(1-b) is an exact integer k when a-1 is a

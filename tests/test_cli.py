@@ -451,6 +451,20 @@ OUT_OF_RANGE = [
     ("sample", {"card": "pmf", "pmf": [0.0, 0.0]}),
     ("sample", {"probs": [0.0, 0.0, 0.0]}),
     ("sample", {"probs": [0.5, -0.5, 1.0]}),
+    ("sample", {"n": -2}),
+    # The files these commands name do not exist: the range check comes first.
+    ("eval-det", {"n_images": 0}),
+    ("eval-det", {"n_images": -3}),
+    ("eval-det", {"iou_thresh": 1.5}),
+    ("eval-det", {"iou_thresh": 0.0}),
+    ("eval-ml", {"k_values": []}),
+    ("train", {"hidden": [0]}),
+    ("train", {"hidden": [-1]}),
+    ("gradcheck", {"hidden": [8, 0]}),
+    ("gradcheck", {"batch": 0}),
+    ("gradcheck", {"d": 0}),
+    ("gradcheck", {"h": -1}),
+    ("gradcheck", {"h": 0}),
 ]
 
 
@@ -484,6 +498,9 @@ EVAL_ML_REJECTS = [
     ("mode-fractional", [3, 3], [1, 1.7], {}, "data", "@pred: record 1: "),
     ("mode-bool", [3, 3], [1, True], {}, "data", "@pred: record 1: "),
     ("mode-null", [3, 3], [1, None], {}, "data", "@pred: record 1: "),
+    ("too-few-modes", [3, 3, 3], [1, 1], {}, "data", "2 predictions for 3 records"),
+    # Every prediction row is parsed before the rows are counted.
+    ("bad-mode-and-too-few", [3, 3, 3], [1, "missing"], {}, "data", "@pred: record 1: "),
 ]
 
 

@@ -6,8 +6,10 @@ but only 2 at t=0.45, because the mid box B survives the higher threshold
 and then shadows C and D.
 
 The property tests compare the library against a scalar reference (one
-Python ``iou`` call per pair, one greedy pass per threshold), which must
-agree exactly: the same boxes, by identity, in the same order.
+``ref_iou`` call per pair, one greedy pass per threshold), which must
+agree exactly: the same boxes, by identity, in the same order.  The
+library has no one-pair IoU; its overlaps are pinned to ``ref_iou`` bit for
+bit at the threshold knife edges of NMS and matching.
 """
 
 import itertools
@@ -26,7 +28,6 @@ from setnet import (
     adaptive_nms,
     detection_f1,
     greedy_nms,
-    iou,
     log_avg_miss_rate,
     match_detections,
 )
@@ -59,32 +60,34 @@ def random_cloud(rng, n_max=30):
 
 
 class TestIou:
+    """IoU fixtures on the scalar reference that the library must equal."""
+
     def test_identical(self):
         b = box(2.0, 3.0, 8.0, 9.0)
-        assert iou(b, b) == 1.0
+        assert ref_iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert iou(box(0, 0, 1, 1), box(5, 5, 6, 6)) == 0.0
+        assert ref_iou(box(0, 0, 1, 1), box(5, 5, 6, 6)) == 0.0
 
     def test_half_overlap(self):
-        assert iou(box(0, 0, 10, 10), box(5, 0, 15, 10)) == pytest.approx(1.0 / 3.0)
+        assert ref_iou(box(0, 0, 10, 10), box(5, 0, 15, 10)) == pytest.approx(1.0 / 3.0)
 
     def test_symmetry_and_identity(self):
         rng = np.random.default_rng(40)
         for _ in range(200):
             a, b = random_cloud(rng, 2)[0], random_cloud(rng, 2)[0]
-            assert iou(a, b) == pytest.approx(iou(b, a), abs=1e-15)
-            assert 0.0 <= iou(a, b) <= 1.0
-            assert iou(a, a) == 1.0
+            assert ref_iou(a, b) == pytest.approx(ref_iou(b, a), abs=1e-15)
+            assert 0.0 <= ref_iou(a, b) <= 1.0
+            assert ref_iou(a, a) == 1.0
 
     def test_fixture_overlaps(self):
         a, b, c, d = four_box_fixture()
-        assert iou(a, b) == pytest.approx(55.0 / 145.0)
-        assert iou(b, c) == pytest.approx(64.0 / 130.0)
-        assert iou(b, d) == pytest.approx(64.0 / 130.0)
-        assert iou(c, d) == pytest.approx(28.0 / 160.0)
-        assert iou(a, c) == pytest.approx(35.2 / 158.8)
-        assert iou(a, d) == pytest.approx(35.2 / 158.8)
+        assert ref_iou(a, b) == pytest.approx(55.0 / 145.0)
+        assert ref_iou(b, c) == pytest.approx(64.0 / 130.0)
+        assert ref_iou(b, d) == pytest.approx(64.0 / 130.0)
+        assert ref_iou(c, d) == pytest.approx(28.0 / 160.0)
+        assert ref_iou(a, c) == pytest.approx(35.2 / 158.8)
+        assert ref_iou(a, d) == pytest.approx(35.2 / 158.8)
 
     def test_box_validation(self):
         with pytest.raises(NumericError):
@@ -134,7 +137,7 @@ class TestGreedyNms:
             scores = [k.score for k in kept]
             assert scores == sorted(scores, reverse=True)
             for i, j in itertools.combinations(range(len(kept)), 2):
-                assert iou(kept[i], kept[j]) <= t
+                assert ref_iou(kept[i], kept[j]) <= t
 
 
 class TestAdaptiveNms:
@@ -225,7 +228,7 @@ class TestMatching:
                 taken = set()
                 for di, det in enumerate(dets):
                     for gi in perm:
-                        if gi not in taken and iou(det, gts[gi]) >= 0.5:
+                        if gi not in taken and ref_iou(det, gts[gi]) >= 0.5:
                             taken.add(gi)
                             used += 1
                             break
@@ -447,8 +450,18 @@ class TestAgainstScalarReference:
     @given(boxes(), boxes())
     @example(FOUR_BOX[0], FOUR_BOX[1])
     def test_iou_bit_identical(self, a, b):
-        assert iou(a, b) == ref_iou(a, b)
-        assert iou(b, a) == ref_iou(b, a)
+        # Greedy NMS suppresses when IoU > t and matching needs IoU >= t, so
+        # both flip exactly at the library's IoU, which must be ref_iou's.
+        v = ref_iou(a, b)
+        below, above = float(np.nextafter(v, 0.0)), float(np.nextafter(v, 1.0))
+        for x, y in ((a, b), (b, a)):
+            if v < 1.0:
+                assert len(greedy_nms([x, y], v)) == 2
+                assert v == 0.0 or match_detections([x], [y], v).tp == 1
+            if v > 0.0:
+                assert len(greedy_nms([x, y], below)) == 1
+            if above < 1.0:
+                assert match_detections([x], [y], above).tp == 0
 
     @PROPERTY
     @given(cloud_and_threshold())

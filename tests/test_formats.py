@@ -88,6 +88,24 @@ def test_malformed_inputs(tmp_path):
         read_counting_records(str(tmp_path / "missing.jsonl"))
 
 
+def test_earliest_bad_record_wins(tmp_path):
+    # As in read_boxes, the first bad record is reported, whatever is wrong
+    # with it: here record 1 is ragged and record 3 does not parse.
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [
+        {"scores": [0.5, 0.2], "truth": [0]},
+        {"scores": [0.5], "truth": []},
+        {"scores": [0.5, 0.2], "truth": [1]},
+        {"scores": [0.5, "x"], "truth": [1]},
+    ]))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: record 1 has 1 scores; "
+                                        r"record 0 has 2$"):
+        read_multilabel_records(str(path))
+    path.write_text(path.read_text().replace('[0.5], "truth": []', '[0.5, 0.1], "truth": []'))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: record 3: could not convert"):
+        read_multilabel_records(str(path))
+
+
 @pytest.mark.parametrize("row", [
     "4 0 0 0 5 0.5",     # zero width
     "4 0 5 5 0 0.5",     # negative height

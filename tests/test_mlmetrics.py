@@ -1,4 +1,9 @@
-"""Multi-label metrics: 100% conventions, aggregation, top-k sweep, MCE."""
+"""Multi-label metrics: 100% conventions, aggregation, top-k sweep, MCE.
+
+Aggregation over given prediction sets is read through ``predicted_k_eval``:
+a record scoring its predicted classes 1 and the rest 0, with m* the
+prediction's size, predicts exactly that set.
+"""
 
 import numpy as np
 import pytest
@@ -10,7 +15,6 @@ from setnet import (
     LabelSet,
     MetricSummary,
     NumericError,
-    aggregate,
     f1_score,
     mce,
     precision_recall,
@@ -22,6 +26,13 @@ from setnet.mlmetrics import top_k_labels
 
 def ls(*labels):
     return LabelSet(labels=tuple(labels))
+
+
+def eval_sets(preds, truths, n_classes):
+    """The metrics of predicting ``preds`` against ``truths``, by ``predicted_k_eval``."""
+    records = [EvalRecord(scores=tuple(float(c in p) for c in range(n_classes)), truth=t)
+               for p, t in zip(preds, truths, strict=True)]
+    return predicted_k_eval(records, [len(p) for p in preds])
 
 
 class TestPrecisionRecall:
@@ -72,7 +83,7 @@ class TestF1Score:
 
 class TestAggregate:
     def test_single_perfect_record(self):
-        s = aggregate([ls(0, 2)], [ls(0, 2)], n_classes=3)
+        s = eval_sets([ls(0, 2)], [ls(0, 2)], n_classes=3)
         assert s.as_dict() == {
             "C-P": 1.0, "C-R": 1.0, "C-F1": 1.0,
             "O-P": 1.0, "O-R": 1.0, "O-F1": 1.0,
@@ -83,7 +94,7 @@ class TestAggregate:
         # Class 0: tp=1, pred=2, gt=1 -> P=0.5, R=1. Class 1: tp=0, pred=0,
         # gt=1 -> P=1 (never predicted), R=0.
         # Overall: tp=1, npred=2, ngt=2 -> O-P=O-R=0.5.
-        s = aggregate([ls(0), ls(0)], [ls(0), ls(1)], n_classes=2)
+        s = eval_sets([ls(0), ls(0)], [ls(0), ls(1)], n_classes=2)
         assert s.c_precision == pytest.approx(0.75)
         assert s.c_recall == pytest.approx(0.5)
         assert s.o_precision == pytest.approx(0.5)
@@ -91,7 +102,7 @@ class TestAggregate:
         assert s.o_f1 == pytest.approx(0.5)
 
     def test_absent_class_counts_as_perfect(self):
-        s = aggregate([ls(0)], [ls(0)], n_classes=4)
+        s = eval_sets([ls(0)], [ls(0)], n_classes=4)
         assert s.c_precision == 1.0
         assert s.c_recall == 1.0
 
@@ -104,13 +115,13 @@ class TestAggregate:
                                                replace=False))))
             truths.append(ls(*sorted(rng.choice(C, size=rng.integers(0, 4),
                                                 replace=False))))
-        base = aggregate(preds, truths, C)
+        base = eval_sets(preds, truths, C)
         order = rng.permutation(len(preds))
-        shuffled = aggregate([preds[i] for i in order],
+        shuffled = eval_sets([preds[i] for i in order],
                              [truths[i] for i in order], C)
         assert base == shuffled
         relabel = rng.permutation(C)
-        mapped = aggregate(
+        mapped = eval_sets(
             [ls(*sorted(int(relabel[v]) for v in p.labels)) for p in preds],
             [ls(*sorted(int(relabel[v]) for v in t.labels)) for t in truths],
             C,
@@ -119,7 +130,7 @@ class TestAggregate:
 
     def test_empty_input_rejected(self):
         with pytest.raises(NumericError):
-            aggregate([], [], 3)
+            eval_sets([], [], 3)
 
 
 def three_record_fixture():
@@ -356,7 +367,7 @@ class TestOneRankPath:
         records, _, _, preds = case
         n_classes = len(records[0].scores)
         truths = [r.truth for r in records]
-        assert aggregate(preds, truths, n_classes) == ref_aggregate(
+        assert eval_sets(preds, truths, n_classes) == ref_aggregate(
             preds, truths, n_classes)
 
     @PROPERTY

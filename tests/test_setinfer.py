@@ -1,4 +1,9 @@
-"""Sequential set-MAP inference and RFS sampling against brute force."""
+"""Sequential set-MAP inference and RFS sampling against brute force.
+
+Sequential set-MAP is the NB mode m* first (``nb_mode`` / ``nb_mode_batch``),
+then the top-m* elements: ``map_set`` for one element set, and
+``predicted_k_eval`` for a record set, where each m* is clipped to C.
+"""
 
 import itertools
 import math
@@ -7,17 +12,19 @@ import numpy as np
 import pytest
 
 from setnet import (
-    AlphaBeta,
     CardinalityPMF,
+    EvalRecord,
+    LabelSet,
     NegBinParams,
     NumericError,
     PredictedSet,
     ScoredElements,
     map_set,
     nb_mode,
+    nb_mode_batch,
     nb_pmf_truncated,
+    predicted_k_eval,
     sample_rfs_with,
-    sequential_map,
 )
 
 
@@ -79,33 +86,46 @@ class TestMapSet:
             ScoredElements(probs=(-0.1,))
 
 
+def nb_mode_of(alpha, beta):
+    """m* of the head's (alpha, beta): the mode of NB(alpha, 1 / (1 + beta))."""
+    return int(nb_mode_batch(np.array([alpha]), np.array([1.0 / (1.0 + beta)]))[0])
+
+
 class TestSequentialMap:
     def test_small_alpha_gives_empty_set(self):
+        # alpha <= 1 puts the NB mode at 0 whatever beta is.
         scores = ScoredElements(probs=(0.99, 0.98, 0.97))
-        assert sequential_map(scores, AlphaBeta(alpha=0.5, beta=1.0)).indices == ()
+        assert map_set(scores, nb_mode_of(0.5, 1.0)).indices == ()
 
     def test_mode_then_top_elements(self):
         # alpha=5, beta=1 maps to NB(5, 1/2) whose mode is 4.
         rng = np.random.default_rng(32)
         probs = tuple(rng.uniform(0.0, 1.0, size=10))
-        ab = AlphaBeta(alpha=5.0, beta=1.0)
-        assert nb_mode(NegBinParams(a=5.0, b=0.5)) == 4
-        result = sequential_map(ScoredElements(probs=probs), ab)
+        m_star = nb_mode_of(5.0, 1.0)
+        assert m_star == nb_mode(NegBinParams(a=5.0, b=0.5)) == 4
+        result = map_set(ScoredElements(probs=probs), m_star)
         assert result.cardinality == 4
         assert set(result.indices) == set(np.argsort(-np.asarray(probs))[:4])
 
     def test_clamped_to_available_elements(self):
-        result = sequential_map(ScoredElements(probs=(0.2, 0.8)),
-                                AlphaBeta(alpha=5.0, beta=1.0))
-        assert result.indices == (0, 1)
+        # m* = 4 exceeds the two elements: map_set rejects it, and
+        # predicted_k_eval clips it to C = 2, which predicts both.
+        m_star = nb_mode_of(5.0, 1.0)
+        with pytest.raises(NumericError):
+            map_set(ScoredElements(probs=(0.2, 0.8)), m_star)
+        record = EvalRecord(scores=(0.2, 0.8), truth=LabelSet(labels=(0, 1)))
+        clipped = predicted_k_eval([record], [m_star])
+        assert clipped == predicted_k_eval([record], [2])
+        assert (clipped.o_precision, clipped.o_recall) == (1.0, 1.0)
+        assert predicted_k_eval([record], [1]).o_recall == 0.5
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(33)
         probs = rng.uniform(0.0, 1.0, size=12)
-        ab = AlphaBeta(alpha=4.0, beta=1.3)
-        base = sequential_map(ScoredElements(probs=tuple(probs)), ab)
+        m_star = nb_mode_of(4.0, 1.3)
+        base = map_set(ScoredElements(probs=tuple(probs)), m_star)
         perm = rng.permutation(12)
-        permuted = sequential_map(ScoredElements(probs=tuple(probs[perm])), ab)
+        permuted = map_set(ScoredElements(probs=tuple(probs[perm])), m_star)
         # As sets of original elements the prediction is unchanged.
         assert {int(perm[i]) for i in permuted.indices} == set(base.indices)
 
