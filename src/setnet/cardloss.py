@@ -74,9 +74,9 @@ class HeadWeights:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.floor) and self.floor >= 0.0):
             raise NumericError(f"floor must be >= 0, got {self.floor!r}")
-        if not (self.alpha_max > self.floor and self.beta_max > self.floor):
+        if not (self.floor < self.alpha_max < math.inf and self.floor < self.beta_max < math.inf):
             raise NumericError(
-                "head scales must exceed the floor, got "
+                "head scales must be finite and exceed the floor, got "
                 f"alpha_max={self.alpha_max!r} beta_max={self.beta_max!r} floor={self.floor!r}"
             )
 

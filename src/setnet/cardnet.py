@@ -30,7 +30,7 @@ from .cardloss import (
 )
 from .errors import DataError, NumericError
 from .formats import SCHEMA_VERSION
-from .numerics import _check_count, nb_mode_batch
+from .numerics import _check_count, _check_finite, nb_mode_batch
 
 __all__ = [
     "TrainingSample",
@@ -50,6 +50,9 @@ __all__ = [
 
 ACTIVATIONS = ("tanh", "relu")
 KINDS = ("negbin", "regression")
+# Finite features can still overflow the network: train and predict_batch
+# then raise FloatingPointError, an ArithmeticError, instead of warning.
+_overflow_raises = np.errstate(over="raise", invalid="raise")
 
 
 @dataclass(frozen=True)
@@ -60,10 +63,7 @@ class TrainingSample:
     count: int
 
     def __post_init__(self) -> None:
-        feats = tuple(float(v) for v in self.features)
-        if not all(np.isfinite(feats)):
-            raise NumericError("features must be finite")
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "features", tuple(_check_finite(self.features, "features")))
         object.__setattr__(self, "count", _check_count(self.count, "count"))
 
 
@@ -204,22 +204,24 @@ def loss_and_grads(
     return float(loss.mean()), (grads_w, grads_b)
 
 
+@_overflow_raises
 def train(
     model: MLPModel,
-    data: list[TrainingSample],
+    data: list[TrainingSample] | tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
     epoch_callback: Callable[[int, float], None] | None = None,
 ) -> MLPModel:
-    """Mini-batch SGD with momentum and decoupled weight decay.
+    """Mini-batch SGD with momentum and decoupled weight decay, on samples or
+    on the (X, counts) arrays that ``formats.read_counting_records`` returns.
 
     Weight decay acts on weight matrices only (not biases) and directly on
     the parameters, so learning_rate=0 leaves the model untouched.
     Returns a trained copy; the input model is not modified.  When given,
     ``epoch_callback(epoch, mean_batch_loss)`` runs after every epoch.
     """
-    if not data:
+    X, counts = data if isinstance(data, tuple) else _stack(data)
+    if not len(counts):
         raise DataError("training data must be non-empty")
-    X, counts = _stack(data)
     out = replace(model, weights=[w.copy() for w in model.weights],
                   biases=[b.copy() for b in model.biases])
     rng = np.random.default_rng(cfg.seed)
@@ -249,6 +251,7 @@ def train(
     return out
 
 
+@_overflow_raises
 def predict_batch(
     model: MLPModel, X
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
@@ -316,10 +319,13 @@ def model_to_json(model: MLPModel, meta: dict | None = None) -> str:
 
 
 def model_from_json(text: str) -> MLPModel:
+    """The model of a model document; DataError if the text is not one."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise DataError(f"model file is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise DataError("model document is not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"unsupported model schema_version {doc.get('schema_version')!r}")
     try:
@@ -332,8 +338,8 @@ def model_from_json(text: str) -> MLPModel:
             kind=doc["kind"],
             seed=int(doc["seed"]),
         )
-    except (KeyError, TypeError) as e:
-        raise DataError(f"model document is missing fields: {e}") from e
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # NumericError is a ValueError
+        raise DataError(f"invalid model document: {e}") from e
 
 
 def save_model(model: MLPModel, path: str, meta: dict | None = None) -> None:
@@ -343,8 +349,11 @@ def save_model(model: MLPModel, path: str, meta: dict | None = None) -> None:
 
 
 def load_model(path: str) -> MLPModel:
+    """The model saved at ``path``; a DataError names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return model_from_json(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read model {path}: {e}") from e
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e

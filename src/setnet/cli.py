@@ -27,7 +27,7 @@ import numpy as np
 from . import cardnet, detect, formats, mlmetrics, setinfer, synth
 from .cardloss import HeadWeights
 from .errors import ConfigError, DataError, NumericError, SetnetError
-from .numerics import NegBinParams, _check_count, nb_pmf_truncated
+from .numerics import NegBinParams, nb_pmf_truncated
 
 log = logging.getLogger(__name__)
 
@@ -165,9 +165,9 @@ def _resolve_config(command: str, config_path: str | None,
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {config_path}: {e}") from e
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"config {config_path} is not valid JSON: {e}") from e
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
@@ -272,16 +272,15 @@ def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
     _check(cfg, "hidden", min(cfg["hidden"], default=1) >= 1, "widths >= 1")
     head = _build(HeadWeights, cfg)
     tcfg = _build(cardnet.TrainConfig, cfg)
-    records = formats.read_counting_records(cfg["data"])
-    if not records:
+    X, counts = formats.read_counting_records(cfg["data"])
+    if not len(counts):
         raise DataError(f"no training records in {cfg['data']}")
-    data = [cardnet.TrainingSample(features=f, count=c) for f, c in records]
     kind = cfg["loss"]
-    dims = [len(data[0].features), *cfg["hidden"], 2 if kind == "negbin" else 1]
+    dims = [X.shape[1], *cfg["hidden"], 2 if kind == "negbin" else 1]
     model = cardnet.init_model(dims, activation=cfg["activation"], head=head,
                                seed=cfg["seed"], kind=kind)
     losses: list[dict] = []
-    trained = cardnet.train(model, data, tcfg,
+    trained = cardnet.train(model, (X, counts), tcfg,
                             epoch_callback=lambda e, l: losses.append(
                                 {"epoch": e, "loss": l}))
     model_path = _outpath(out_dir, "model.json")
@@ -292,24 +291,15 @@ def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
     return {
         "files": {"model": model_path, "train_log": log_path},
         "final_loss": losses[-1]["loss"],
-        "n_samples": len(data),
+        "n_samples": len(counts),
     }
-
-
-def _feature_matrix(model: cardnet.MLPModel, path: str) -> np.ndarray:
-    """The rows of a features file as one (rows x model input size) matrix."""
-    d = model.dims[0]
-    rows = formats.read_records(path, lambda row: tuple(float(v) for v in row["features"]))
-    for i, row in enumerate(rows):
-        if len(row) != d:
-            raise NumericError(f"{path}: record {i} has {len(row)} features; the model takes {d}")
-    return np.asarray(rows, dtype=float).reshape(len(rows), d)
 
 
 def cmd_predict(cfg: dict, header: dict, out_dir: str) -> dict:
     model = cardnet.load_model(cfg["model"])
-    alpha, beta, mode = cardnet.predict_batch(
-        model, _feature_matrix(model, cfg["features"]))
+    X, _ = formats.read_counting_records(cfg["features"], with_count=False,
+                                         width=model.dims[0])
+    alpha, beta, mode = cardnet.predict_batch(model, X)
     if model.kind == "negbin":
         rows = [{"alpha": a, "beta": b, "mode": m}
                 for a, b, m in zip(alpha.tolist(), beta.tolist(), mode.tolist())]
@@ -374,8 +364,7 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
         }
         files = {"curve": curve_path}
     else:
-        m_stars = formats.read_records(
-            cfg["pred"], lambda row: int(_check_count(row["mode"], "mode")))
+        m_stars = [m for (m,) in formats.read_records(cfg["pred"], "mode")]
         if len(m_stars) != len(records):
             raise DataError(f"{len(m_stars)} predictions for {len(records)} records")
         summary = mlmetrics.predicted_k_eval(records, m_stars)
@@ -393,6 +382,8 @@ def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
     image_ids = sorted(set(dets) | set(gts))
     if not image_ids:
         raise DataError("no images found in detection/ground-truth files")
+    _check(cfg, "n_images", cfg["n_images"] is None or cfg["n_images"] >= len(image_ids),
+           f"null or at least the {len(image_ids)} images in the dets and gts files")
     empty = np.zeros((0, 5))
     matches = [
         detect.match_tables(dets.get(i, empty), gts.get(i, empty), cfg["iou_thresh"])
@@ -423,19 +414,16 @@ def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
         _check(cfg, "mstar_fixed", cfg["mstar_fixed"] >= 0, ">= 0")
         return {i: cfg["mstar_fixed"] for i in image_ids}
     if source == "mstar_file":
-        _, rows = formats.read_jsonl(cfg["mstar_file"])
-        try:
-            table = {int(r["image_id"]): int(r["count"]) for r in rows}
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"m* rows need image_id and count: {e}") from e
+        table = dict(formats.read_records(cfg["mstar_file"], "image_id", "count"))
         missing = [i for i in image_ids if i not in table]
         if missing:
-            raise DataError(f"m* file lacks image ids {missing[:5]}")
+            raise DataError(f"{cfg['mstar_file']} lacks image ids {missing[:5]}")
         return table
     if not cfg["mstar_features"]:
         raise ConfigError("mstar_model also needs mstar_features")
     model = cardnet.load_model(cfg["mstar_model"])
-    X = _feature_matrix(model, cfg["mstar_features"])
+    X, _ = formats.read_counting_records(cfg["mstar_features"], with_count=False,
+                                         width=model.dims[0])
     if len(X) != len(image_ids):
         raise DataError(
             f"{len(X)} feature rows for {len(image_ids)} images"

@@ -19,8 +19,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .detect import BoxDetection
-from .errors import DataError
+from .errors import DataError, NumericError
 from .mlmetrics import EvalRecord, LabelSet
+from .numerics import _check_count, _check_finite
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -76,13 +77,13 @@ def read_jsonl(path: str) -> tuple[dict | None, list[dict]]:
                     continue
                 try:
                     doc = json.loads(line)
-                except json.JSONDecodeError as e:
+                except (json.JSONDecodeError, RecursionError) as e:
                     raise DataError(f"{path}:{ln + 1}: invalid JSON: {e}") from e
                 if ln == 0 and isinstance(doc, dict) and "schema_version" in doc:
                     header = doc
                 else:
                     rows.append(doc)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read {path}: {e}") from e
     return header, rows
 
@@ -125,7 +126,7 @@ def read_boxes(path: str, with_score: bool) -> dict[int, np.ndarray]:
                     vals.append(1.0)
                 rows.setdefault(image_id, []).append(len(lines))
                 lines.append(ln)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read {path}: {e}") from e
     table = _check_boxes(path, vals, lines)
     return {image_id: table[r] for image_id, r in rows.items()}
@@ -142,39 +143,74 @@ def _check_boxes(path: str, vals: array, lines: list[int]) -> np.ndarray:
     return t
 
 
-def read_records(path: str, parse: Callable[[dict], object]) -> list:
-    """``parse`` of each record of a JSONL file, in order.  The first record it
-    cannot parse is a DataError naming the record; a DataError from ``parse``
-    itself passes through, so the earliest bad record wins either way."""
+def _listed(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _reals(value, name: str) -> list[float]:
+    return _check_finite(_listed(value, name), name)
+
+
+def _labels(value, name: str) -> LabelSet:
+    return LabelSet(labels=tuple(_check_count(v, f"{name} label") for v in _listed(value, name)))
+
+
+# Each record field's rule: (JSON value, field name) -> its value, or a TypeError
+# or ValueError (NumericError included).
+_FIELDS = {"features": _reals, "scores": _reals, "truth": _labels,
+           "count": _check_count, "mode": _check_count, "image_id": _check_count}
+
+
+def read_records(path: str, *fields: str, width: int | None = None,
+                 make: Callable | None = None) -> list:
+    """The values of ``fields`` in each record of a JSONL file, each parsed by
+    its rule in ``_FIELDS``: a list per record, or ``make(*values)``.  A vector
+    field comes first; every record's is as long as ``width`` (a model's input
+    size) or, without one, as record 0's, which is not empty.  An image id
+    names one record.  The earliest bad record is a DataError naming it, or a
+    NumericError if its vector does not fit ``width``."""
     _, rows = read_jsonl(path)
+    vector = fields[0] if _FIELDS[fields[0]] is _reals else None
+    key = fields.index("image_id") if "image_id" in fields else None
+    fixed = width is not None
+    ids: dict[int, int] = {}  # image id -> the record that names it
     out = []
     for i, row in enumerate(rows):
         try:
-            out.append(parse(row))
+            values = [_FIELDS[f](row[f], f) for f in fields]
+            if key is not None and ids.setdefault(values[key], i) != i:
+                raise ValueError(f"image_id {values[key]} repeats record {ids[values[key]]}")
+            out.append(values if make is None else make(*values))
         except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}: record {i}: {e}") from e
+            what = f"no {e} field" if isinstance(e, KeyError) else e
+            raise DataError(f"{path}: record {i}: {what}") from e
+        if vector is None:
+            continue
+        n = len(values[0])
+        if width is None:
+            if not n:
+                raise DataError(f"{path}: record 0 has no {vector}")
+            width = n
+        elif n != width:
+            error = NumericError if fixed else DataError
+            than = "the model takes" if fixed else "record 0 has"
+            raise error(f"{path}: record {i} has {n} {vector}; {than} {width}")
     return out
 
 
-def read_counting_records(path: str) -> list[tuple[tuple[float, ...], int]]:
-    """(features, count) pairs from a counting JSONL file."""
-    return read_records(path, lambda row: (
-        tuple(float(v) for v in row["features"]), int(row["count"])))
+def read_counting_records(path: str, with_count: bool = True, width: int | None = None
+                          ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (n, d) features matrix of a counting JSONL file and, ``with_count``,
+    its n counts (else None); ``width`` is as in ``read_records``."""
+    fields = ("features", "count") if with_count else ("features",)
+    records = read_records(path, *fields, width=width)
+    d = len(records[0][0]) if records else width or 0
+    X = np.array([r[0] for r in records], dtype=float).reshape(len(records), d)
+    return X, np.array([r[1] for r in records], dtype=np.int64) if with_count else None
 
 
 def read_multilabel_records(path: str) -> list[EvalRecord]:
     """Scored records; every record has as many scores as record 0, which has some."""
-    widths: list[int] = []  # the score count of each record parsed so far
-
-    def parse(row: dict) -> EvalRecord:
-        record = EvalRecord(scores=tuple(float(v) for v in row["scores"]),
-                            truth=LabelSet(labels=tuple(int(v) for v in row["truth"])))
-        widths.append(len(record.scores))
-        if not widths[0]:
-            raise DataError(f"{path}: record 0 has no scores")
-        if widths[-1] != widths[0]:
-            raise DataError(f"{path}: record {len(widths) - 1} has {widths[-1]} scores; "
-                            f"record 0 has {widths[0]}")
-        return record
-
-    return read_records(path, parse)
+    return read_records(path, "scores", "truth", make=EvalRecord)

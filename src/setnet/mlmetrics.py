@@ -9,14 +9,13 @@ F1 is the harmonic mean of precision and recall at each level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericError
-from .numerics import _check_count
+from .numerics import _check_count, _check_finite
 
 __all__ = [
     "LabelSet",
@@ -60,9 +59,7 @@ class EvalRecord:
     truth: LabelSet
 
     def __post_init__(self) -> None:
-        scores = tuple(float(s) for s in self.scores)
-        if not all(math.isfinite(s) for s in scores):
-            raise NumericError("scores must be finite")
+        scores = tuple(_check_finite(self.scores, "scores"))
         if self.truth.labels and self.truth.labels[-1] >= len(scores):
             raise NumericError(
                 f"truth label {self.truth.labels[-1]} outside {len(scores)} categories"

@@ -17,6 +17,7 @@ argmax over the same pmf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,16 +66,26 @@ def _check_positive(x, name: str):
     return x
 
 
+def _check_finite(values, name: str) -> list[float]:
+    """``values`` as a list of floats; NumericError unless every one is finite."""
+    values = list(map(float, values))
+    if not all(map(math.isfinite, values)):
+        raise NumericError(f"{name} must be finite")
+    return values
+
+
 def _check_count(m, name: str = "m"):
-    """``m`` as an int, or as an int64 array when it is an array of counts.
-    Python and numpy integers and integral floats pass; bools, negatives,
-    fractions and non-numbers raise NumericError."""
-    if type(m) is int and m >= 0:  # fast path: one TrainingSample per record
+    """``m`` as an int, or as an int64 array when it is an ndarray of counts.
+    Python and numpy integers and integral floats below 2**63 pass; bools,
+    negatives, fractions, lists and non-numbers raise NumericError."""
+    if type(m) is int and 0 <= m < 2**63:  # fast path: one record field
         return m
-    arr = np.asarray(m)
-    if arr.dtype.kind in "iuf" and np.all(np.isfinite(arr) & (arr >= 0) & (arr == np.floor(arr))):
-        return int(arr) if arr.ndim == 0 else arr.astype(np.int64)
-    raise NumericError(f"{name} must be a non-negative integer, got {m!r}")
+    if isinstance(m, (int, float, np.number, np.ndarray)):
+        arr = np.asarray(m)
+        if arr.dtype.kind in "iuf" and np.all(
+                np.isfinite(arr) & (arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))):
+            return int(arr) if arr.ndim == 0 else arr.astype(np.int64)
+    raise NumericError(f"{name} must be a non-negative integer below 2**63, got {m!r}")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*args, cwd=None):
@@ -437,6 +439,7 @@ OUT_OF_RANGE = [
     ("nms", {"mstar_fixed": -1}),
     ("train", {"epochs": 0}),
     ("train", {"alpha_max": 0.0}),
+    ("train", {"alpha_max": float("inf")}),
     ("synth", {"task": "boxes", "cell_count": 0}),
     ("synth", {"task": "counting", "d": 2}),
     ("synth", {"task": "multilabel", "d": 1}),
@@ -536,3 +539,199 @@ def test_eval_ml_rejects_records_without_scores(capsys, tmp_path):
     assert status == 1 and err == "" and len(lines) == 1, (lines, err)
     assert json.loads(lines[0]) == {"code": "data",
                                     "message": f"{records}: record 0 has no scores"}
+
+
+# -- record files: every bad record is one data line naming file and record ---
+
+# Valid records of each kind that a command reads.
+VALID_RECORDS = {
+    "counting": [{"features": [0.1, -0.2, 0.3], "count": c} for c in (1, 0, 2)],
+    "features": [{"features": [0.1, -0.2, 0.3]} for _ in range(3)],
+    "multilabel": [{"scores": [0.9, 0.1, 0.5], "truth": t} for t in ([0], [], [0, 2])],
+    "prediction": [{"mode": m} for m in (1, 0, 2)],
+    # Image 4 has no proposals: an m* file may name more images than nms sees.
+    "mstar": [{"image_id": i, "count": c} for i, c in ((1, 1), (2, 0), (3, 2), (4, 1))],
+}
+
+
+def run_records(capsys, tmp_path, kind, rows):
+    """Run the command that reads ``rows`` as a file of record kind ``kind``:
+    train, predict, eval-ml (fixed-k on multi-label records, predicted-k on
+    predictions) or nms; returns its status, stdout lines, stderr and the
+    file's path."""
+    from setnet import init_model, save_model
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    if kind == "counting":
+        command, cfg = "train", {"data": str(path), "epochs": 1, "hidden": [2]}
+    elif kind == "features":
+        model = tmp_path / "model.json"
+        save_model(init_model([3, 2, 2], seed=0), str(model))
+        command, cfg = "predict", {"model": str(model), "features": str(path)}
+    elif kind == "multilabel":
+        command, cfg = "eval-ml", {"records": str(path)}
+    elif kind == "prediction":
+        records = tmp_path / "records.jsonl"
+        records.write_text("".join(json.dumps(r) + "\n" for r in VALID_RECORDS["multilabel"]))
+        command, cfg = "eval-ml", {"records": str(records), "mode": "predicted-k",
+                                   "pred": str(path)}
+    else:
+        proposals = tmp_path / "proposals.txt"
+        proposals.write_text("1 0 0 5 5 0.9\n2 0 0 5 5 0.8\n2 1 1 6 6 0.7\n3 0 0 4 4 0.6\n")
+        command, cfg = "nms", {"proposals": str(proposals), "mstar_file": str(path)}
+    return (*run_main(capsys, tmp_path, command, cfg), str(path))
+
+
+MISSING = object()
+# (id, record kind, record, field, its bad value, what the message says after
+# "<path>: record <record>").
+BAD_RECORDS = [
+    ("count-fraction", "counting", 1, "count", 2.5, ": count must be a non-negative integer"),
+    ("count-bool", "counting", 1, "count", True, ": count must be a non-negative integer"),
+    ("count-negative", "counting", 2, "count", -1, ": count must be a non-negative integer"),
+    ("count-huge", "counting", 1, "count", 10**30, ": count must be a non-negative integer"),
+    ("feature-nan", "counting", 1, "features", [0.1, float("nan"), 0.3],
+     ": features must be finite"),
+    ("features-ragged", "counting", 1, "features", [0.1, 0.2], " has 2 features; record 0 has 3"),
+    ("features-empty", "counting", 0, "features", [], " has no features"),
+    ("features-string", "counting", 1, "features", "123", ": features must be a list"),
+    ("predict-feature-nan", "features", 2, "features", [float("nan"), 0.0, 0.0],
+     ": features must be finite"),
+    ("truth-fraction", "multilabel", 1, "truth", [1.5], ": truth label must be a non-negative"),
+    ("truth-bool", "multilabel", 2, "truth", [True], ": truth label must be a non-negative"),
+    ("scores-string", "multilabel", 1, "scores", "123", ": scores must be a list"),
+    ("mode-huge", "prediction", 1, "mode", 10**30, ": mode must be a non-negative integer"),
+    ("mstar-fraction", "mstar", 1, "count", 1.7, ": count must be a non-negative integer"),
+    ("mstar-negative", "mstar", 1, "count", -1, ": count must be a non-negative integer"),
+    ("mstar-id-fraction", "mstar", 1, "image_id", 2.5, ": image_id must be a non-negative"),
+    ("mstar-repeated-id", "mstar", 3, "image_id", 1, ": image_id 1 repeats record 0"),
+    ("mstar-missing-count", "mstar", 1, "count", MISSING, ": no 'count' field"),
+]
+
+
+@pytest.mark.parametrize("kind,record,field,value,says",
+                         [case[1:] for case in BAD_RECORDS],
+                         ids=[case[0] for case in BAD_RECORDS])
+def test_bad_record_is_one_data_line(capsys, tmp_path, kind, record, field, value, says):
+    rows = [dict(r) for r in VALID_RECORDS[kind]]
+    if value is MISSING:
+        del rows[record][field]
+    else:
+        rows[record][field] = value
+    code, lines, err, path = run_records(capsys, tmp_path, kind, rows)
+    assert code == 1 and err == "" and len(lines) == 1, (lines, err)
+    out = json.loads(lines[0])
+    assert sorted(out) == ["code", "message"] and out["code"] == "data", out
+    assert out["message"].startswith(f"{path}: record {record}{says}"), out
+
+
+# Any JSON value, NaN and the infinities included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def one_bad_field(draw):
+    """(kind, rows): the valid records of a kind, one field set to any JSON value.
+    (A features file for predict is left out: a row the model cannot take is
+    numeric, as pinned above.)"""
+    kind = draw(st.sampled_from(["counting", "multilabel", "prediction", "mstar"]))
+    rows = [dict(r) for r in VALID_RECORDS[kind]]
+    record = draw(st.integers(0, len(rows) - 1))
+    rows[record][draw(st.sampled_from(sorted(rows[record])))] = draw(JSON_VALUES)
+    return kind, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(one_bad_field())
+@example(("counting", [{"features": [1.7e308] * 3, "count": 1}]))
+def test_any_one_bad_field_is_success_or_one_data_line(capsys, tmp_path_factory, case):
+    kind, rows = case
+    code, lines, err, path = run_records(capsys, tmp_path_factory.mktemp(kind), kind, rows)
+    assert err == "" and len(lines) == 1, (lines, err)
+    out = json.loads(lines[0])
+    if code == 0 or out["code"] == "data":
+        return
+    # The one numeric outcome: features the reader takes (finite) but that
+    # overflow the network.
+    from setnet.formats import read_counting_records
+    assert kind == "counting" and out["message"].startswith("overflow encountered"), out
+    read_counting_records(path)
+
+
+@pytest.mark.parametrize("case,says", [
+    ("not-an-object", "model document is not a JSON object"),
+    ("bad-activation", "invalid model document: unknown activation 'softmax'"),
+    ("bad-layer-shape", "invalid model document: layer 1 does not chain"),
+    ("bad-head-floor", "invalid model document: floor must be >= 0"),
+    ("bad-head-scale", "invalid model document: head scales must be finite"),
+    ("too-deep", "model file is not valid JSON: maximum recursion depth"),
+])
+def test_malformed_model_file_is_data_error(capsys, tmp_path, case, says):
+    from setnet import init_model
+    from setnet.cardnet import model_to_json
+    doc = json.loads(model_to_json(init_model([3, 2, 2], seed=0)))
+    if case == "not-an-object":
+        doc = []
+    elif case == "bad-activation":
+        doc["activation"] = "softmax"
+    elif case == "bad-layer-shape":
+        doc["layers"][1]["weights"] = [[0.5, 0.5, 0.5]] * 2
+    elif case == "bad-head-floor":
+        doc["head"]["floor"] = -1.0
+    elif case == "bad-head-scale":
+        doc["head"]["alpha_max"] = float("inf")
+    model = tmp_path / "model.json"
+    model.write_text("[" * 50000 + "]" * 50000 if case == "too-deep" else json.dumps(doc))
+    features = tmp_path / "features.jsonl"
+    features.write_text('{"features": [0.1, 0.2, 0.3]}\n')
+    code, lines, err = run_main(capsys, tmp_path, "predict",
+                                {"model": str(model), "features": str(features)})
+    assert code == 1 and err == "" and len(lines) == 1, (lines, err)
+    out = json.loads(lines[0])
+    assert out["code"] == "data" and out["message"].startswith(f"{model}: {says}"), out
+
+
+def test_eval_det_n_images_covers_the_images_in_the_files(capsys, tmp_path):
+    # n_images also counts images without boxes, so it cannot be below the
+    # number of images the files name: 3 here (one only in the dets).
+    dets = tmp_path / "dets.txt"
+    dets.write_text("1 0 0 5 5 0.9\n2 0 0 5 5 0.8\n7 0 0 5 5 0.4\n")
+    gts = tmp_path / "gts.txt"
+    gts.write_text("1 0 0 5 5\n2 0 0 5 5\n")
+    cfg = {"dets": str(dets), "gts": str(gts), "n_images": 2}
+    code, lines, err = run_main(capsys, tmp_path, "eval-det", cfg)
+    assert code == 1 and err == "" and len(lines) == 1, (lines, err)
+    assert json.loads(lines[0]) == {
+        "code": "config",
+        "message": "n_images must be null or at least the 3 images in the dets and gts "
+                   "files, got 2"}
+    code, lines, _ = run_main(capsys, tmp_path, "eval-det", {**cfg, "n_images": 3})
+    assert code == 0 and json.loads(lines[0])["n_images"] == 3
+
+
+@pytest.mark.parametrize("command", ["train", "nms", "predict"])
+def test_file_that_is_not_utf8_is_data_error(capsys, tmp_path, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xe9t\xe9\n")
+    features = tmp_path / "features.jsonl"
+    features.write_text('{"features": [0.1]}\n')
+    cfg = {"train": {"data": str(bad)}, "nms": {"proposals": str(bad), "mstar_fixed": 1},
+           "predict": {"model": str(bad), "features": str(features)}}[command]
+    code, lines, err = run_main(capsys, tmp_path, command, cfg)
+    assert code == 1 and err == "" and len(lines) == 1, (lines, err)
+    out = json.loads(lines[0])
+    assert out["code"] == "data" and str(bad) in out["message"], out
+
+
+def test_config_that_is_not_utf8_is_config_error(capsys, tmp_path):
+    from setnet import cli
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"n": "\xe9"}\n')
+    assert cli.main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["code"] == "config", out

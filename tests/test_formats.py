@@ -39,8 +39,9 @@ def test_jsonl_round_trip(tmp_path):
     assert got_rows == rows
     assert got_header["schema_version"] == 1
     assert got_header["seed"] == 7
-    records = read_counting_records(path)
-    assert records == [((0.25, -1.5), 2), ((0.0, 0.0), 0)]
+    X, counts = read_counting_records(path)
+    assert X.tolist() == [[0.25, -1.5], [0.0, 0.0]] and counts.tolist() == [2, 0]
+    assert read_counting_records(path, with_count=False)[1] is None
 
 
 def test_multilabel_round_trip(tmp_path):
@@ -77,9 +78,10 @@ def test_config_hash_is_order_insensitive():
 
 def test_malformed_inputs(tmp_path):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("not json\n")
-    with pytest.raises(DataError):
-        read_jsonl(str(bad))
+    for text in ["not json\n", "[" * 50000 + "]" * 50000 + "\n"]:  # too deep to decode
+        bad.write_text(text)
+        with pytest.raises(DataError, match=":1: invalid JSON: "):
+            read_jsonl(str(bad))
     badbox = tmp_path / "bad.txt"
     badbox.write_text("1 2 3\n")
     with pytest.raises(DataError):
