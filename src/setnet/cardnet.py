@@ -330,14 +330,17 @@ def model_from_json(text: str) -> MLPModel:
         raise DataError(f"unsupported model schema_version {doc.get('schema_version')!r}")
     try:
         head = HeadWeights(**doc["head"])
-        return MLPModel(
+        model = MLPModel(
             weights=[np.asarray(l["weights"], dtype=float) for l in doc["layers"]],
             biases=[np.asarray(l["bias"], dtype=float) for l in doc["layers"]],
             activation=doc["activation"],
             head=head,
             kind=doc["kind"],
-            seed=int(doc["seed"]),
+            seed=_check_count(doc["seed"], "seed"),
         )
+        if doc["dims"] != model.dims:
+            raise ValueError(f"dims {doc['dims']!r} do not match the layers' {model.dims}")
+        return model
     except (KeyError, TypeError, ValueError, OverflowError) as e:  # NumericError is a ValueError
         raise DataError(f"invalid model document: {e}") from e
 

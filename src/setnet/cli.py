@@ -337,17 +337,17 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
     _check(cfg, "k_values", mode != "fixed-k" or cfg["k_values"] != [], "null or non-empty")
     if mode == "predicted-k" and not cfg["pred"]:
         raise ConfigError("predicted-k evaluation needs a 'pred' file")
-    records = formats.read_multilabel_records(cfg["records"])
-    if not records:
+    scores, truth = formats.read_multilabel_records(cfg["records"])
+    if not len(scores):
         raise DataError(f"no records in {cfg['records']}")
-    n_classes = len(records[0].scores)
+    n_classes = scores.shape[1]
     if mode == "fixed-k":
         k_values = (list(range(0, n_classes + 1)) if cfg["k_values"] is None
                     else cfg["k_values"])
         bad = [k for k in k_values if not 0 <= k <= n_classes]
         if bad:
             raise ConfigError(f"k_values must lie in [0, C={n_classes}], got {bad[0]!r}")
-        sweep = mlmetrics.topk_sweep(records, k_values)
+        sweep = mlmetrics.topk_sweep((scores, truth), k_values)
         curve_path = _outpath(out_dir, "curve.csv")
         _write_curve_csv(
             curve_path, header,
@@ -364,10 +364,10 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
         }
         files = {"curve": curve_path}
     else:
-        m_stars = [m for (m,) in formats.read_records(cfg["pred"], "mode")]
-        if len(m_stars) != len(records):
-            raise DataError(f"{len(m_stars)} predictions for {len(records)} records")
-        summary = mlmetrics.predicted_k_eval(records, m_stars)
+        (m_stars,) = formats.read_records(cfg["pred"], "mode")
+        if len(m_stars) != len(scores):
+            raise DataError(f"{len(m_stars)} predictions for {len(scores)} records")
+        summary = mlmetrics.predicted_k_eval((scores, truth), m_stars)
         result = {"mode": mode, "metrics": summary.as_dict()}
         files = {}
     files["metrics"] = _write_json(out_dir, "metrics.json", {**header, **result})
@@ -414,7 +414,8 @@ def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
         _check(cfg, "mstar_fixed", cfg["mstar_fixed"] >= 0, ">= 0")
         return {i: cfg["mstar_fixed"] for i in image_ids}
     if source == "mstar_file":
-        table = dict(formats.read_records(cfg["mstar_file"], "image_id", "count"))
+        ids, counts = formats.read_records(cfg["mstar_file"], "image_id", "count")
+        table = dict(zip(ids.tolist(), counts.tolist()))
         missing = [i for i in image_ids if i not in table]
         if missing:
             raise DataError(f"{cfg['mstar_file']} lacks image ids {missing[:5]}")

@@ -14,13 +14,15 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
+from functools import partial
+from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .detect import BoxDetection
 from .errors import DataError, NumericError
-from .mlmetrics import EvalRecord, LabelSet
+from .mlmetrics import EvalRecord, LabelSet, _mask
 from .numerics import _check_count, _check_finite
 
 __all__ = [
@@ -65,8 +67,10 @@ def write_jsonl(path: str, header: dict, rows: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path: str) -> tuple[dict | None, list[dict]]:
-    """Rows of a JSONL file; a leading header object is split off."""
+def read_jsonl(path: str, check: Callable | None = None) -> tuple[dict | None, list[dict]]:
+    """Rows of a JSONL file; a leading header object is split off.  A line
+    that is not JSON is a DataError naming it, raised after ``check`` (when
+    given) has seen the rows before it, so that it can raise for one first."""
     rows: list[dict] = []
     header = None
     try:
@@ -78,6 +82,8 @@ def read_jsonl(path: str) -> tuple[dict | None, list[dict]]:
                 try:
                     doc = json.loads(line)
                 except (json.JSONDecodeError, RecursionError) as e:
+                    if check is not None:
+                        check(rows)
                     raise DataError(f"{path}:{ln + 1}: invalid JSON: {e}") from e
                 if ln == 0 and isinstance(doc, dict) and "schema_version" in doc:
                     header = doc
@@ -150,7 +156,13 @@ def _listed(value, name: str) -> list:
 
 
 def _reals(value, name: str) -> list[float]:
-    return _check_finite(_listed(value, name), name)
+    for v in _listed(value, name):
+        if type(v) not in (int, float):  # JSON numbers only: no bools, no strings
+            raise TypeError(f"could not convert {v!r} to float: {name} must be numbers")
+    try:
+        return _check_finite(value, name)
+    except OverflowError:  # an integer beyond the float range
+        raise NumericError(f"{name} must be finite") from None
 
 
 def _labels(value, name: str) -> LabelSet:
@@ -158,59 +170,114 @@ def _labels(value, name: str) -> LabelSet:
 
 
 # Each record field's rule: (JSON value, field name) -> its value, or a TypeError
-# or ValueError (NumericError included).
+# or ValueError (NumericError included).  The column checks of _columns flag
+# every record that a rule rejects, and no other.
 _FIELDS = {"features": _reals, "scores": _reals, "truth": _labels,
            "count": _check_count, "mode": _check_count, "image_id": _check_count}
 
 
-def read_records(path: str, *fields: str, width: int | None = None,
-                 make: Callable | None = None) -> list:
-    """The values of ``fields`` in each record of a JSONL file, each parsed by
-    its rule in ``_FIELDS``: a list per record, or ``make(*values)``.  A vector
-    field comes first; every record's is as long as ``width`` (a model's input
-    size) or, without one, as record 0's, which is not empty.  An image id
-    names one record.  The earliest bad record is a DataError naming it, or a
-    NumericError if its vector does not fit ``width``."""
-    _, rows = read_jsonl(path)
-    vector = fields[0] if _FIELDS[fields[0]] is _reals else None
-    key = fields.index("image_id") if "image_id" in fields else None
-    fixed = width is not None
-    ids: dict[int, int] = {}  # image id -> the record that names it
+def read_records(path: str, *fields: str, width: int | None = None) -> list:
+    """The columns of ``fields`` in the records of a JSONL file: an (n, d)
+    float matrix for a vector field, which comes first; an int64 column for a
+    count field; truth's labels and the record of each.  Vectors are as long
+    as ``width`` (a model's input size) or, without one, as record 0's, which
+    is not empty; truth labels lie below that.  An image id names one record.
+    The earliest bad record, else a line that is not JSON, is a DataError
+    naming it, or a NumericError if the record's vector does not fit ``width``."""
+    check = partial(_check_records, path, fields, width)
+    _, rows = read_jsonl(path, check)
+    try:
+        return _columns(rows, fields, width)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        check(rows)  # the rules word the fault
+        raise
+
+
+def _ints(values: list) -> np.ndarray:
+    """``values`` as an int64 column; an error unless each is a count."""
+    if set(map(type, values)) - {int}:  # integral floats pass; the rest raise
+        values = [_check_count(v) for v in values]
+    col = np.array(values, dtype=np.int64)  # OverflowError past int64
+    if (col < 0).any():
+        raise ValueError("negative")
+    return col
+
+
+def _columns(rows: list, fields: tuple, width: int | None) -> list:
+    """The columns of ``fields`` in ``rows``, each checked at once; a KeyError,
+    TypeError, ValueError or OverflowError if a check flags a record."""
     out = []
+    for f in fields:
+        values = [row[f] for row in rows]
+        if _FIELDS[f] is _check_count:
+            out.append(_ints(values))
+            if f == "image_id" and np.unique(out[-1]).size < len(values):
+                raise ValueError("repeated image id")
+            continue
+        if set(map(type, values)) - {list}:
+            raise TypeError("not lists")
+        lengths = np.fromiter(map(len, values), np.int64, len(values))
+        flat = list(chain.from_iterable(values))
+        if f == "truth":
+            labels, record = _ints(flat), np.repeat(np.arange(len(values)), lengths)
+            if ((record[1:] == record[:-1]) & (labels[1:] <= labels[:-1])).any() or (
+                    width is not None and (labels >= width).any()):
+                raise ValueError("labels out of order or range")
+            out.append((labels, record))
+            continue
+        if width is None:  # record 0's, which is not empty
+            width = int(lengths[0]) if len(values) else 0
+            if values and not width:
+                raise ValueError("no vector")
+        if (lengths != width).any() or set(map(type, flat)) - {int, float}:
+            raise ValueError("ragged or not numbers")
+        out.append(np.array(flat, dtype=float).reshape(len(values), width))
+        if not np.isfinite(out[-1]).all():
+            raise ValueError("not finite")
+    return out
+
+
+def _check_records(path: str, fields: tuple, width: int | None, rows: list) -> None:
+    """Each record's fields by their rules in ``_FIELDS``, record by record;
+    the earliest bad record raises as ``read_records`` says."""
+    vector = fields[0] if _FIELDS[fields[0]] is _reals else None
+    want = width
+    ids: dict[int, int] = {}  # image id -> the record that names it
     for i, row in enumerate(rows):
         try:
-            values = [_FIELDS[f](row[f], f) for f in fields]
-            if key is not None and ids.setdefault(values[key], i) != i:
-                raise ValueError(f"image_id {values[key]} repeats record {ids[values[key]]}")
-            out.append(values if make is None else make(*values))
+            values = {f: _FIELDS[f](row[f], f) for f in fields}
+            key = values.get("image_id")
+            if key is not None and ids.setdefault(key, i) != i:
+                raise ValueError(f"image_id {key} repeats record {ids[key]}")
+            if "truth" in values:  # its labels lie below the number of scores
+                EvalRecord(values["scores"], values["truth"])
         except (KeyError, TypeError, ValueError) as e:
             what = f"no {e} field" if isinstance(e, KeyError) else e
             raise DataError(f"{path}: record {i}: {what}") from e
         if vector is None:
             continue
-        n = len(values[0])
-        if width is None:
+        n = len(values[vector])
+        if want is None:
             if not n:
                 raise DataError(f"{path}: record 0 has no {vector}")
-            width = n
-        elif n != width:
-            error = NumericError if fixed else DataError
-            than = "the model takes" if fixed else "record 0 has"
-            raise error(f"{path}: record {i} has {n} {vector}; {than} {width}")
-    return out
+            want = n
+        elif n != want:
+            than = "record 0 has" if width is None else "the model takes"
+            raise (DataError if width is None else NumericError)(
+                f"{path}: record {i} has {n} {vector}; {than} {want}")
 
 
 def read_counting_records(path: str, with_count: bool = True, width: int | None = None
                           ) -> tuple[np.ndarray, np.ndarray | None]:
     """The (n, d) features matrix of a counting JSONL file and, ``with_count``,
     its n counts (else None); ``width`` is as in ``read_records``."""
-    fields = ("features", "count") if with_count else ("features",)
-    records = read_records(path, *fields, width=width)
-    d = len(records[0][0]) if records else width or 0
-    X = np.array([r[0] for r in records], dtype=float).reshape(len(records), d)
-    return X, np.array([r[1] for r in records], dtype=np.int64) if with_count else None
+    columns = read_records(path, *(("features", "count") if with_count else ("features",)),
+                           width=width)
+    return columns[0], columns[1] if with_count else None
 
 
-def read_multilabel_records(path: str) -> list[EvalRecord]:
-    """Scored records; every record has as many scores as record 0, which has some."""
-    return read_records(path, "scores", "truth", make=EvalRecord)
+def read_multilabel_records(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, C) scores and truth mask of a multi-label JSONL file; every
+    record has as many scores as record 0, which has some."""
+    scores, (labels, record) = read_records(path, "scores", "truth")
+    return scores, _mask(labels, record, scores.shape)

@@ -121,12 +121,10 @@ def _counts(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(m.sum(0, dtype=float) for m in (pred & truth, pred, truth))
 
 
-def _mask(sets: Sequence[LabelSet], n_classes: int) -> np.ndarray:
-    """(n, C) membership matrix of ``n`` label sets, each label below C."""
-    rows = [i for i, s in enumerate(sets) for _ in s.labels]
-    cols = [c for s in sets for c in s.labels]
-    mask = np.zeros((len(sets), n_classes), dtype=bool)
-    mask[rows, cols] = True
+def _mask(labels, rows, shape: tuple[int, int]) -> np.ndarray:
+    """(n, C) membership matrix: each of ``labels``, below C, in its row of ``rows``."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[rows, labels] = True
     return mask
 
 
@@ -143,8 +141,12 @@ def _top(ranks: np.ndarray, k) -> np.ndarray:
     return ranks < k
 
 
-def _stack(records: Sequence[EvalRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Class ranks and truth mask, both (n, C), of a record set."""
+def _stack(records: Sequence[EvalRecord] | tuple[np.ndarray, np.ndarray]
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Class ranks and truth mask, both (n, C), of a record set or of the
+    (scores, truth mask) pair that ``formats.read_multilabel_records`` returns."""
+    if isinstance(records, tuple):
+        return _ranks(records[0]), records[1]
     if not records:
         raise NumericError("records must be non-empty")
     n_classes = len(records[0].scores)
@@ -153,7 +155,9 @@ def _stack(records: Sequence[EvalRecord]) -> tuple[np.ndarray, np.ndarray]:
             raise NumericError(
                 f"record {i} has {len(r.scores)} scores; record 0 has {n_classes}")
     scores = np.array([r.scores for r in records], dtype=float)
-    return _ranks(scores), _mask([r.truth for r in records], n_classes)
+    rows = [i for i, r in enumerate(records) for _ in r.truth.labels]
+    labels = [c for r in records for c in r.truth.labels]
+    return _ranks(scores), _mask(labels, rows, scores.shape)
 
 
 def top_k_labels(scores: Sequence[float], k: int) -> LabelSet:
@@ -163,22 +167,22 @@ def top_k_labels(scores: Sequence[float], k: int) -> LabelSet:
 
 
 def topk_sweep(
-    records: Sequence[EvalRecord], k_values: Sequence[int]
+    data: Sequence[EvalRecord] | tuple[np.ndarray, np.ndarray], k_values: Sequence[int]
 ) -> list[tuple[int, MetricSummary]]:
     """Fixed-k evaluation for each requested k, from one ranking."""
-    ranks, truth = _stack(records)
+    ranks, truth = _stack(data)
     return [(int(k), _summary(*_counts(_top(ranks, k), truth))) for k in k_values]
 
 
 def predicted_k_eval(
-    records: Sequence[EvalRecord], m_stars: Sequence[int]
+    data: Sequence[EvalRecord] | tuple[np.ndarray, np.ndarray], m_stars: Sequence[int]
 ) -> MetricSummary:
     """Evaluation at per-record predicted cardinalities, each clipped to C."""
-    if len(records) != len(m_stars):
+    ranks, truth = _stack(data)
+    if len(ranks) != len(m_stars):
         raise NumericError(
-            f"got {len(m_stars)} cardinalities for {len(records)} records"
+            f"got {len(m_stars)} cardinalities for {len(ranks)} records"
         )
-    ranks, truth = _stack(records)
     m = np.minimum(np.asarray(m_stars), ranks.shape[1])
     return _summary(*_counts(_top(ranks, m[:, None]), truth))
 

@@ -1,12 +1,16 @@
 """CLI surface: subcommands, error codes, reproducibility of artifacts."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+
+from setnet import DataError, NumericError
 
 
 def run_cli(*args, cwd=None):
@@ -595,6 +599,18 @@ BAD_RECORDS = [
     ("features-ragged", "counting", 1, "features", [0.1, 0.2], " has 2 features; record 0 has 3"),
     ("features-empty", "counting", 0, "features", [], " has no features"),
     ("features-string", "counting", 1, "features", "123", ": features must be a list"),
+    # Features and scores are JSON numbers: no bools or strings, and no
+    # integer too large for a float.
+    ("feature-huge-int", "counting", 1, "features", [0.1, 10**400, 0.3],
+     ": features must be finite"),
+    ("feature-bool", "counting", 2, "features", [0.1, True, 0.3],
+     ": could not convert True to float: features must be numbers"),
+    ("feature-numeric-string", "counting", 1, "features", [0.1, "1.5", 0.3],
+     ": could not convert '1.5' to float: features must be numbers"),
+    ("score-huge-int", "multilabel", 2, "scores", [0.9, -10**400, 0.5],
+     ": scores must be finite"),
+    ("score-bool", "multilabel", 1, "scores", [0.9, False, 0.5],
+     ": could not convert False to float: scores must be numbers"),
     ("predict-feature-nan", "features", 2, "features", [float("nan"), 0.0, 0.0],
      ": features must be finite"),
     ("truth-fraction", "multilabel", 1, "truth", [1.5], ": truth label must be a non-negative"),
@@ -623,6 +639,27 @@ def test_bad_record_is_one_data_line(capsys, tmp_path, kind, record, field, valu
     out = json.loads(lines[0])
     assert sorted(out) == ["code", "message"] and out["code"] == "data", out
     assert out["message"].startswith(f"{path}: record {record}{says}"), out
+
+
+@pytest.mark.parametrize("kind,field,value,says", [
+    ("counting", "count", 2.5, ": count must be a non-negative integer"),
+    ("multilabel", "truth", [2, 0], ": labels must be strictly increasing"),
+])
+def test_bad_record_before_a_line_that_is_not_json_wins(capsys, tmp_path, kind, field,
+                                                         value, says):
+    # Record 0 is bad and line 3 is not JSON: the earliest fault is record 0.
+    rows = [dict(r) for r in VALID_RECORDS[kind]]
+    rows[0][field] = value
+    path = tmp_path / f"{kind}.jsonl"
+    for bad, message in ((True, f"{path}: record 0{says}"), (False, f"{path}:3: invalid JSON")):
+        lines = [json.dumps(r) for r in (rows if bad else VALID_RECORDS[kind])]
+        path.write_text("\n".join(lines[:2] + ["{not json"] + lines[2:]) + "\n")
+        cfg = {"data": str(path), "epochs": 1} if kind == "counting" else {"records": str(path)}
+        code, out, err = run_main(capsys, tmp_path, "train" if kind == "counting" else "eval-ml",
+                                  cfg)
+        assert code == 1 and err == "" and len(out) == 1, (out, err)
+        assert json.loads(out[0])["code"] == "data"
+        assert json.loads(out[0])["message"].startswith(message), out
 
 
 # Any JSON value, NaN and the infinities included.
@@ -663,12 +700,190 @@ def test_any_one_bad_field_is_success_or_one_data_line(capsys, tmp_path_factory,
     read_counting_records(path)
 
 
+# -- the column reader against the per-record rules ------------------------------
+
+# The fields that each record kind's reader asks for, and the width it holds
+# vectors to (a model's input size for the features of predict).
+READS = {"counting": (("features", "count"), None), "features": (("features",), 3),
+         "multilabel": (("scores", "truth"), None), "prediction": (("mode",), None),
+         "mstar": (("image_id", "count"), None)}
+# Values on the edge of a column check: bools, numeric strings, integral
+# floats, integers past int64 and past the float range, signed zeros.
+EDGE_VALUES = st.sampled_from([True, False, "1.5", None, 2.0, 2.5, -0.0, 0, 1, 3, -1,
+                               2**53 + 1, 2**63 - 1, 2**63, 2**64, -2**63, 10**400,
+                               1e308, math.inf, math.nan])
+
+
+def ref_read_records(path, *fields, width=None):
+    """``read_records`` by the per-record rules: each line through json.loads,
+    then each record's fields in turn, each checked by its rule."""
+    from setnet.mlmetrics import LabelSet
+    from setnet.numerics import _check_count
+    rows, bad_line = [], None
+    with open(path, encoding="utf-8") as fh:
+        for ln, line in enumerate(fh):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line.strip())
+            except json.JSONDecodeError as e:
+                bad_line = DataError(f"{path}:{ln + 1}: invalid JSON: {e}")
+                break
+            if not (ln == 0 and isinstance(doc, dict) and "schema_version" in doc):
+                rows.append(doc)
+
+    def listed(value, name):
+        if not isinstance(value, list):
+            raise TypeError(f"{name} must be a list, got {value!r}")
+        return value
+
+    def reals(value, name):
+        for v in listed(value, name):
+            if type(v) not in (int, float):
+                raise TypeError(f"could not convert {v!r} to float: {name} must be numbers")
+        try:
+            floats = [float(v) for v in value]
+        except OverflowError:  # an integer such as 10**400
+            floats = [math.inf]
+        if not all(map(math.isfinite, floats)):
+            raise NumericError(f"{name} must be finite")
+        return floats
+
+    def labels(value, name):
+        return list(LabelSet(tuple(_check_count(v, f"{name} label")
+                                   for v in listed(value, name))).labels)
+
+    rules = {"features": reals, "scores": reals, "truth": labels}
+    vector = fields[0] if fields[0] in ("features", "scores") else None
+    columns, ids = [[] for _ in fields], {}
+    for i, row in enumerate(rows):
+        try:
+            values = [rules.get(f, _check_count)(row[f], f) for f in fields]
+            if fields == ("image_id", "count") and ids.setdefault(values[0], i) != i:
+                raise ValueError(f"image_id {values[0]} repeats record {ids[values[0]]}")
+            if fields == ("scores", "truth") and values[1] and values[1][-1] >= len(values[0]):
+                raise NumericError(
+                    f"truth label {values[1][-1]} outside {len(values[0])} categories")
+        except KeyError as e:
+            raise DataError(f"{path}: record {i}: no {e} field") from e
+        except (TypeError, ValueError) as e:
+            raise DataError(f"{path}: record {i}: {e}") from e
+        if vector:
+            first = columns[0][0] if columns[0] else values[0]  # record 0's vector
+            if width is None and not first:
+                raise DataError(f"{path}: record 0 has no {vector}")
+            want = len(first) if width is None else width
+            if len(values[0]) != want:
+                than = "record 0 has" if width is None else "the model takes"
+                raise (DataError if width is None else NumericError)(
+                    f"{path}: record {i} has {len(values[0])} {vector}; {than} {want}")
+        for column, value in zip(columns, values):
+            column.append(value)
+    if bad_line is not None:
+        raise bad_line
+    out = []
+    for f, column in zip(fields, columns):
+        if f == "truth":
+            out.append((np.array([v for labels in column for v in labels], dtype=np.int64),
+                        np.repeat(np.arange(len(column)), [len(v) for v in column])))
+        elif f in ("features", "scores"):
+            d = len(column[0]) if column else width or 0
+            out.append(np.array(column, dtype=float).reshape(len(column), d))
+        else:
+            out.append(np.array(column, dtype=np.int64))
+    return out
+
+
+def read_outcome(read, path, fields, width):
+    """The columns as (dtype, shape, reprs of the values), or the error."""
+    def exact(a):
+        return a.dtype.str, a.shape, [repr(v) for v in a.ravel().tolist()]
+    try:
+        return [tuple(map(exact, c)) if isinstance(c, tuple) else exact(c)
+                for c in read(path, *fields, width=width)]
+    except (DataError, NumericError) as e:
+        return type(e).__name__, str(e)
+
+
+@st.composite
+def record_files(draw):
+    """(kind, text): a few valid records of a kind, 0-3 of them spoilt (a field
+    set to any JSON value, one list entry set to an edge value, a field left
+    out, the record not an object, or the line not JSON)."""
+    kind = draw(st.sampled_from(sorted(READS)))
+    rows = [dict(r) for r in VALID_RECORDS[kind]][:draw(st.integers(0, 4)) or 4]
+    lines = [None] * len(rows)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        field = draw(st.sampled_from(READS[kind][0]))
+        how = draw(st.sampled_from(["entry"] * 4 + ["value"] * 3 + ["missing", "row", "line"]))
+        if how == "row" or not isinstance(rows[i], dict):
+            rows[i] = draw(JSON_VALUES)
+        elif how == "value":
+            rows[i][field] = draw(EDGE_VALUES | st.lists(EDGE_VALUES, max_size=4) | JSON_VALUES)
+        elif how == "entry" and isinstance(rows[i].get(field), list) and rows[i][field]:
+            entries = list(rows[i][field])
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(EDGE_VALUES)
+            rows[i][field] = entries
+        elif how == "entry":
+            rows[i][field] = draw(EDGE_VALUES)
+        elif how == "missing":
+            rows[i].pop(field, None)
+        elif how == "line":
+            lines[i] = draw(st.sampled_from(["{not json", "[1, 2", "{} {}", "nan"]))
+    lines = [line or json.dumps(row) for line, row in zip(lines, rows)]
+    if draw(st.booleans()):
+        lines.insert(0, json.dumps({"schema_version": 1, "seed": 0}))
+    return kind, "".join(line + "\n" for line in lines)
+
+
+def record_text(rows, *lines):
+    return "".join(json.dumps(r) + "\n" for r in rows) + "".join(l + "\n" for l in lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(record_files())
+# Valid files that the column checks flag: the rules give their values.
+@example(("counting", record_text([{"features": [1, -0.0, 2**63 - 1], "count": 2.0}])))
+@example(("multilabel", record_text([{"scores": [0.5, 1, 0.25], "truth": [0.0, 2]}])))
+# Empty vectors in every record: record 0's must not be.
+@example(("counting", record_text([{"features": [], "count": 1}])))
+@example(("multilabel", record_text([{"scores": [], "truth": []}] * 2)))
+# A bad record before a ragged one and before a line that is not JSON.
+@example(("multilabel", record_text([{"scores": [0.5, 0.1], "truth": [2]},
+                                     {"scores": [0.5], "truth": []}], "{not json")))
+@example(("mstar", record_text([{"image_id": 4, "count": 1}, {"image_id": 4, "count": True}])))
+# One fault that a column check sees only as a whole: a repeated image id,
+# a repeated label, ragged rows whose values would still fill an n x d
+# matrix, truth not a list.
+@example(("mstar", record_text([{"image_id": 4, "count": 1}, {"image_id": 4, "count": 2}])))
+@example(("multilabel", record_text([{"scores": [0.5, 0.1, 0.2], "truth": [1, 1]}])))
+@example(("counting", record_text(*[[{"features": [0.5] * d, "count": 1} for d in (3, 2, 4)]])))
+@example(("multilabel", record_text([{"scores": [0.5], "truth": {}}])))
+# Edge values that the int64 and float conversions would take.
+@example(("prediction", record_text([{"mode": 1}, {"mode": 2.5}])))
+@example(("prediction", record_text([{"mode": 1}, {"mode": -1}])))
+@example(("multilabel", record_text([{"scores": [0.5, 0.1, 0.2], "truth": [0, 3]}])))
+@example(("features", record_text([{"features": [0.1, 10**400, 0.3]},
+                                   {"features": [0.1, 0.2]}])))
+def test_column_reader_agrees_with_per_record_rules(tmp_path_factory, case):
+    from setnet.formats import read_records
+    kind, text = case
+    path = tmp_path_factory.mktemp(kind) / "records.jsonl"
+    path.write_text(text)
+    fields, width = READS[kind]
+    assert (read_outcome(read_records, str(path), fields, width)
+            == read_outcome(ref_read_records, str(path), fields, width))
+
+
 @pytest.mark.parametrize("case,says", [
     ("not-an-object", "model document is not a JSON object"),
     ("bad-activation", "invalid model document: unknown activation 'softmax'"),
     ("bad-layer-shape", "invalid model document: layer 1 does not chain"),
     ("bad-head-floor", "invalid model document: floor must be >= 0"),
     ("bad-head-scale", "invalid model document: head scales must be finite"),
+    ("fractional-seed", "invalid model document: seed must be a non-negative integer"),
+    ("wrong-dims", "invalid model document: dims [7, 7] do not match the layers' [3, 2, 2]"),
     ("too-deep", "model file is not valid JSON: maximum recursion depth"),
 ])
 def test_malformed_model_file_is_data_error(capsys, tmp_path, case, says):
@@ -685,6 +900,10 @@ def test_malformed_model_file_is_data_error(capsys, tmp_path, case, says):
         doc["head"]["floor"] = -1.0
     elif case == "bad-head-scale":
         doc["head"]["alpha_max"] = float("inf")
+    elif case == "fractional-seed":
+        doc["seed"] = 2.5
+    elif case == "wrong-dims":
+        doc["dims"] = [7, 7]
     model = tmp_path / "model.json"
     model.write_text("[" * 50000 + "]" * 50000 if case == "too-deep" else json.dumps(doc))
     features = tmp_path / "features.jsonl"

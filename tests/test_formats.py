@@ -49,10 +49,9 @@ def test_multilabel_round_trip(tmp_path):
     write_jsonl(path, make_header({}, 0), [
         {"scores": [0.9, 0.1, 0.4], "truth": [0, 2]},
     ])
-    records = read_multilabel_records(path)
-    assert len(records) == 1
-    assert records[0].scores == (0.9, 0.1, 0.4)
-    assert records[0].truth.labels == (0, 2)
+    scores, truth = read_multilabel_records(path)
+    assert scores.dtype == float and scores.tolist() == [[0.9, 0.1, 0.4]]
+    assert truth.dtype == bool and truth.tolist() == [[True, False, True]]
 
 
 def test_boxes_round_trip(tmp_path):
