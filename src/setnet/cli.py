@@ -228,44 +228,38 @@ def _synth_config(cfg: dict) -> synth.SynthConfig:
 def cmd_synth(cfg: dict, header: dict, out_dir: str) -> dict:
     scfg = _synth_config(cfg)
     task = cfg["task"]
-    files: dict[str, str] = {}
+    n_clamped = 0  # the drawn cardinalities above what the task can hold
     if task == "counting":
-        samples = synth.gen_counting(scfg)
+        x, counts = synth.counting_arrays(scfg)
         path = _outpath(out_dir, "data.jsonl")
         formats.write_jsonl(path, header, (
-            {"features": list(s.features), "count": s.count} for s in samples
+            {"features": f, "count": c} for f, c in zip(x.tolist(), counts.tolist())
         ))
-        files["data"] = path
-        log.info("wrote %d counting samples to %s", len(samples), path)
+        files = {"data": path}
+        log.info("wrote %d counting samples to %s", len(counts), path)
     elif task == "multilabel":
-        samples = synth.gen_multilabel(scfg)
+        x, scores, labels, n_clamped = synth.multilabel_arrays(scfg)
         rec_path = _outpath(out_dir, "records.jsonl")
         formats.write_jsonl(rec_path, header, (
-            {"scores": list(s.record.scores), "truth": list(s.record.truth.labels)}
-            for s in samples
+            {"scores": s, "truth": t} for s, t in zip(scores.tolist(), labels)
         ))
         feat_path = _outpath(out_dir, "features.jsonl")
         formats.write_jsonl(feat_path, header, (
-            {"features": list(s.features), "count": s.count} for s in samples
+            {"features": f, "count": len(t)} for f, t in zip(x.tolist(), labels)
         ))
-        files["records"] = rec_path
-        files["features"] = feat_path
+        files = {"records": rec_path, "features": feat_path}
     else:
-        images = synth.gen_boxes(scfg)
+        proposals, gts, n_clamped = synth.box_tables(scfg)
         prop_path = _outpath(out_dir, "proposals.txt")
-        formats.write_boxes(prop_path, header, (
-            (im.image_id, detect.box_table(im.proposals)) for im in images
-        ), with_score=True)
+        formats.write_boxes(prop_path, header, enumerate(proposals), with_score=True)
         gt_path = _outpath(out_dir, "gt.txt")
-        formats.write_boxes(gt_path, header, (
-            (im.image_id, detect.box_table(im.ground_truth)) for im in images
-        ), with_score=False)
+        formats.write_boxes(gt_path, header, enumerate(gts), with_score=False)
         counts_path = _outpath(out_dir, "counts.jsonl")
         formats.write_jsonl(counts_path, header, (
-            {"image_id": im.image_id, "count": im.count} for im in images
+            {"image_id": i, "count": len(gt)} for i, gt in enumerate(gts)
         ))
         files = {"proposals": prop_path, "gt": gt_path, "counts": counts_path}
-    return {"files": files, "n": cfg["n"]}
+    return {"files": files, "n": cfg["n"], "n_clamped": n_clamped}
 
 
 def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:

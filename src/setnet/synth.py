@@ -15,7 +15,6 @@ pays off.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -30,15 +29,15 @@ __all__ = [
     "ParamMap",
     "SynthConfig",
     "BoxImage",
+    "counting_arrays",
+    "multilabel_arrays",
+    "box_tables",
     "gen_counting",
     "gen_multilabel",
     "gen_boxes",
     "counting_default_maps",
     "multilabel_default_maps",
 ]
-
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class ParamMap:
@@ -135,118 +134,132 @@ class BoxImage:
         return len(self.ground_truth)
 
 
-def _draw_counts(
-    cfg: SynthConfig, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    x = rng.uniform(0.0, 1.0, size=(n, cfg.d))
-    alpha = cfg.alpha_map(x)
-    beta = cfg.beta_map(x)
-    lam = rng.gamma(shape=alpha, scale=1.0 / beta)
-    m = rng.poisson(lam)
-    return x, m
+def _draw_counts(cfg: SynthConfig) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """The seeded generator, after drawing the (n, d) features and their counts."""
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.uniform(0.0, 1.0, size=(cfg.n, cfg.d))
+    lam = rng.gamma(shape=cfg.alpha_map(x), scale=1.0 / cfg.beta_map(x))
+    return rng, x, rng.poisson(lam)
+
+
+def counting_arrays(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(n, d) feature vectors with their Gamma-Poisson counts."""
+    return _draw_counts(cfg)[1:]
 
 
 def gen_counting(cfg: SynthConfig) -> list[TrainingSample]:
-    """Feature vectors with Gamma-Poisson counts."""
-    rng = np.random.default_rng(cfg.seed)
-    x, m = _draw_counts(cfg, rng, cfg.n)
-    return [
-        TrainingSample(features=tuple(x[i]), count=int(m[i])) for i in range(cfg.n)
-    ]
+    """``counting_arrays`` as one TrainingSample per row."""
+    x, m = counting_arrays(cfg)
+    return [TrainingSample(features=tuple(f), count=c) for f, c in zip(x.tolist(), m.tolist())]
 
 
-def gen_multilabel(cfg: SynthConfig) -> list[MultilabelSample]:
-    """Label sets whose sizes follow the Gamma-Poisson law, plus noisy scores.
+def multilabel_arrays(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray, list[list[int]], int]:
+    """(n, d) features, (n, C) noisy scores and the sorted true labels of
+    label sets whose sizes follow the Gamma-Poisson law, and the number of
+    sizes drawn above C, which are clamped to C.
 
     True labels score near 1, false labels near 0; additive uniform noise
     of amplitude ``cfg.noise`` is applied and clipped back to [0,1].
-    Cardinalities above C are clamped to C.
     """
-    rng = np.random.default_rng(cfg.seed)
-    x, m = _draw_counts(cfg, rng, cfg.n)
-    clamped = int(np.sum(m > cfg.C))
-    if clamped:
-        log.debug("gen_multilabel: clamped %d of %d cardinalities to C=%d",
-                  clamped, cfg.n, cfg.C)
-    out = []
-    for i in range(cfg.n):
-        k = min(int(m[i]), cfg.C)
-        labels = tuple(sorted(rng.choice(cfg.C, size=k, replace=False))) if k else ()
-        base = np.zeros(cfg.C)
-        base[list(labels)] = 1.0
-        scores = base + cfg.noise * rng.uniform(-1.0, 1.0, size=cfg.C)
-        np.clip(scores, 0.0, 1.0, out=scores)
-        record = EvalRecord(scores=tuple(scores), truth=LabelSet(labels=labels))
-        out.append(MultilabelSample(features=tuple(x[i]), record=record, count=k))
-    return out
+    rng, x, m = _draw_counts(cfg)
+    labels: list[list[int]] = []
+    truth = np.zeros((cfg.n, cfg.C), dtype=bool)
+    noise = np.empty((cfg.n, cfg.C))
+    for i, k in enumerate(np.minimum(m, cfg.C).tolist()):
+        labels.append(sorted(rng.choice(cfg.C, size=k, replace=False).tolist()) if k else [])
+        truth[i, labels[i]] = True
+        noise[i] = rng.uniform(-1.0, 1.0, size=cfg.C)
+    scores = np.clip(truth + cfg.noise * noise, 0.0, 1.0)
+    return x, scores, labels, int(np.sum(m > cfg.C))
 
 
-def _jittered(
-    box: BoxDetection, scale: float, score: float, rng: np.random.Generator
-) -> BoxDetection:
-    w = box.x2 - box.x1
-    h = box.y2 - box.y1
-    dx, dy = rng.uniform(-scale, scale, size=2) * (w, h)
-    return BoxDetection(
-        x1=box.x1 + dx, y1=box.y1 + dy, x2=box.x2 + dx, y2=box.y2 + dy, score=score
-    )
+def gen_multilabel(cfg: SynthConfig) -> list[MultilabelSample]:
+    """``multilabel_arrays`` as one MultilabelSample per row."""
+    x, scores, labels, _ = multilabel_arrays(cfg)
+    return [MultilabelSample(features=tuple(f), count=len(t),
+                             record=EvalRecord(scores=tuple(s), truth=LabelSet(labels=tuple(t))))
+            for f, s, t in zip(x.tolist(), scores.tolist(), labels)]
 
 
-def _box_in_cell(
-    cfg: SynthConfig, c: int, rng: np.random.Generator, score_range=None
-) -> BoxDetection:
-    """A box_size square at a random offset in grid cell ``c``; with
-    ``score_range``, a score drawn after the offset, else the default."""
+def _uniform(lo: float, hi: float, u: np.ndarray) -> np.ndarray:
+    """What ``rng.uniform(lo, hi)`` draws in place of each ``rng.random()``
+    draw in ``u``, bit for bit; for a non-empty ``u``, numpy's error when the
+    range is not finite or is negative."""
+    span = hi - lo
+    if u.size and not 0.0 <= span < math.inf:
+        raise (OverflowError("high - low range exceeds valid bounds")
+               if not math.isfinite(span) else ValueError("high - low < 0"))
+    return lo + span * u
+
+
+def _checked(table: np.ndarray) -> np.ndarray:
+    """``table``, or BoxDetection's error for the first row it rejects."""
+    for i in BoxDetection.rejected_rows(table)[:1]:
+        BoxDetection(*table[i].tolist())
+    return table
+
+
+def _in_cells(cfg: SynthConfig, cells: np.ndarray, u: np.ndarray, score) -> np.ndarray:
+    """box_size squares in grid ``cells``, offset by draws ``u[:, :2]``, scored ``score``."""
     cell = cfg.image_size / cfg.cell_count
-    cx = (c % cfg.cell_count) * cell
-    cy = (c // cfg.cell_count) * cell
-    off = rng.uniform(0.0, cell - 1.35 * cfg.box_size, size=2)
-    score = {} if score_range is None else {"score": float(rng.uniform(*score_range))}
-    return BoxDetection(
-        x1=cx + off[0], y1=cy + off[1],
-        x2=cx + off[0] + cfg.box_size, y2=cy + off[1] + cfg.box_size, **score,
-    )
+    corner = np.column_stack([cells % cfg.cell_count, cells // cfg.cell_count]) * cell
+    x1y1 = corner + _uniform(0.0, cell - 1.35 * cfg.box_size, u[:, :2])
+    return np.column_stack([x1y1, x1y1 + cfg.box_size, np.broadcast_to(score, len(u))])
 
 
-def gen_boxes(cfg: SynthConfig) -> list[BoxImage]:
-    """Overcomplete proposal clouds around planted ground-truth boxes.
+def _jittered(gts: np.ndarray, scale: float, lo: float, hi: float, v: np.ndarray) -> np.ndarray:
+    """The (g, s, 5) proposals around ground truths ``gts``, s per box, from
+    (g, s, 3) draws ``v``: a score in [lo, hi), then a shift of each corner by
+    up to ``scale`` times the box's width and height."""
+    shift = _uniform(-scale, scale, v[..., 1:]) * (gts[:, 2:4] - gts[:, :2])[:, None]
+    return np.concatenate([gts[:, None, :4] + np.tile(shift, 2),
+                           _uniform(lo, hi, v[..., :1])], axis=2)
+
+
+def box_tables(cfg: SynthConfig) -> tuple[list[np.ndarray], list[np.ndarray], int]:
+    """Overcomplete proposal clouds around planted ground-truth boxes: each
+    image's proposal and ground-truth tables (x1, y1, x2, y2, score rows;
+    score 1.0 for a ground truth), and the number of images whose count was
+    clamped to the cell_count**2 - 2 boxes a scene holds.
 
     Ground truths occupy distinct grid cells (pairwise disjoint); a
     fraction ``crowd_frac`` of them receives a closely overlapping partner
     (IoU about 0.5), the failure mode a fixed low NMS threshold merges.
     Each ground truth emits one high-score proposal plus ``duplicates``
     jittered copies; background false positives land in free cells with
-    low scores.
+    low scores.  An image draws its cells, a block of their offsets and
+    crowd flags, a block of its proposals' scores and shifts, its number of
+    false positives and a block of theirs.  The first row BoxDetection
+    rejects, ground truths before proposals, raises its error.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng, _, counts = _draw_counts(cfg)
     n_cells = cfg.cell_count * cfg.cell_count
-    _, counts = _draw_counts(cfg, rng, cfg.n)
-    images = []
-    for img in range(cfg.n):
-        k = min(int(counts[img]), n_cells - 2)
+    copies = 1 + max(cfg.duplicates, 0)
+    proposals, gts = [], []
+    for count in counts.tolist():
+        k = min(count, n_cells - 2)
         cells = rng.choice(n_cells, size=k, replace=False) if k else np.empty(0, int)
-        free = [c for c in range(n_cells) if c not in set(int(c_) for c_ in cells)]
-        gts: list[BoxDetection] = []
-        for c in cells:
-            base = _box_in_cell(cfg, int(c), rng)
-            gts.append(base)
-            if rng.uniform() < cfg.crowd_frac:
-                # Partner shifted ~35% of the width: IoU ~ 0.48 with its mate.
-                shift = 0.35 * cfg.box_size
-                gts.append(BoxDetection(
-                    x1=base.x1 + shift, y1=base.y1, x2=base.x2 + shift, y2=base.y2,
-                ))
-        proposals: list[BoxDetection] = []
-        for gt in gts:
-            proposals.append(_jittered(gt, cfg.jitter, float(rng.uniform(0.75, 0.95)), rng))
-            for _ in range(cfg.duplicates):
-                proposals.append(
-                    _jittered(gt, 2.0 * cfg.jitter, float(rng.uniform(0.55, 0.75)), rng)
-                )
-        n_fp = int(rng.poisson(cfg.fp_rate))
-        proposals += [_box_in_cell(cfg, c, rng, score_range=(0.05, 0.45))
-                      for c in free[:n_fp]]
-        images.append(BoxImage(
-            image_id=img, proposals=tuple(proposals), ground_truth=tuple(gts)
-        ))
-    return images
+        u = rng.random(3 * k).reshape(k, 3)
+        crowd = u[:, 2] < cfg.crowd_frac
+        # Partner shifted ~35% of the width: IoU ~ 0.48 with its mate.
+        gt = np.repeat(_in_cells(cfg, cells, u, 1.0), 1 + crowd, axis=0)
+        gt[np.cumsum(1 + crowd)[crowd, None] - 1, [0, 2]] += 0.35 * cfg.box_size
+        gts.append(_checked(gt))
+        v = rng.random(3 * copies * len(gt)).reshape(len(gt), copies, 3)
+        jittered = _checked(np.concatenate([
+            _jittered(gt, cfg.jitter, 0.75, 0.95, v[:, :1]),
+            _jittered(gt, 2.0 * cfg.jitter, 0.55, 0.75, v[:, 1:])], axis=1).reshape(-1, 5))
+        free = np.setdiff1d(np.arange(n_cells), cells, assume_unique=True)
+        free = free[:int(rng.poisson(cfg.fp_rate))]
+        w = rng.random(3 * len(free)).reshape(-1, 3)
+        fps = _checked(_in_cells(cfg, free, w, _uniform(0.05, 0.45, w[:, 2])))
+        proposals.append(np.concatenate([jittered, fps]))
+    return proposals, gts, int(np.sum(counts > n_cells - 2))
+
+
+def gen_boxes(cfg: SynthConfig) -> list[BoxImage]:
+    """``box_tables`` as one BoxImage of BoxDetections per image."""
+    proposals, gts, _ = box_tables(cfg)
+    return [BoxImage(image_id=i, proposals=tuple(BoxDetection(*r) for r in p.tolist()),
+                     ground_truth=tuple(BoxDetection(*r) for r in g.tolist()))
+            for i, (p, g) in enumerate(zip(proposals, gts))]

@@ -295,6 +295,28 @@ class TestErrorCodes:
         assert out["code"] == "data"
         assert out["message"].startswith(f"{proposals}:2: ")
 
+    @pytest.mark.parametrize("extra,says", [
+        # A ground truth that rounds to zero extent.
+        ({"image_size": 1e17, "box_size": 1.0}, "box must have positive extent: BoxDetection("
+         "x1=6.491104534486355e+16, y1=9.537033997792509e+16, x2=6.491104534486355e+16, "
+         "y2=9.537033997792509e+16, score=1.0)"),
+        # A proposal whose shift swamps its width.
+        ({"jitter": 1e300, "n": 20}, "box must have positive extent: BoxDetection("
+         "x1=-1.0697599926144482e+301, y1=2.4152760816356014e+300, x2=-1.0697599926144482e+301, "
+         "y2=2.4152760816356014e+300, score=0.7832410331185943)"),
+        # A false positive in a scene without ground truths.
+        ({"image_size": 1e17, "box_size": 1.0, "fp_rate": 3.0,
+          "alpha_map": {"weights": [], "bias": 0.01, "lo": 0.01, "hi": 0.01}},
+         "box must have positive extent: BoxDetection(x1=3.439818767017386e+16, "
+         "y1=1.6711384330005484e+16, x2=3.439818767017386e+16, y2=1.6711384330005484e+16, "
+         "score=0.16275113094581686)"),
+    ])
+    def test_generated_box_fault_is_one_numeric_line(self, capsys, tmp_path, extra, says):
+        code, lines, err = run_main(capsys, tmp_path, "synth",
+                                    {"task": "boxes", "n": 5, "seed": 1, **extra})
+        assert code == 1 and err == ""
+        assert [json.loads(line) for line in lines] == [{"code": "numeric", "message": says}]
+
     def test_predict_feature_rows_must_fit_the_model(self, capsys, tmp_path):
         from setnet import init_model, save_model
         save_model(init_model([2, 3, 2], seed=0), str(tmp_path / "model.json"))

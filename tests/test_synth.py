@@ -1,17 +1,25 @@
-"""Generators: marginal laws, determinism, and the planted-box scenarios."""
+"""Generators: marginal laws, determinism, the planted-box scenarios, the
+bytes ``synth`` writes, and the object views over the generators' arrays."""
 
+import hashlib
+import json
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from setnet import (
+    BoxDetection,
     NegBinParams,
     NMSConfig,
     NumericError,
     ParamMap,
     SynthConfig,
+    TrainingSample,
     adaptive_nms,
+    cli,
     gen_boxes,
     gen_counting,
     gen_multilabel,
@@ -20,6 +28,10 @@ from setnet import (
     nb_log_pmf,
     predicted_k_eval,
 )
+from setnet.detect import box_table
+from setnet.mlmetrics import EvalRecord, LabelSet
+from setnet.synth import _uniform, box_tables, counting_arrays, multilabel_arrays
+from test_formats import CROWD, CROWD_MAP
 
 
 def constant_maps(alpha, beta):
@@ -150,3 +162,170 @@ class TestGenBoxes:
             SynthConfig(noise=1.5)
         with pytest.raises(NumericError):
             SynthConfig(box_size=100.0, cell_count=5, image_size=200.0)
+
+
+# What synth writes: the first 16 hex digits of the sha256 of each file after
+# its header line, recorded before the generators drew in per-image blocks.
+GOLDEN = {
+    "counting-d8": ({"task": "counting", "n": 200, "d": 8, "seed": 41},
+                    {"data.jsonl": "b8c20633f3ff1764"}),
+    "counting-d3": ({"task": "counting", "n": 200, "d": 3, "seed": 42},
+                    {"data.jsonl": "5809d62553bc4719"}),
+    "multilabel-C16": ({"task": "multilabel", "n": 300, "d": 8, "C": 16, "seed": 43},
+                       {"features.jsonl": "1c37dd38a0fb2493",
+                        "records.jsonl": "1cf441a2265ea5c6"}),
+    # C = 2 clamps most drawn cardinalities.
+    "multilabel-C2": ({"task": "multilabel", "n": 300, "d": 8, "C": 2, "seed": 44},
+                      {"features.jsonl": "6a9c1e89a7259064",
+                       "records.jsonl": "8144037ab78cdf2f"}),
+    "boxes-default": ({"task": "boxes", "n": 60, "seed": 45},
+                      {"counts.jsonl": "5c3a49293b9c8a5d", "gt.txt": "678029a84b0849c8",
+                       "proposals.txt": "e993ee008aafb638"}),
+    "boxes-crowd": ({"task": "boxes", "n": 60, "seed": 46, "alpha_map": CROWD_MAP, **CROWD},
+                    {"counts.jsonl": "d590024e5bb1858d", "gt.txt": "df807565a8ae34c4",
+                     "proposals.txt": "2706817071188064"}),
+    "boxes-exact": ({"task": "boxes", "n": 60, "seed": 47, "crowd_frac": 1.0,
+                     "jitter": 0.0, "fp_rate": 0.0},
+                    {"counts.jsonl": "58b0b4d6968e625d", "gt.txt": "76593975f8ad88ba",
+                     "proposals.txt": "63dccc94f3d57397"}),
+    "boxes-no-duplicates": ({"task": "boxes", "n": 60, "seed": 48, "duplicates": 0},
+                            {"counts.jsonl": "c552f2e2e79b8aa6", "gt.txt": "161cfe9ed362d940",
+                             "proposals.txt": "d52ecb62f8d2c8f9"}),
+    # Nine cells hold at most seven boxes, so the false positives run out of
+    # free cells.
+    "boxes-few-cells": ({"task": "boxes", "n": 60, "seed": 49, "cell_count": 3,
+                         "fp_rate": 30.0},
+                        {"counts.jsonl": "234b5883a39a42e7", "gt.txt": "8a666630feca6255",
+                         "proposals.txt": "79bd9d8db795857e"}),
+}
+
+
+def run_synth(capsys, tmp_path, cfg):
+    """The stdout JSON line of ``synth`` on ``cfg``, which must succeed."""
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    return json.loads(line)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_synth_writes_the_pinned_bytes(capsys, tmp_path, name):
+    cfg, digests = GOLDEN[name]
+    files = run_synth(capsys, tmp_path, cfg)["files"].values()
+    got = {}
+    for path in files:
+        with open(path, "rb") as fh:
+            fh.readline()  # the header, which embeds the config hash
+            got[path.rsplit("/", 1)[1]] = hashlib.sha256(fh.read()).hexdigest()[:16]
+    assert got == digests
+
+
+def test_synth_builds_no_object_per_row(capsys, tmp_path, monkeypatch):
+    built = Counter()
+    for cls in (BoxDetection, EvalRecord, LabelSet, TrainingSample):
+        def counted(self, _check=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for cfg, _ in GOLDEN.values():
+        run_synth(capsys, tmp_path, cfg)
+    assert built == Counter()
+    # The views, by contrast, build one per row.
+    gen_boxes(SynthConfig(n=3, seed=1))
+    gen_multilabel(SynthConfig(n=3, seed=1))
+    gen_counting(SynthConfig(n=3, seed=1))
+    assert set(built) == {"BoxDetection", "EvalRecord", "LabelSet", "TrainingSample"}
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_counting_view_is_its_arrays():
+    cfg = SynthConfig(n=200, d=3, seed=74)
+    x, counts = counting_arrays(cfg)
+    samples = gen_counting(cfg)
+    assert len(samples) == len(x) == len(counts) == cfg.n
+    for s, f, m in zip(samples, x, counts.tolist()):
+        assert bits(s.features) == f.tobytes() and s.count == m
+
+
+def test_multilabel_view_is_its_arrays():
+    cfg = SynthConfig(n=300, d=4, C=3, seed=75, alpha_map=ParamMap((), 3.0, 3.0, 3.0),
+                      beta_map=ParamMap((), 1.0, 1.0, 1.0))
+    x, scores, labels, n_clamped = multilabel_arrays(cfg)
+    samples = gen_multilabel(cfg)
+    assert 0 < n_clamped < cfg.n
+    assert len(samples) == len(x) == len(scores) == len(labels) == cfg.n
+    for s, f, row, t in zip(samples, x, scores, labels):
+        assert bits(s.features) == f.tobytes()
+        assert bits(s.record.scores) == row.tobytes()
+        assert list(s.record.truth.labels) == t and s.count == len(t)
+
+
+BOX_SCENES = {
+    "default": SynthConfig(n=60, seed=45),
+    "crowd": SynthConfig(n=60, seed=46, alpha_map=ParamMap(**CROWD_MAP), **CROWD),
+    "few-cells": SynthConfig(n=60, seed=49, cell_count=3, fp_rate=30.0),
+}
+
+
+@pytest.mark.parametrize("name", list(BOX_SCENES))
+def test_box_views_are_their_tables(name):
+    cfg = BOX_SCENES[name]
+    proposals, gts, _ = box_tables(cfg)
+    images = gen_boxes(cfg)
+    assert [im.image_id for im in images] == list(range(cfg.n))
+    assert len(proposals) == len(gts) == cfg.n
+    for im, p, g in zip(images, proposals, gts):
+        for boxes, table in ((im.proposals, p), (im.ground_truth, g)):
+            got = box_table(list(boxes))
+            assert got.shape == table.shape and got.tobytes() == table.tobytes()
+        assert im.count == len(g) and (g[:, 4] == 1.0).all()
+
+
+# Constant maps with mean 3 draw counts on both sides of a cap of 2 or 3.
+MEAN_3 = {"alpha_map": {"weights": [], "bias": 3.0, "lo": 3.0, "hi": 3.0},
+          "beta_map": {"weights": [], "bias": 1.0, "lo": 1.0, "hi": 1.0}}
+
+
+@pytest.mark.parametrize("task,cap,extra", [
+    ("counting", None, {}),
+    ("multilabel", 3, {"C": 3}),
+    # Four cells hold two boxes; without partners an image's count is its cells'.
+    ("boxes", 2, {"cell_count": 2, "crowd_frac": 0.0}),
+])
+def test_synth_reports_clamped_cardinalities(capsys, tmp_path, task, cap, extra):
+    cfg = {"task": task, "n": 300, "d": 4, "seed": 76, **MEAN_3, **extra}
+    out = run_synth(capsys, tmp_path, cfg)
+    _, drawn = counting_arrays(SynthConfig(
+        n=300, d=4, seed=76, alpha_map=ParamMap.from_dict(MEAN_3["alpha_map"]),
+        beta_map=ParamMap.from_dict(MEAN_3["beta_map"])))
+    counts_file = {"counting": "data", "multilabel": "features", "boxes": "counts"}[task]
+    with open(out["files"][counts_file]) as fh:
+        written = [json.loads(line)["count"] for line in fh.readlines()[1:]]
+    if cap is None:
+        assert out["n_clamped"] == 0 and written == drawn.tolist()
+    else:
+        assert 0 < out["n_clamped"] == int((drawn > cap).sum()) < 300
+        assert written == np.minimum(drawn, cap).tolist()
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (0.0, 1.0), (0.75, 0.95), (-0.08, 0.08), (0.0, 0.0), (-1e307, 1e307),
+    (1.0, -1.0), (-1e308, 1e308), (1e308, -1e308), (math.nan, 1.0), (0.0, math.inf),
+])
+def test_block_draws_are_numpys_uniform(lo, hi):
+    """_uniform over rng.random draws gives rng.uniform's values and leaves
+    the generator where rng.uniform does, or raises rng.uniform's error."""
+    want, got = np.random.default_rng(5), np.random.default_rng(5)
+    try:
+        expected = want.uniform(lo, hi, size=7)
+    except (ValueError, OverflowError) as e:
+        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+            _uniform(lo, hi, got.random(7))
+        assert _uniform(lo, hi, got.random(0)).size == 0  # no draw, no error
+        return
+    assert _uniform(lo, hi, got.random(7)).tobytes() == expected.tobytes()
+    assert got.random() == want.random()
