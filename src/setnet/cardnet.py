@@ -212,7 +212,7 @@ def train(
     epoch_callback: Callable[[int, float], None] | None = None,
 ) -> MLPModel:
     """Mini-batch SGD with momentum and decoupled weight decay, on samples or
-    on the (X, counts) arrays that ``formats.read_counting_records`` returns.
+    on the (X, counts) arrays that ``formats.read_records`` returns.
 
     Weight decay acts on weight matrices only (not biases) and directly on
     the parameters, so learning_rate=0 leaves the model untouched.

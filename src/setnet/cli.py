@@ -266,7 +266,7 @@ def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
     _check(cfg, "hidden", min(cfg["hidden"], default=1) >= 1, "widths >= 1")
     head = _build(HeadWeights, cfg)
     tcfg = _build(cardnet.TrainConfig, cfg)
-    X, counts = formats.read_counting_records(cfg["data"])
+    X, counts = formats.read_records(cfg["data"], "features", "count")
     if not len(counts):
         raise DataError(f"no training records in {cfg['data']}")
     kind = cfg["loss"]
@@ -291,8 +291,7 @@ def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
 
 def cmd_predict(cfg: dict, header: dict, out_dir: str) -> dict:
     model = cardnet.load_model(cfg["model"])
-    X, _ = formats.read_counting_records(cfg["features"], with_count=False,
-                                         width=model.dims[0])
+    (X,) = formats.read_records(cfg["features"], "features", width=model.dims[0])
     alpha, beta, mode = cardnet.predict_batch(model, X)
     if model.kind == "negbin":
         rows = [{"alpha": a, "beta": b, "mode": m}
@@ -331,7 +330,7 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
     _check(cfg, "k_values", mode != "fixed-k" or cfg["k_values"] != [], "null or non-empty")
     if mode == "predicted-k" and not cfg["pred"]:
         raise ConfigError("predicted-k evaluation needs a 'pred' file")
-    scores, truth = formats.read_multilabel_records(cfg["records"])
+    scores, truth = formats.read_records(cfg["records"], "scores", "truth")
     if not len(scores):
         raise DataError(f"no records in {cfg['records']}")
     n_classes = scores.shape[1]
@@ -417,8 +416,7 @@ def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
     if not cfg["mstar_features"]:
         raise ConfigError("mstar_model also needs mstar_features")
     model = cardnet.load_model(cfg["mstar_model"])
-    X, _ = formats.read_counting_records(cfg["mstar_features"], with_count=False,
-                                         width=model.dims[0])
+    (X,) = formats.read_records(cfg["mstar_features"], "features", width=model.dims[0])
     if len(X) != len(image_ids):
         raise DataError(
             f"{len(X)} feature rows for {len(image_ids)} images"

@@ -22,8 +22,8 @@ import numpy as np
 
 from .detect import BoxDetection
 from .errors import DataError, NumericError
-from .mlmetrics import EvalRecord, LabelSet, _mask
-from .numerics import _check_count, _check_finite
+from .mlmetrics import _mask
+from .numerics import _check_count
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -35,15 +35,17 @@ __all__ = [
     "write_boxes",
     "read_boxes",
     "read_records",
-    "read_counting_records",
-    "read_multilabel_records",
 ]
 
 SCHEMA_VERSION = 1
 
 
+# One encoder for every line: json.dumps would build one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def config_hash(config: dict) -> str:
@@ -149,135 +151,110 @@ def _check_boxes(path: str, vals: array, lines: list[int]) -> np.ndarray:
     return t
 
 
-def _listed(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"{name} must be a list, got {value!r}")
-    return value
-
-
-def _reals(value, name: str) -> list[float]:
-    for v in _listed(value, name):
-        if type(v) not in (int, float):  # JSON numbers only: no bools, no strings
-            raise TypeError(f"could not convert {v!r} to float: {name} must be numbers")
-    try:
-        return _check_finite(value, name)
-    except OverflowError:  # an integer beyond the float range
-        raise NumericError(f"{name} must be finite") from None
-
-
-def _labels(value, name: str) -> LabelSet:
-    return LabelSet(labels=tuple(_check_count(v, f"{name} label") for v in _listed(value, name)))
-
-
-# Each record field's rule: (JSON value, field name) -> its value, or a TypeError
-# or ValueError (NumericError included).  The column checks of _columns flag
-# every record that a rule rejects, and no other.
-_FIELDS = {"features": _reals, "scores": _reals, "truth": _labels,
-           "count": _check_count, "mode": _check_count, "image_id": _check_count}
-
-
 def read_records(path: str, *fields: str, width: int | None = None) -> list:
     """The columns of ``fields`` in the records of a JSONL file: an (n, d)
     float matrix for a vector field, which comes first; an int64 column for a
-    count field; truth's labels and the record of each.  Vectors are as long
+    count field; for truth, the (n, C) mask of its labels.  Vectors are as long
     as ``width`` (a model's input size) or, without one, as record 0's, which
-    is not empty; truth labels lie below that.  An image id names one record.
-    The earliest bad record, else a line that is not JSON, is a DataError
-    naming it, or a NumericError if the record's vector does not fit ``width``."""
+    is not empty; truth labels lie below their record's score count.  An image
+    id names one record.  The earliest bad record, else a line that is not
+    JSON, is a DataError naming it, or a NumericError if the record's vector
+    does not fit ``width``."""
     check = partial(_check_records, path, fields, width)
     _, rows = read_jsonl(path, check)
     try:
-        return _columns(rows, fields, width)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        check(rows)  # the rules word the fault
+        columns, lengths = _columns(rows, fields)
+        if lengths is not None:  # every vector as long as width, or as record 0's
+            d = width if width is not None else int(lengths[0]) if rows else 0
+            if (lengths != d).any() or width is None and rows and not d:
+                raise ValueError("ragged")
+            columns[0] = columns[0].reshape(len(rows), d)
+        if fields[0] == "image_id" and np.unique(columns[0]).size < len(rows):
+            raise ValueError("repeated image id")
+    except (KeyError, TypeError, ValueError):
+        check(rows)  # words the fault
         raise
+    if "truth" in fields:
+        columns[1] = _mask(*columns[1], columns[0].shape)
+    return columns
 
 
-def _ints(values: list) -> np.ndarray:
-    """``values`` as an int64 column; an error unless each is a count."""
-    if set(map(type, values)) - {int}:  # integral floats pass; the rest raise
-        values = [_check_count(v) for v in values]
-    col = np.array(values, dtype=np.int64)  # OverflowError past int64
-    if (col < 0).any():
-        raise ValueError("negative")
-    return col
+def _ints(values: list, name: str) -> np.ndarray:
+    """``values`` as an int64 column; unless each is a count, the error of
+    ``_check_count`` for the first that is not."""
+    if set(map(type, values)) - {int} or values and not 0 <= min(values) <= max(values) < 2**63:
+        values = [_check_count(v, name) for v in values]
+    return np.array(values, dtype=np.int64)
 
 
-def _columns(rows: list, fields: tuple, width: int | None) -> list:
-    """The columns of ``fields`` in ``rows``, each checked at once; a KeyError,
-    TypeError, ValueError or OverflowError if a check flags a record."""
-    out = []
+def _columns(rows: list, fields: tuple) -> tuple[list, np.ndarray | None]:
+    """The columns of ``fields`` in ``rows`` and, for a vector field (which
+    comes first), the length of each record's vector.  A vector column is its
+    flat floats, a count field an int64 column, truth its labels and the record
+    of each.  Each field's rules check it whole, in turn; the first record that
+    one flags raises that rule's KeyError, TypeError or ValueError, so on one
+    record the error is its fault."""
+    out, lengths = [], None
     for f in fields:
         values = [row[f] for row in rows]
-        if _FIELDS[f] is _check_count:
-            out.append(_ints(values))
-            if f == "image_id" and np.unique(out[-1]).size < len(values):
-                raise ValueError("repeated image id")
+        if f not in ("features", "scores", "truth"):
+            out.append(_ints(values, f))
             continue
         if set(map(type, values)) - {list}:
-            raise TypeError("not lists")
-        lengths = np.fromiter(map(len, values), np.int64, len(values))
+            raise TypeError(f"{f} must be a list, got "
+                            f"{next(v for v in values if type(v) is not list)!r}")
+        sizes = np.fromiter(map(len, values), np.int64, len(values))
         flat = list(chain.from_iterable(values))
-        if f == "truth":
-            labels, record = _ints(flat), np.repeat(np.arange(len(values)), lengths)
-            if ((record[1:] == record[:-1]) & (labels[1:] <= labels[:-1])).any() or (
-                    width is not None and (labels >= width).any()):
-                raise ValueError("labels out of order or range")
+        if f == "truth":  # strictly increasing, each below its record's score count
+            labels, record = _ints(flat, "truth label"), np.repeat(np.arange(len(values)), sizes)
+            down = (record[1:] == record[:-1]) & (labels[1:] <= labels[:-1])
+            if down.any():
+                mine = tuple(labels[record == record[down.argmax() + 1]].tolist())
+                raise NumericError(f"labels must be strictly increasing: {mine!r}")
+            over = labels >= lengths[record]
+            if over.any():
+                r = record[over.argmax()]
+                raise NumericError(f"truth label {labels[record == r][-1]} outside "
+                                   f"{lengths[r]} categories")
             out.append((labels, record))
             continue
-        if width is None:  # record 0's, which is not empty
-            width = int(lengths[0]) if len(values) else 0
-            if values and not width:
-                raise ValueError("no vector")
-        if (lengths != width).any() or set(map(type, flat)) - {int, float}:
-            raise ValueError("ragged or not numbers")
-        out.append(np.array(flat, dtype=float).reshape(len(values), width))
-        if not np.isfinite(out[-1]).all():
-            raise ValueError("not finite")
-    return out
+        if set(map(type, flat)) - {int, float}:  # JSON numbers only: no bools, no strings
+            bad = next(v for v in flat if type(v) not in (int, float))
+            raise TypeError(f"could not convert {bad!r} to float: {f} must be numbers")
+        try:
+            col = np.array(flat, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            col = np.array([np.inf])
+        if not np.isfinite(col).all():
+            raise NumericError(f"{f} must be finite")
+        out.append(col)
+        lengths = sizes
+    return out, lengths
 
 
 def _check_records(path: str, fields: tuple, width: int | None, rows: list) -> None:
-    """Each record's fields by their rules in ``_FIELDS``, record by record;
-    the earliest bad record raises as ``read_records`` says."""
-    vector = fields[0] if _FIELDS[fields[0]] is _reals else None
+    """The checks of ``read_records`` record by record, each record's own by
+    ``_columns`` and then those across records; the earliest bad record
+    raises as ``read_records`` says."""
     want = width
     ids: dict[int, int] = {}  # image id -> the record that names it
     for i, row in enumerate(rows):
         try:
-            values = {f: _FIELDS[f](row[f], f) for f in fields}
-            key = values.get("image_id")
+            columns, lengths = _columns([row], fields)
+            key = int(columns[0][0]) if fields[0] == "image_id" else None
             if key is not None and ids.setdefault(key, i) != i:
                 raise ValueError(f"image_id {key} repeats record {ids[key]}")
-            if "truth" in values:  # its labels lie below the number of scores
-                EvalRecord(values["scores"], values["truth"])
         except (KeyError, TypeError, ValueError) as e:
             what = f"no {e} field" if isinstance(e, KeyError) else e
             raise DataError(f"{path}: record {i}: {what}") from e
-        if vector is None:
+        if lengths is None:
             continue
-        n = len(values[vector])
+        n = int(lengths[0])
         if want is None:
             if not n:
-                raise DataError(f"{path}: record 0 has no {vector}")
+                raise DataError(f"{path}: record 0 has no {fields[0]}")
             want = n
         elif n != want:
             than = "record 0 has" if width is None else "the model takes"
             raise (DataError if width is None else NumericError)(
-                f"{path}: record {i} has {n} {vector}; {than} {want}")
-
-
-def read_counting_records(path: str, with_count: bool = True, width: int | None = None
-                          ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The (n, d) features matrix of a counting JSONL file and, ``with_count``,
-    its n counts (else None); ``width`` is as in ``read_records``."""
-    columns = read_records(path, *(("features", "count") if with_count else ("features",)),
-                           width=width)
-    return columns[0], columns[1] if with_count else None
-
-
-def read_multilabel_records(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, C) scores and truth mask of a multi-label JSONL file; every
-    record has as many scores as record 0, which has some."""
-    scores, (labels, record) = read_records(path, "scores", "truth")
-    return scores, _mask(labels, record, scores.shape)
+                f"{path}: record {i} has {n} {fields[0]}; {than} {want}")

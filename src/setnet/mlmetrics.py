@@ -144,7 +144,7 @@ def _top(ranks: np.ndarray, k) -> np.ndarray:
 def _stack(records: Sequence[EvalRecord] | tuple[np.ndarray, np.ndarray]
            ) -> tuple[np.ndarray, np.ndarray]:
     """Class ranks and truth mask, both (n, C), of a record set or of the
-    (scores, truth mask) pair that ``formats.read_multilabel_records`` returns."""
+    (scores, truth mask) pair that ``formats.read_records`` returns."""
     if isinstance(records, tuple):
         return _ranks(records[0]), records[1]
     if not records:

@@ -104,14 +104,20 @@ class SynthConfig:
     crowd_frac: float = 0.35
 
     def __post_init__(self) -> None:
-        if min(self.d, self.C, self.n, self.cell_count) < 1:
-            raise NumericError("d, C, n and cell_count must all be >= 1")
+        for want, names, ok in (
+                (">= 1", ("d", "C", "n"), lambda v: v >= 1),
+                (">= 2", ("cell_count",), lambda v: v >= 2),  # a scene holds cell_count**2 - 2
+                (">= 0", ("duplicates",), lambda v: v >= 0),
+                ("in [0,1]", ("noise", "crowd_frac"), lambda v: 0.0 <= v <= 1.0),
+                ("finite and > 0", ("image_size", "box_size"), lambda v: 0.0 < v < math.inf),
+                ("finite and >= 0", ("jitter", "fp_rate"), lambda v: 0.0 <= v < math.inf)):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise NumericError(f"{name} must be {want}, got {getattr(self, name)!r}")
         for name, pm in (("alpha_map", self.alpha_map), ("beta_map", self.beta_map)):
             if len(pm.weights) > self.d:
                 raise NumericError(
                     f"{name} has {len(pm.weights)} weights, more than d={self.d}")
-        if not 0.0 <= self.noise <= 1.0:
-            raise NumericError(f"noise must lie in [0,1], got {self.noise!r}")
         if self.box_size * 1.6 > self.image_size / self.cell_count:
             raise NumericError("box_size too large for the placement grid")
 
@@ -234,7 +240,7 @@ def box_tables(cfg: SynthConfig) -> tuple[list[np.ndarray], list[np.ndarray], in
     """
     rng, _, counts = _draw_counts(cfg)
     n_cells = cfg.cell_count * cfg.cell_count
-    copies = 1 + max(cfg.duplicates, 0)
+    copies = 1 + cfg.duplicates
     proposals, gts = [], []
     for count in counts.tolist():
         k = min(count, n_cells - 2)

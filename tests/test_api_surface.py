@@ -5,12 +5,16 @@ Every function listed in a layer's ``__all__`` must be named somewhere in
 the package re-export are not uses), or be imported by the acceptance suite.
 Uses are matched by identifier: a bare name or an attribute such as
 ``detect.box_table``.
+
+Every ``layer.name`` that a docstring in ``src/setnet`` names, its layer a
+module of the package, must exist.
 """
 
 import ast
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -54,3 +58,22 @@ def test_public_function_has_a_caller(qualname):
     assert qualname.split(".")[1] in USED, (
         f"{qualname} is public, but nothing in src/setnet calls it and the "
         "acceptance suite does not import it")
+
+
+def docstring_references():
+    """Each ``layer.name`` in a src/setnet docstring whose layer is a module
+    of the package, as (the file, the reference)."""
+    pattern = re.compile(rf"\b({'|'.join(LAYERS)})\.(\w+)")
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                for ref in pattern.finditer(ast.get_docstring(node) or ""):
+                    yield path.name, ref.group(0)
+
+
+def test_docstring_references_name_what_exists():
+    stale = [(name, ref) for name, ref in docstring_references()
+             if not hasattr(importlib.import_module(f"setnet.{ref.split('.')[0]}"),
+                            ref.split(".")[1])]
+    assert not stale, f"docstrings name attributes that do not exist: {stale}"

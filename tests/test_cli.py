@@ -467,6 +467,13 @@ OUT_OF_RANGE = [
     ("train", {"alpha_max": 0.0}),
     ("train", {"alpha_max": float("inf")}),
     ("synth", {"task": "boxes", "cell_count": 0}),
+    # Box settings numpy would reject as numeric, or that would pass silently.
+    ("synth", {"task": "boxes", "n": 5, "seed": 1, "jitter": -1}),
+    ("synth", {"task": "boxes", "n": 5, "seed": 1, "fp_rate": -1}),
+    ("synth", {"task": "boxes", "n": 5, "seed": 1, "cell_count": 1, "box_size": 1}),
+    ("synth", {"task": "boxes", "n": 5, "seed": 1, "image_size": float("nan")}),
+    ("synth", {"task": "boxes", "n": 5, "seed": 1, "duplicates": -2}),
+    ("synth", {"task": "boxes", "n": 5, "seed": 1, "crowd_frac": -1}),
     ("synth", {"task": "counting", "d": 2}),
     ("synth", {"task": "multilabel", "d": 1}),
     ("synth", {"alpha_map": {"weights": [1, 2, 3, 4, 5, 6, 7, 8, 9],
@@ -717,9 +724,9 @@ def test_any_one_bad_field_is_success_or_one_data_line(capsys, tmp_path_factory,
         return
     # The one numeric outcome: features the reader takes (finite) but that
     # overflow the network.
-    from setnet.formats import read_counting_records
+    from setnet.formats import read_records
     assert kind == "counting" and out["message"].startswith("overflow encountered"), out
-    read_counting_records(path)
+    read_records(path, "features", "count")
 
 
 # -- the column reader against the per-record rules ------------------------------
@@ -805,9 +812,9 @@ def ref_read_records(path, *fields, width=None):
         raise bad_line
     out = []
     for f, column in zip(fields, columns):
-        if f == "truth":
-            out.append((np.array([v for labels in column for v in labels], dtype=np.int64),
-                        np.repeat(np.arange(len(column)), [len(v) for v in column])))
+        if f == "truth":  # the (n, C) mask, C the scores' width
+            out.append(np.array([[c in labels for c in range(out[0].shape[1])]
+                                 for labels in column], dtype=bool).reshape(out[0].shape))
         elif f in ("features", "scores"):
             d = len(column[0]) if column else width or 0
             out.append(np.array(column, dtype=float).reshape(len(column), d))
@@ -888,6 +895,15 @@ def record_text(rows, *lines):
 @example(("multilabel", record_text([{"scores": [0.5, 0.1, 0.2], "truth": [0, 3]}])))
 @example(("features", record_text([{"features": [0.1, 10**400, 0.3]},
                                    {"features": [0.1, 0.2]}])))
+# Within one record, a field's own rules come before the checks across
+# records, and scores and truth before the width: a ragged record whose
+# count is bad, a ragged record with a label past its own scores, and
+# record 0 with no scores and truth not a list.
+@example(("counting", record_text([{"features": [0.5] * 3, "count": 1},
+                                   {"features": [0.5] * 2, "count": 2.5}])))
+@example(("multilabel", record_text([{"scores": [0.5, 0.1], "truth": [0]},
+                                     {"scores": [0.5], "truth": [2]}])))
+@example(("multilabel", record_text([{"scores": [], "truth": {}}])))
 def test_column_reader_agrees_with_per_record_rules(tmp_path_factory, case):
     from setnet.formats import read_records
     kind, text = case

@@ -21,9 +21,8 @@ from setnet.formats import (
     config_hash,
     make_header,
     read_boxes,
-    read_counting_records,
     read_jsonl,
-    read_multilabel_records,
+    read_records,
     write_boxes,
     write_jsonl,
 )
@@ -39,9 +38,9 @@ def test_jsonl_round_trip(tmp_path):
     assert got_rows == rows
     assert got_header["schema_version"] == 1
     assert got_header["seed"] == 7
-    X, counts = read_counting_records(path)
+    X, counts = read_records(path, "features", "count")
     assert X.tolist() == [[0.25, -1.5], [0.0, 0.0]] and counts.tolist() == [2, 0]
-    assert read_counting_records(path, with_count=False)[1] is None
+    assert [c.tolist() for c in read_records(path, "features")] == [X.tolist()]
 
 
 def test_multilabel_round_trip(tmp_path):
@@ -49,7 +48,7 @@ def test_multilabel_round_trip(tmp_path):
     write_jsonl(path, make_header({}, 0), [
         {"scores": [0.9, 0.1, 0.4], "truth": [0, 2]},
     ])
-    scores, truth = read_multilabel_records(path)
+    scores, truth = read_records(path, "scores", "truth")
     assert scores.dtype == float and scores.tolist() == [[0.9, 0.1, 0.4]]
     assert truth.dtype == bool and truth.tolist() == [[True, False, True]]
 
@@ -86,7 +85,7 @@ def test_malformed_inputs(tmp_path):
     with pytest.raises(DataError):
         read_boxes(str(badbox), with_score=True)
     with pytest.raises(DataError):
-        read_counting_records(str(tmp_path / "missing.jsonl"))
+        read_records(str(tmp_path / "missing.jsonl"), "features", "count")
 
 
 def test_earliest_bad_record_wins(tmp_path):
@@ -101,10 +100,10 @@ def test_earliest_bad_record_wins(tmp_path):
     ]))
     with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: record 1 has 1 scores; "
                                         r"record 0 has 2$"):
-        read_multilabel_records(str(path))
+        read_records(str(path), "scores", "truth")
     path.write_text(path.read_text().replace('[0.5], "truth": []', '[0.5, 0.1], "truth": []'))
     with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: record 3: could not convert"):
-        read_multilabel_records(str(path))
+        read_records(str(path), "scores", "truth")
 
 
 @pytest.mark.parametrize("row", [
