@@ -20,6 +20,13 @@ The loss, the sigmoid and the heads work elementwise on arrays (one entry
 per sample); ``card_nll`` and ``card_grad`` wrap the loss for one sample.
 ``AlphaBeta`` and the heads reject an alpha or beta that is not finite and
 > 0 with the positivity check of ``numerics``.
+
+A batch costs one kernel call per special function: the loss stacks
+(m+alpha, m+1, alpha) into one ``log_gamma`` call and (m+alpha, alpha)
+into one ``digamma`` call, each of which checks its input once.  The heads
+check alpha and beta together, once per batch, and take the forward pass's
+sigmoids into the backward pass.  Every kernel is elementwise, so each value
+is the one that a call per term gives.
 """
 
 from __future__ import annotations
@@ -91,17 +98,21 @@ class LossGrad:
 
 def card_nll_grad(m, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nll, d nll/d alpha, d nll/d beta) of counts m under valid alpha=a,
-    beta=b, elementwise; NumericError if a gradient is not finite."""
+    beta=b, elementwise; NumericError if a gradient is not finite.
+
+    One ``log_gamma`` call on the stacked (m+a, m+1, a) and one ``digamma``
+    call on its rows m+a and a: both kernels are elementwise, so each value
+    is the one that a call per term gives.
+    """
     m = _check_count(m)
     log_b, log1p_b = np.log(b), np.log1p(b)
-    nll = -(
-        log_gamma(m + a)
-        - log_gamma(m + 1.0)
-        - log_gamma(a)
-        + a * log_b
-        - (a + m) * log1p_b
-    )
-    d_alpha = -(digamma(m + a) - digamma(a) + log_b - log1p_b)
+    m_a = m + a
+    x = np.empty((3, *np.shape(m_a)))
+    x[0], x[1], x[2] = m_a, m + 1.0, a
+    lg_m_a, lg_m_1, lg_a = log_gamma(x)
+    dg_m_a, dg_a = digamma(x[::2])
+    nll = -(lg_m_a - lg_m_1 - lg_a + a * log_b - (a + m) * log1p_b)
+    d_alpha = -(dg_m_a - dg_a + log_b - log1p_b)
     d_beta = -(a - m * b) / (b * (1.0 + b))
     if not (np.isfinite(d_alpha).all() and np.isfinite(d_beta).all()):
         raise NumericError("gradients must be finite")
@@ -125,30 +136,46 @@ def sigmoid(z) -> np.ndarray:
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def head_forward(z_alpha, z_beta, w: HeadWeights) -> tuple[np.ndarray, np.ndarray]:
+def _pair(u, v) -> np.ndarray:
+    """``u`` and ``v`` broadcast and stacked on a last axis of 2."""
+    return np.stack(np.broadcast_arrays(u, v), axis=-1)
+
+
+def _scales(w: HeadWeights) -> np.ndarray:
+    """The (alpha, beta) sigmoid weights above the floor."""
+    return np.array([w.alpha_max - w.floor, w.beta_max - w.floor])
+
+
+def head_forward(z_alpha, z_beta, w: HeadWeights, s=None) -> tuple[np.ndarray, np.ndarray]:
     """Map pre-activation arrays to strictly positive (alpha, beta) arrays.
 
     alpha = floor + (alpha_max - floor) * sigmoid(z_alpha), same for beta.
-    NumericError if an output is not finite and > 0.
+    ``s``, when given, is ``sigmoid`` of (z_alpha, z_beta) stacked on a last
+    axis of 2, which the caller has already computed.  Both outputs are
+    checked at once; NumericError names the first alpha, else the first beta,
+    that is not finite and > 0.
     """
-    alpha = w.floor + (w.alpha_max - w.floor) * sigmoid(z_alpha)
-    beta = w.floor + (w.beta_max - w.floor) * sigmoid(z_beta)
+    if s is None:
+        s = sigmoid(_pair(z_alpha, z_beta))
+    ab = w.floor + _scales(w) * s
     # Saturation towards the scale is representable; towards the floor the
     # sigmoid may underflow to exactly 0, which a positive floor absorbs.
-    return _check_positive(alpha, "alpha"), _check_positive(beta, "beta")
+    if not ((ab > 0.0) & (ab < np.inf)).all():  # False for nan
+        _check_positive(ab[..., 0], "alpha")
+        _check_positive(ab[..., 1], "beta")
+    return ab[..., 0][()], ab[..., 1][()]
 
 
 def head_backward(
-    z_alpha, z_beta, w: HeadWeights, d_alpha, d_beta
+    z_alpha, z_beta, w: HeadWeights, d_alpha, d_beta, s=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain (d_alpha, d_beta) through the weighted sigmoids; gradients
-    w.r.t. (z_alpha, z_beta), elementwise."""
-    sa = sigmoid(z_alpha)
-    sb = sigmoid(z_beta)
-    return (
-        d_alpha * (w.alpha_max - w.floor) * sa * (1.0 - sa),
-        d_beta * (w.beta_max - w.floor) * sb * (1.0 - sb),
-    )
+    w.r.t. (z_alpha, z_beta), elementwise.  ``s`` is as in ``head_forward``:
+    passing the forward pass's sigmoids saves computing them again."""
+    if s is None:
+        s = sigmoid(_pair(z_alpha, z_beta))
+    g = _pair(d_alpha, d_beta) * _scales(w) * s * (1.0 - s)
+    return g[..., 0][()], g[..., 1][()]
 
 
 def regression_loss(m, m_hat) -> tuple[np.ndarray, np.ndarray]:

@@ -27,6 +27,7 @@ from .cardloss import (
     head_backward,
     head_forward,
     regression_loss,
+    sigmoid,
 )
 from .errors import DataError, NumericError
 from .formats import SCHEMA_VERSION
@@ -174,16 +175,20 @@ def loss_and_grads(
     model: MLPModel, X: np.ndarray, counts: np.ndarray
 ) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
     """Mean loss over the rows of X with their counts, and its exact
-    gradients (no weight decay here)."""
+    gradients (no weight decay here).  The head's sigmoids are computed once,
+    on the (n, 2) output matrix, and serve both the forward and the backward
+    pass."""
     n = len(counts)
     if n == 0:
         raise NumericError("batch must be non-empty")
     acts, z_out = _forward_batch(model, X)
     if model.kind == "negbin":
         z_alpha, z_beta = z_out[:, 0], z_out[:, 1]
-        alpha, beta = head_forward(z_alpha, z_beta, model.head)
+        s = sigmoid(z_out)
+        alpha, beta = head_forward(z_alpha, z_beta, model.head, s)
         loss, d_alpha, d_beta = card_nll_grad(counts, alpha, beta)
-        delta = np.stack(head_backward(z_alpha, z_beta, model.head, d_alpha, d_beta), axis=1)
+        delta = np.stack(head_backward(z_alpha, z_beta, model.head, d_alpha, d_beta, s),
+                         axis=1)
     else:
         loss, d_m_hat = regression_loss(counts, z_out[:, 0])
         delta = d_m_hat[:, None]

@@ -6,9 +6,11 @@ artifact directory).  Runs print one machine-readable JSON line to stdout
 that echoes the resolved config, its hash and the seed; all artifacts
 embed the same triple.  Each config value is type-checked against the
 command's schema before the command runs; a wrongly typed or unknown key is
-a "config" error.  Failures print {"code", "message"} and exit 1,
-with code "config", "data" or "numeric".  The SETNET_LOG environment
-variable (error|info|debug) controls stderr verbosity.
+a "config" error.  ``train`` also prints its stage wall times and training
+throughput, which stay out of the artifacts.  Failures print
+{"code", "message"} and exit 1, with code "config", "data" or "numeric".
+The SETNET_LOG environment variable (error|info|debug) controls stderr
+verbosity.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import logging
 import os
 import sys
+import time
 import types
 import typing
 
@@ -266,9 +269,11 @@ def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
     _check(cfg, "hidden", min(cfg["hidden"], default=1) >= 1, "widths >= 1")
     head = _build(HeadWeights, cfg)
     tcfg = _build(cardnet.TrainConfig, cfg)
+    marks = [time.perf_counter()]
     X, counts = formats.read_records(cfg["data"], "features", "count")
     if not len(counts):
         raise DataError(f"no training records in {cfg['data']}")
+    marks.append(time.perf_counter())
     kind = cfg["loss"]
     dims = [X.shape[1], *cfg["hidden"], 2 if kind == "negbin" else 1]
     model = cardnet.init_model(dims, activation=cfg["activation"], head=head,
@@ -277,15 +282,22 @@ def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
     trained = cardnet.train(model, (X, counts), tcfg,
                             epoch_callback=lambda e, l: losses.append(
                                 {"epoch": e, "loss": l}))
+    marks.append(time.perf_counter())
     model_path = _outpath(out_dir, "model.json")
     cardnet.save_model(trained, model_path,
                        meta={"config_hash": header["config_hash"]})
     log_path = _outpath(out_dir, "train_log.jsonl")
     formats.write_jsonl(log_path, header, losses)
+    marks.append(time.perf_counter())
+    read_s, train_s, write_s = np.diff(marks).tolist()
+    # Wall times go to stdout only: the artifacts stay byte-deterministic.
     return {
         "files": {"model": model_path, "train_log": log_path},
         "final_loss": losses[-1]["loss"],
         "n_samples": len(counts),
+        "timings_ms": {"read": round(1e3 * read_s, 3), "train": round(1e3 * train_s, 3),
+                       "write": round(1e3 * write_s, 3)},
+        "samples_per_s": round(tcfg.epochs * len(counts) / train_s, 1),
     }
 
 

@@ -235,13 +235,22 @@ def _columns(rows: list, fields: tuple) -> tuple[list, np.ndarray | None]:
 def _check_records(path: str, fields: tuple, width: int | None, rows: list) -> None:
     """The checks of ``read_records`` record by record, each record's own by
     ``_columns`` and then those across records; the earliest bad record
-    raises as ``read_records`` says."""
+    raises as ``read_records`` says.  When ``_columns`` passes the whole list,
+    no record breaks a rule of its own and its columns serve every record;
+    otherwise each record goes through ``_columns`` alone."""
+    try:
+        columns, lengths = _columns(rows, fields)
+        whole = True
+    except (KeyError, TypeError, ValueError):
+        whole = False
     want = width
     ids: dict[int, int] = {}  # image id -> the record that names it
     for i, row in enumerate(rows):
+        j = i if whole else 0  # the record's place in the columns
         try:
-            columns, lengths = _columns([row], fields)
-            key = int(columns[0][0]) if fields[0] == "image_id" else None
+            if not whole:
+                columns, lengths = _columns([row], fields)
+            key = int(columns[0][j]) if fields[0] == "image_id" else None
             if key is not None and ids.setdefault(key, i) != i:
                 raise ValueError(f"image_id {key} repeats record {ids[key]}")
         except (KeyError, TypeError, ValueError) as e:
@@ -249,7 +258,7 @@ def _check_records(path: str, fields: tuple, width: int | None, rows: list) -> N
             raise DataError(f"{path}: record {i}: {what}") from e
         if lengths is None:
             continue
-        n = int(lengths[0])
+        n = int(lengths[j])
         if want is None:
             if not n:
                 raise DataError(f"{path}: record 0 has no {fields[0]}")

@@ -7,6 +7,12 @@ are self-contained (Lanczos approximation and a Bernoulli-series
 asymptotic expansion with recurrence shift) so that the whole cardinality
 model depends on one well-tested evaluation path.
 
+Each call checks its input once and then pays numpy's per-operation cost,
+which at the sizes of a training batch outweighs the arithmetic.  So a
+caller with several arguments for one kernel stacks them into one call, as
+the NB loss does once per batch (``cardloss.card_nll_grad``); the values are
+those of separate calls, bit for bit.
+
 Note on the negative binomial mode: near parameter settings where two
 adjacent pmf values tie in exact arithmetic (e.g. a=5, b=0.5 ties m=3
 against m=4), the winner in floating point depends on the last ulp of the
@@ -75,16 +81,21 @@ def _check_finite(values, name: str) -> list[float]:
 
 
 def _check_count(m, name: str = "m"):
-    """``m`` as an int, or as an int64 array when it is an ndarray of counts.
-    Python and numpy integers and integral floats below 2**63 pass; bools,
-    negatives, fractions, lists and non-numbers raise NumericError."""
+    """``m`` as an int, or as an int64 array when it is an ndarray of counts
+    (an int64 array itself, after one sign test).  Python and numpy integers
+    and integral floats below 2**63 pass; bools, negatives, fractions, lists
+    and non-numbers raise NumericError."""
     if type(m) is int and 0 <= m < 2**63:  # fast path: one record field
         return m
     if isinstance(m, (int, float, np.number, np.ndarray)):
         arr = np.asarray(m)
-        if arr.dtype.kind in "iuf" and np.all(
-                np.isfinite(arr) & (arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))):
-            return int(arr) if arr.ndim == 0 else arr.astype(np.int64)
+        if arr.dtype == np.int64 and arr.ndim:  # fast path: a count column
+            ok = not (arr < 0).any()
+        else:
+            ok = arr.dtype.kind in "iuf" and np.all(
+                np.isfinite(arr) & (arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr)))
+        if ok:
+            return int(arr) if arr.ndim == 0 else arr.astype(np.int64, copy=False)
     raise NumericError(f"{name} must be a non-negative integer below 2**63, got {m!r}")
 
 

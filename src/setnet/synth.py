@@ -213,10 +213,12 @@ def _in_cells(cfg: SynthConfig, cells: np.ndarray, u: np.ndarray, score) -> np.n
     return np.column_stack([x1y1, x1y1 + cfg.box_size, np.broadcast_to(score, len(u))])
 
 
+@np.errstate(over="ignore")
 def _jittered(gts: np.ndarray, scale: float, lo: float, hi: float, v: np.ndarray) -> np.ndarray:
     """The (g, s, 5) proposals around ground truths ``gts``, s per box, from
     (g, s, 3) draws ``v``: a score in [lo, hi), then a shift of each corner by
-    up to ``scale`` times the box's width and height."""
+    up to ``scale`` times the box's width and height.  A shift beyond the float
+    range is left infinite for the box check to report, without a warning."""
     shift = _uniform(-scale, scale, v[..., 1:]) * (gts[:, 2:4] - gts[:, :2])[:, None]
     return np.concatenate([gts[:, None, :4] + np.tile(shift, 2),
                            _uniform(lo, hi, v[..., :1])], axis=2)

@@ -12,11 +12,17 @@ from setnet import (
     NumericError,
     card_grad,
     card_nll,
+    card_nll_grad,
+    digamma,
     head_backward,
     head_forward,
+    init_model,
+    log_gamma,
+    loss_and_grads,
     nb_log_pmf,
     regression_loss,
 )
+from setnet.cardloss import sigmoid
 
 # d_alpha at (m=3, alpha=2, beta=1): -(Psi(5) - Psi(2) + ln(1/2))
 #   = -(1/2 + 1/3 + 1/4 - ln 2) = -(13/12 - ln 2).
@@ -175,6 +181,117 @@ class TestHead:
             HeadWeights(alpha_max=1e-7, beta_max=20.0, floor=1e-6)
         with pytest.raises(NumericError):
             HeadWeights(floor=-1.0)
+
+
+def composed(m, a, b):
+    """card_nll_grad as one kernel call per term, the form before the loss
+    stacked its kernel inputs."""
+    log_b, log1p_b = np.log(b), np.log1p(b)
+    nll = -(log_gamma(m + a) - log_gamma(m + 1.0) - log_gamma(a)
+            + a * log_b - (a + m) * log1p_b)
+    d_alpha = -(digamma(m + a) - digamma(a) + log_b - log1p_b)
+    d_beta = -(a - m * b) / (b * (1.0 + b))
+    return nll, d_alpha, d_beta
+
+
+def assert_same(got, want):
+    """Equal bits, shapes and types, term by term."""
+    for g, w in zip(got, want, strict=True):
+        assert type(g) is type(w)
+        assert np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def random_inputs(n, seed):
+    """Counts, alphas (tiny ones included, below and above every shift
+    threshold of the kernels) and betas."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, 40, n)
+    a = np.exp(rng.uniform(np.log(1e-3), np.log(200.0), n))
+    b = np.exp(rng.uniform(np.log(1e-3), np.log(50.0), n))
+    return m, a, b
+
+
+class TestFusedLoss:
+    """card_nll_grad makes one log_gamma and one digamma call on stacked
+    inputs; each value must be the one a call per term gives."""
+
+    def test_scalars_and_zero_d_arrays(self):
+        for m, a, b in zip(*random_inputs(300, seed=20)):
+            args = int(m), float(a), float(b)
+            assert_same(card_nll_grad(*args), composed(*args))
+            zero_d = tuple(map(np.asarray, args))
+            assert_same(card_nll_grad(*zero_d), composed(*zero_d))
+
+    def test_arrays_strided_and_broadcast(self):
+        m, a, b = random_inputs(400, seed=21)
+        assert_same(card_nll_grad(m, a, b), composed(m, a, b))
+        strided = m[::4], a[1::4], b[2::4]
+        assert_same(card_nll_grad(*strided), composed(*strided))
+        assert_same(card_nll_grad(m, 2.5, 0.75), composed(m, 2.5, 0.75))
+        assert_same(card_nll_grad(7, a, b), composed(7, a, b))
+        square = m[:100].reshape(10, 10), a[:100].reshape(10, 10), b[:100].reshape(10, 10)
+        assert_same(card_nll_grad(*square), composed(*square))
+
+    @pytest.mark.parametrize("bad,shown", [
+        (float("nan"), "nan"), (0.0, "0.0"), (-1.0, "-1.0"), (-5.0, "-2.0"),
+        (float("inf"), "inf"), (float("-inf"), "-inf")])
+    def test_bad_alpha_keeps_its_message(self, bad, shown):
+        # The kernel names the first bad entry of (m + a, m + 1, a): at m = 3
+        # an alpha of -5 shows as m + a = -2.
+        with pytest.raises(NumericError, match=rf"^x must be finite and > 0, got {shown}$"):
+            card_nll_grad(3, bad, 1.0)
+        a = np.array([2.0, bad, 1.0, bad])
+        with pytest.raises(NumericError, match=rf"^x must be finite and > 0, got {shown}$"):
+            card_nll_grad(np.full(4, 3), a, np.ones(4))
+        for ab in ((bad, 1.0), (1.0, bad)):
+            name = "alpha" if ab[0] is bad else "beta"
+            with pytest.raises(NumericError,
+                               match=rf"^{name} must be finite and > 0, got {bad!r}$"):
+                card_nll(3, AlphaBeta(*ab))
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_bad_beta_gradient_is_not_finite(self, bad):
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match="^gradients must be finite$"):
+                card_nll_grad(np.array([3, 3]), np.array([2.0, 2.0]), np.array([1.0, bad]))
+
+    def test_bad_head_output_names_alpha_then_beta(self):
+        nan = float("nan")
+        w = HeadWeights(floor=0.0)
+        for za, zb, says in [(nan, 0.0, "alpha must be finite and > 0, got nan"),
+                             (0.0, nan, "beta must be finite and > 0, got nan"),
+                             (nan, nan, "alpha must be finite and > 0, got nan"),
+                             (-1e6, 0.0, "alpha must be finite and > 0, got 0.0"),
+                             (0.0, -1e6, "beta must be finite and > 0, got 0.0")]:
+            with pytest.raises(NumericError, match=f"^{says}$"):
+                head_forward(za, zb, w)
+            with pytest.raises(NumericError, match=f"^{says}$"):
+                head_forward(np.array([0.0, za, za]), np.array([0.0, zb, 0.0]), w)
+        # The first bad alpha wins over an earlier bad beta.
+        with pytest.raises(NumericError, match="^alpha must be finite and > 0, got 0.0$"):
+            head_forward(np.array([0.0, -1e6]), np.array([nan, 0.0]), w)
+
+    def test_loss_and_grads_names_a_bad_head_output(self):
+        model = init_model([3, 2], head=HeadWeights(floor=0.0), seed=0)
+        model.biases[-1][:] = [-1e6, 0.0]
+        with pytest.raises(NumericError, match="^alpha must be finite and > 0, got 0.0$"):
+            loss_and_grads(model, np.zeros((2, 3)), np.array([1, 2]))
+
+    def test_backward_with_forward_sigmoids_is_the_same(self):
+        rng = np.random.default_rng(22)
+        for w in (HeadWeights(), HeadWeights(alpha_max=3.0, beta_max=0.5, floor=1e-3)):
+            za, zb = rng.normal(0.0, 8.0, (2, 500))
+            da, db = rng.normal(0.0, 3.0, (2, 500))
+            s = sigmoid(np.stack([za, zb], axis=-1))
+            assert_same(head_backward(za, zb, w, da, db, s), head_backward(za, zb, w, da, db))
+            assert_same(head_forward(za, zb, w, s), head_forward(za, zb, w))
+            for i in range(0, 500, 50):
+                one = float(za[i]), float(zb[i]), w, float(da[i]), float(db[i])
+                s1 = sigmoid(np.array(one[:2]))
+                assert_same(head_backward(*one, s1), head_backward(*one))
+                assert_same(head_backward(*one), (head_backward(za, zb, w, da, db)[0][i],
+                                                  head_backward(za, zb, w, da, db)[1][i]))
 
 
 class TestRegressionLoss:

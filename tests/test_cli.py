@@ -1,5 +1,6 @@
 """CLI surface: subcommands, error codes, reproducibility of artifacts."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -992,3 +993,79 @@ def test_config_that_is_not_utf8_is_config_error(capsys, tmp_path):
     assert cli.main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     out, err = capsys.readouterr()
     assert err == "" and json.loads(out)["code"] == "config", out
+
+
+# What train writes on a small counting synth: the first 16 hex digits of the
+# sha256 of model.json and of train_log.jsonl, whole.  The configs name their
+# data by a path relative to the run directory, so the config hash the files
+# embed is fixed.  Recorded before the NB loss stacked its kernel calls: a
+# change to the loss or its kernels must keep every bit.
+TRAIN_SYNTH = {"task": "counting", "n": 120, "d": 4, "seed": 5}
+TRAIN_BASE = {"data": "data/data.jsonl", "hidden": [8], "epochs": 4, "batch_size": 16,
+              "learning_rate": 0.01, "alpha_max": 12.0, "beta_max": 4.0, "seed": 3}
+TRAIN_GOLDEN = {
+    "negbin-tanh": ({}, {"model.json": "5b6daad88c30867c",
+                    "train_log.jsonl": "c916737c0014fd31"}),
+    "negbin-relu": ({"activation": "relu"}, {"model.json": "03d138a423f09416",
+                    "train_log.jsonl": "1d71ddfe25c15baf"}),
+    "regression-tanh": ({"loss": "regression"}, {"model.json": "d4f52028ca7aa075",
+                        "train_log.jsonl": "b3f267d76b7e2f59"}),
+    "negbin-batch-1": ({"batch_size": 1}, {"model.json": "0103769b1056da98",
+                       "train_log.jsonl": "9243535559e76216"}),
+}
+
+
+def run_train(capsys, tmp_path, monkeypatch, extra):
+    """The stdout JSON line of ``train`` on the counting synth, run in ``tmp_path``."""
+    from setnet import cli
+    monkeypatch.chdir(tmp_path)
+    for command, cfg, out in (("synth", TRAIN_SYNTH, "data"),
+                              ("train", {**TRAIN_BASE, **extra}, "model")):
+        path = write_config(tmp_path, f"{command}.json", cfg)
+        assert cli.main([command, "--config", path, "--out", out]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+    return json.loads(line)
+
+
+@pytest.mark.parametrize("name", list(TRAIN_GOLDEN))
+def test_train_writes_the_pinned_bytes(capsys, tmp_path, monkeypatch, name):
+    extra, digests = TRAIN_GOLDEN[name]
+    files = run_train(capsys, tmp_path, monkeypatch, extra)["files"]
+    got = {}
+    for path in files.values():
+        with open(path, "rb") as fh:
+            got[path.rsplit("/", 1)[1]] = hashlib.sha256(fh.read()).hexdigest()[:16]
+    assert got == digests
+
+
+def test_train_reports_its_stage_times_on_stdout_only(capsys, tmp_path, monkeypatch):
+    payload = run_train(capsys, tmp_path, monkeypatch, {})
+    timings = payload["timings_ms"]
+    assert sorted(timings) == ["read", "train", "write"]
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+    samples = TRAIN_BASE["epochs"] * TRAIN_SYNTH["n"]
+    assert payload["samples_per_s"] == pytest.approx(samples / (timings["train"] / 1e3),
+                                                     rel=0.01, abs=1.0)
+    for path in payload["files"].values():
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert "timings" not in text and "samples_per_s" not in text
+
+
+# A jitter so large that a shift leaves the float range: the box check or
+# the range check reports it, as before, and numpy does not warn first.
+JITTER_OVERFLOW = {
+    1e307: "box must have positive extent: BoxDetection(x1=6.391677409754775e+307, "
+           "y1=-5.739635045446447e+307, x2=6.391677409754775e+307, "
+           "y2=-5.739635045446447e+307, score=0.7711842473414648)",
+    4.4e307: "box field x1 must be finite, got inf",
+    5e307: "high - low range exceeds valid bounds",
+}
+
+
+@pytest.mark.parametrize("jitter", list(JITTER_OVERFLOW))
+def test_synth_jitter_overflow_is_one_numeric_line(capsys, tmp_path, jitter):
+    code, lines, err = run_main(capsys, tmp_path, "synth",
+                                {"task": "boxes", "n": 5, "seed": 1, "jitter": jitter})
+    assert code == 1 and err == ""
+    assert lines == [json.dumps({"code": "numeric", "message": JITTER_OVERFLOW[jitter]})]

@@ -25,7 +25,7 @@ from setnet import (
     nb_pmf_truncated,
     regression_loss,
 )
-from setnet.numerics import _nb_log_pmf
+from setnet.numerics import _check_count, _nb_log_pmf
 
 # ln Gamma(0.5) = 0.5 * ln(pi), 50-digit reference rounded to double.
 LGAMMA_HALF = 0.5723649429247001
@@ -214,3 +214,18 @@ class TestCountValidator:
     def test_rejects_non_counts(self, caller, m):
         with pytest.raises(NumericError):
             COUNT_CALLERS[caller](m)
+
+    def test_count_columns(self):
+        # An int64 column is returned as it is, after one sign test.
+        column = np.array([0, 3, 2**62])
+        assert _check_count(column) is column
+        for good, want in [(np.array([1.0, 2.0]), [1, 2]),
+                           (np.array([4, 5], dtype=np.int32), [4, 5]),
+                           (np.array([7], dtype=np.uint64), [7])]:
+            got = _check_count(good)
+            assert got.dtype == np.int64 and got.tolist() == want
+        for bad in (np.array([1, -1]), np.array([2**63], dtype=np.uint64),
+                    np.array([1.5]), np.array([True])):
+            with pytest.raises(NumericError, match=r"^m must be a non-negative integer below "
+                                                   r"2\*\*63, got array\("):
+                _check_count(bad)
