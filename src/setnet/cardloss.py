@@ -23,10 +23,10 @@ per sample); ``card_nll`` and ``card_grad`` wrap the loss for one sample.
 
 A batch costs one kernel call per special function: the loss stacks
 (m+alpha, m+1, alpha) into one ``log_gamma`` call and (m+alpha, alpha)
-into one ``digamma`` call, each of which checks its input once.  The heads
-check alpha and beta together, once per batch, and take the forward pass's
-sigmoids into the backward pass.  Every kernel is elementwise, so each value
-is the one that a call per term gives.
+into one ``digamma`` call, each of which checks its input once.  The head
+checks alpha and beta once per batch, and its backward pass takes the
+forward pass's sigmoids.  Every kernel is elementwise, so each value is the
+one that a call per term gives.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def head_forward(z_alpha, z_beta, w: HeadWeights, s=None) -> tuple[np.ndarray, n
 
     alpha = floor + (alpha_max - floor) * sigmoid(z_alpha), same for beta.
     ``s``, when given, is ``sigmoid`` of (z_alpha, z_beta) stacked on a last
-    axis of 2, which the caller has already computed.  Both outputs are
-    checked at once; NumericError names the first alpha, else the first beta,
+    axis of 2, which the caller has already computed; z_alpha and z_beta are
+    then not read.  NumericError names the first alpha, else the first beta,
     that is not finite and > 0.
     """
     if s is None:
@@ -160,10 +160,7 @@ def head_forward(z_alpha, z_beta, w: HeadWeights, s=None) -> tuple[np.ndarray, n
     ab = w.floor + _scales(w) * s
     # Saturation towards the scale is representable; towards the floor the
     # sigmoid may underflow to exactly 0, which a positive floor absorbs.
-    if not ((ab > 0.0) & (ab < np.inf)).all():  # False for nan
-        _check_positive(ab[..., 0], "alpha")
-        _check_positive(ab[..., 1], "beta")
-    return ab[..., 0][()], ab[..., 1][()]
+    return _check_positive(ab[..., 0], "alpha"), _check_positive(ab[..., 1], "beta")
 
 
 def head_backward(

@@ -81,20 +81,16 @@ def _check_finite(values, name: str) -> list[float]:
 
 
 def _check_count(m, name: str = "m"):
-    """``m`` as an int, or as an int64 array when it is an ndarray of counts
-    (an int64 array itself, after one sign test).  Python and numpy integers
-    and integral floats below 2**63 pass; bools, negatives, fractions, lists
-    and non-numbers raise NumericError."""
+    """``m`` as an int, or as an int64 array (the array itself when it is
+    one) when it is an ndarray of counts.  Python and numpy integers and
+    integral floats below 2**63 pass; bools, negatives, fractions, lists and
+    non-numbers raise NumericError."""
     if type(m) is int and 0 <= m < 2**63:  # fast path: one record field
         return m
     if isinstance(m, (int, float, np.number, np.ndarray)):
         arr = np.asarray(m)
-        if arr.dtype == np.int64 and arr.ndim:  # fast path: a count column
-            ok = not (arr < 0).any()
-        else:
-            ok = arr.dtype.kind in "iuf" and np.all(
-                np.isfinite(arr) & (arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr)))
-        if ok:
+        if arr.dtype.kind in "iuf" and np.all(
+                np.isfinite(arr) & (arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))):
             return int(arr) if arr.ndim == 0 else arr.astype(np.int64, copy=False)
     raise NumericError(f"{name} must be a non-negative integer below 2**63, got {m!r}")
 

@@ -216,7 +216,7 @@ class TestCountValidator:
             COUNT_CALLERS[caller](m)
 
     def test_count_columns(self):
-        # An int64 column is returned as it is, after one sign test.
+        # An int64 column is returned as it is, without a copy.
         column = np.array([0, 3, 2**62])
         assert _check_count(column) is column
         for good, want in [(np.array([1.0, 2.0]), [1, 2]),
