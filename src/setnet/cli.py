@@ -6,9 +6,9 @@ artifact directory).  Runs print one machine-readable JSON line to stdout
 that echoes the resolved config, its hash and the seed; all artifacts
 embed the same triple.  Each config value is type-checked against the
 command's schema before the command runs; a wrongly typed or unknown key is
-a "config" error.  ``train`` also prints its stage wall times and training
-throughput, which stay out of the artifacts.  Failures print
-{"code", "message"} and exit 1, with code "config", "data" or "numeric".
+a "config" error.  ``train``, ``predict`` and ``eval-ml`` also print their
+stage wall times and throughput, which stay out of the artifacts.  Failures
+print {"code", "message"} and exit 1, with code "config", "data" or "numeric".
 The SETNET_LOG environment variable (error|info|debug) controls stderr
 verbosity.
 """
@@ -289,30 +289,39 @@ def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
     log_path = _outpath(out_dir, "train_log.jsonl")
     formats.write_jsonl(log_path, header, losses)
     marks.append(time.perf_counter())
-    read_s, train_s, write_s = np.diff(marks).tolist()
-    # Wall times go to stdout only: the artifacts stay byte-deterministic.
     return {
         "files": {"model": model_path, "train_log": log_path},
         "final_loss": losses[-1]["loss"],
         "n_samples": len(counts),
-        "timings_ms": {"read": round(1e3 * read_s, 3), "train": round(1e3 * train_s, 3),
-                       "write": round(1e3 * write_s, 3)},
-        "samples_per_s": round(tcfg.epochs * len(counts) / train_s, 1),
+        **_timings(marks, "train", "samples_per_s", tcfg.epochs * len(counts)),
     }
 
 
+def _timings(marks: list[float], stage: str, rate: str, items: int) -> dict:
+    """The ms of read, ``stage`` and write between ``perf_counter`` ``marks``, and ``items``
+    per second of ``stage``: for stdout only, as the artifacts are byte-deterministic."""
+    times = np.diff(marks).tolist()
+    return {"timings_ms": {k: round(1e3 * t, 3) for k, t in zip(("read", stage, "write"), times)},
+            rate: round(items / times[1], 1)}
+
+
 def cmd_predict(cfg: dict, header: dict, out_dir: str) -> dict:
+    marks = [time.perf_counter()]
     model = cardnet.load_model(cfg["model"])
     (X,) = formats.read_records(cfg["features"], "features", width=model.dims[0])
+    marks.append(time.perf_counter())
     alpha, beta, mode = cardnet.predict_batch(model, X)
     if model.kind == "negbin":
         rows = [{"alpha": a, "beta": b, "mode": m}
                 for a, b, m in zip(alpha.tolist(), beta.tolist(), mode.tolist())]
     else:
         rows = [{"mode": m} for m in mode.tolist()]
+    marks.append(time.perf_counter())
     path = _outpath(out_dir, "predictions.jsonl")
     formats.write_jsonl(path, header, rows)
-    return {"files": {"predictions": path}, "n": len(rows)}
+    marks.append(time.perf_counter())
+    return {"files": {"predictions": path}, "n": len(rows),
+            **_timings(marks, "predict", "rows_per_s", len(rows))}
 
 
 def _write_json(out_dir: str, name: str, doc: dict) -> str:
@@ -342,6 +351,7 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
     _check(cfg, "k_values", mode != "fixed-k" or cfg["k_values"] != [], "null or non-empty")
     if mode == "predicted-k" and not cfg["pred"]:
         raise ConfigError("predicted-k evaluation needs a 'pred' file")
+    marks = [time.perf_counter()]
     scores, truth = formats.read_records(cfg["records"], "scores", "truth")
     if not len(scores):
         raise DataError(f"no records in {cfg['records']}")
@@ -352,7 +362,9 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
         bad = [k for k in k_values if not 0 <= k <= n_classes]
         if bad:
             raise ConfigError(f"k_values must lie in [0, C={n_classes}], got {bad[0]!r}")
+        marks.append(time.perf_counter())
         sweep = mlmetrics.topk_sweep((scores, truth), k_values)
+        marks.append(time.perf_counter())
         curve_path = _outpath(out_dir, "curve.csv")
         _write_curve_csv(
             curve_path, header,
@@ -372,11 +384,14 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
         (m_stars,) = formats.read_records(cfg["pred"], "mode")
         if len(m_stars) != len(scores):
             raise DataError(f"{len(m_stars)} predictions for {len(scores)} records")
+        marks.append(time.perf_counter())
         summary = mlmetrics.predicted_k_eval((scores, truth), m_stars)
+        marks.append(time.perf_counter())
         result = {"mode": mode, "metrics": summary.as_dict()}
         files = {}
     files["metrics"] = _write_json(out_dir, "metrics.json", {**header, **result})
-    return {"files": files, **result}
+    marks.append(time.perf_counter())
+    return {"files": files, **result, **_timings(marks, "eval", "records_per_s", len(scores))}
 
 
 def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:

@@ -42,6 +42,7 @@ SCHEMA_VERSION = 1
 
 # One encoder for every line: json.dumps would build one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_SCAN = json.JSONDecoder().scan_once  # the C scanner: (value at index 0, its end)
 
 
 def canonical_json(obj) -> str:
@@ -82,11 +83,16 @@ def read_jsonl(path: str, check: Callable | None = None) -> tuple[dict | None, l
                 if not line:
                     continue
                 try:
-                    doc = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as e:
-                    if check is not None:
-                        check(rows)
-                    raise DataError(f"{path}:{ln + 1}: invalid JSON: {e}") from e
+                    doc, end = _SCAN(line, 0)
+                    if end != len(line):
+                        raise ValueError(end)
+                except (StopIteration, ValueError, RecursionError):
+                    try:  # json.loads is _SCAN plus a test for trailing text
+                        doc = json.loads(line)  # so it only words the fault
+                    except (json.JSONDecodeError, RecursionError) as e:
+                        if check is not None:
+                            check(rows)
+                        raise DataError(f"{path}:{ln + 1}: invalid JSON: {e}") from e
                 if ln == 0 and isinstance(doc, dict) and "schema_version" in doc:
                     header = doc
                 else:

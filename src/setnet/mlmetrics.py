@@ -116,11 +116,6 @@ def _summary(tp_c: np.ndarray, pred_c: np.ndarray, gt_c: np.ndarray) -> MetricSu
     return MetricSummary(c_p, c_r, f1_score(c_p, c_r), o_p, o_r, f1_score(o_p, o_r))
 
 
-def _counts(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-class (tp, predicted, ground-truth) counts of two (n, C) masks."""
-    return tuple(m.sum(0, dtype=float) for m in (pred & truth, pred, truth))
-
-
 def _mask(labels, rows, shape: tuple[int, int]) -> np.ndarray:
     """(n, C) membership matrix: each of ``labels``, below C, in its row of ``rows``."""
     mask = np.zeros(shape, dtype=bool)
@@ -134,11 +129,12 @@ def _ranks(scores: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(-scores, axis=1, kind="stable"), axis=1)
 
 
-def _top(ranks: np.ndarray, k) -> np.ndarray:
-    """Mask of each row's k best-ranked classes; k: one count or a column of them."""
-    if np.any(_check_count(k, "k") > ranks.shape[1]):
-        raise NumericError(f"k must lie in [0, {ranks.shape[1]}], got {k!r}")
-    return ranks < k
+def _check_k(k, n_classes: int):
+    """``k``, a count or a column of them, as ``_check_count`` returns it, each in [0, C]."""
+    checked = _check_count(k, "k")
+    if np.any(checked > n_classes):
+        raise NumericError(f"k must lie in [0, {n_classes}], got {k!r}")
+    return checked
 
 
 def _stack(records: Sequence[EvalRecord] | tuple[np.ndarray, np.ndarray]
@@ -162,16 +158,22 @@ def _stack(records: Sequence[EvalRecord] | tuple[np.ndarray, np.ndarray]
 
 def top_k_labels(scores: Sequence[float], k: int) -> LabelSet:
     """The k highest-scored categories; ties resolve to the lower index."""
-    top = _top(_ranks(np.asarray(scores, dtype=float)[None]), k)[0]
-    return LabelSet(labels=tuple(np.flatnonzero(top).tolist()))
+    ranks = _ranks(np.asarray(scores, dtype=float)[None])[0]
+    return LabelSet(labels=tuple(np.flatnonzero(ranks < _check_k(k, len(ranks))).tolist()))
 
 
 def topk_sweep(
     data: Sequence[EvalRecord] | tuple[np.ndarray, np.ndarray], k_values: Sequence[int]
 ) -> list[tuple[int, MetricSummary]]:
-    """Fixed-k evaluation for each requested k, from one ranking."""
+    """Fixed-k evaluation for each requested k, from one ranking: row k of the cumulative
+    [rank, class] histograms of all cells and of truth cells counts predictions and hits."""
     ranks, truth = _stack(data)
-    return [(int(k), _summary(*_counts(_top(ranks, k), truth))) for k in k_values]
+    C = ranks.shape[1]
+    ks = [_check_k(k, C) for k in k_values]
+    cell = (ranks + 1) * C + np.arange(C)  # rank r, class c: row r + 1 of (C + 1, C)
+    pred, tp = (np.bincount(c, minlength=(C + 1) * C).reshape(C + 1, C).cumsum(0)
+                for c in (cell.ravel(), cell[truth]))
+    return [(k, _summary(tp[k], pred[k], tp[C])) for k in ks]
 
 
 def predicted_k_eval(
@@ -184,7 +186,8 @@ def predicted_k_eval(
             f"got {len(m_stars)} cardinalities for {len(ranks)} records"
         )
     m = np.minimum(np.asarray(m_stars), ranks.shape[1])
-    return _summary(*_counts(_top(ranks, m[:, None]), truth))
+    pred = ranks < _check_k(m[:, None], ranks.shape[1])
+    return _summary(*(x.sum(0, dtype=float) for x in (pred & truth, pred, truth)))
 
 
 def mce(predicted: Sequence[int], truth: Sequence[int]) -> tuple[float, float]:

@@ -89,7 +89,8 @@ def _check_count(m, name: str = "m"):
         return m
     if isinstance(m, (int, float, np.number, np.ndarray)):
         arr = np.asarray(m)
-        if arr.dtype.kind in "iuf" and np.all(
+        kind = arr.dtype.kind  # as a float, 2**63 - 1 is 2**63: integers compare as integers
+        if kind in "iu" and np.all((arr >= 0) & (arr <= 2**63 - 1)) or kind == "f" and np.all(
                 np.isfinite(arr) & (arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))):
             return int(arr) if arr.ndim == 0 else arr.astype(np.int64, copy=False)
     raise NumericError(f"{name} must be a non-negative integer below 2**63, got {m!r}")

@@ -1069,3 +1069,63 @@ def test_synth_jitter_overflow_is_one_numeric_line(capsys, tmp_path, jitter):
                                 {"task": "boxes", "n": 5, "seed": 1, "jitter": jitter})
     assert code == 1 and err == ""
     assert lines == [json.dumps({"code": "numeric", "message": JITTER_OVERFLOW[jitter]})]
+
+
+# What predict and eval-ml write on a small multilabel synth, as the first 16
+# hex digits of each file's sha256.  Each run reads what the runs before it
+# wrote, by paths relative to the run directory, so the config hash every
+# file embeds is fixed.  Recorded before the JSONL reader and the top-k
+# sweep were rewritten for speed: those rewrites must keep every byte.
+ML_SYNTH = {"task": "multilabel", "n": 150, "d": 4, "C": 8, "seed": 9}
+ML_RUNS = [
+    ("train", {"data": "data/features.jsonl", "hidden": [8], "epochs": 3, "seed": 3},
+     "model"),
+    ("predict", {"model": "model/model.json", "features": "data/features.jsonl"}, "pred"),
+    ("eval-ml", {"records": "data/records.jsonl"}, "fixed"),
+    ("eval-ml", {"records": "data/records.jsonl", "k_values": [3, 0, 3, 8]}, "listed"),
+    ("eval-ml", {"records": "data/records.jsonl", "mode": "predicted-k",
+                 "pred": "pred/predictions.jsonl"}, "predicted"),
+]
+ML_GOLDEN = {
+    "pred/predictions.jsonl": "96318ed3381cad8c",
+    "fixed/curve.csv": "f41433b705325414",
+    "fixed/metrics.json": "0c02de8de9f7cbf1",
+    "listed/curve.csv": "4142edb6732096e5",
+    "listed/metrics.json": "a52e2a980f9c5c7f",
+    "predicted/metrics.json": "5dd8847f1644581d",
+}
+
+
+def run_ml_chain(capsys, tmp_path, monkeypatch):
+    """The stdout JSON line of each run of ``ML_RUNS`` after the multilabel synth."""
+    from setnet import cli
+    monkeypatch.chdir(tmp_path)
+    lines = []
+    for i, (command, cfg, out) in enumerate([("synth", ML_SYNTH, "data"), *ML_RUNS]):
+        path = write_config(tmp_path, f"{i}.json", cfg)
+        assert cli.main([command, "--config", path, "--out", out]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        lines.append(json.loads(line))
+    return lines
+
+
+def test_predict_and_eval_ml_write_the_pinned_bytes(capsys, tmp_path, monkeypatch):
+    run_ml_chain(capsys, tmp_path, monkeypatch)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+           for name in ML_GOLDEN}
+    assert got == ML_GOLDEN
+
+
+def test_predict_and_eval_ml_report_their_stage_times_on_stdout_only(capsys, tmp_path,
+                                                                     monkeypatch):
+    payloads = run_ml_chain(capsys, tmp_path, monkeypatch)[2:]
+    for payload, stage, rate in [(payloads[0], "predict", "rows_per_s"),
+                                 *((p, "eval", "records_per_s") for p in payloads[1:])]:
+        timings = payload["timings_ms"]
+        assert sorted(timings) == sorted(["read", stage, "write"])
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        assert payload[rate] == pytest.approx(ML_SYNTH["n"] / (timings[stage] / 1e3),
+                                              rel=0.01, abs=1.0)
+        for path in payload["files"].values():
+            text = (tmp_path / path).read_text(encoding="utf-8")
+            assert "timings" not in text and rate not in text

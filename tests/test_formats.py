@@ -288,3 +288,90 @@ def test_crowd_scene_bytes_survive_read_and_write(tmp_path):
                     read_boxes(str(tmp_path / "scene" / name), with_score).items(),
                     with_score)
         assert again.read_bytes() == written
+
+
+# The JSONL reader is checked against the reader it replaced, which called
+# json.loads on each line: the same header and rows, the same error text,
+# and the same rows handed to ``check`` first.
+def ref_read_jsonl(path, check=None):
+    rows = []
+    header = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for ln, line in enumerate(fh):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    doc = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as e:
+                    if check is not None:
+                        check(rows)
+                    raise DataError(f"{path}:{ln + 1}: invalid JSON: {e}") from e
+                if ln == 0 and isinstance(doc, dict) and "schema_version" in doc:
+                    header = doc
+                else:
+                    rows.append(doc)
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read {path}: {e}") from e
+    return header, rows
+
+
+def jsonl_outcome(read, path):
+    """repr of what ``read`` returns or raises, and of each list ``check`` saw:
+    repr, as a nan is not equal to itself."""
+    seen = []
+    try:
+        got = read(path, lambda rows: seen.append(repr(rows)))
+    except Exception as e:  # a DataError, or the ValueError of an over-long integer
+        got = (type(e), str(e))
+    return repr(got), seen
+
+
+CHARS = st.characters(exclude_categories=("Cs",))  # any text UTF-8 can encode
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(CHARS, max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(CHARS, max_size=3), inner, max_size=3)),
+    max_leaves=6)
+# JSON's own characters, the whitespace str.strip removes and JSON does not,
+# a byte order mark and the line separators.
+JSONISH = st.text(st.sampled_from('{}[]",:019.eE+-nultrfasNIiy \t\x0b\x1c\xa0\u2028\ufeff\r'),
+                  max_size=10)
+
+
+@st.composite
+def jsonl_line(draw):
+    kind = draw(st.sampled_from(["value", "value", "two", "cut", "junk", "header"]))
+    if kind == "header":
+        return json.dumps({"schema_version": 1, "seed": draw(st.integers(0, 3))})
+    text = json.dumps(draw(JSON_VALUES), ensure_ascii=draw(st.booleans()))
+    if kind == "two":  # two values on one line, as "1 2" or "{}{}"
+        text += draw(st.sampled_from(["", " ", ","])) + json.dumps(draw(JSON_VALUES))
+    elif kind == "cut":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif kind == "junk":
+        text = draw(JSONISH)
+    pad = st.sampled_from(["", " ", "\t", "\xa0", "\x1c", "\ufeff"])
+    return draw(pad) + text + draw(pad)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(jsonl_line(), max_size=6), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.booleans())
+# A merge and a split that cancel out: three lines that, joined with commas,
+# decode to three values, though line 1 is not JSON.
+@example(['{"a":"}', '{","b":1}', '{"c":1},{"d":2}'], "\n", True)
+@example(["null", "NaN", "-Infinity"], "\n", False)
+@example(['{"schema_version": 1}', "1 2"], "\n", True)
+@example(["{} x"], "\n", True)
+@example(["\ufeff{}"], "\n", True)
+@example(["[]", "[" * 100_000], "\n", True)  # too deep: a RecursionError
+@example(['{"a": "x\u2028y"}', "[1]"], "\n", True)  # not a line break in a file
+@example(['{"schema_version": 1}', "[1]", "2"], "\r", False)
+@example(["[1]", "\xa0", "[2]"], "\n", True)  # a line that strips to nothing
+@example(["1" * 5000], "\n", True)  # past int's digit limit: a ValueError
+def test_jsonl_reader_agrees_with_json_loads_per_line(tmp_path_factory, lines, sep, last):
+    path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
+    path.write_bytes((sep.join(lines) + (sep if last else "")).encode("utf-8"))
+    assert jsonl_outcome(read_jsonl, str(path)) == jsonl_outcome(ref_read_jsonl, str(path))

@@ -285,6 +285,10 @@ def ref_aggregate(preds, truths, n_classes):
                 tp_c[c] += 1
         for c in truth.labels:
             gt_c[c] += 1
+    return ref_summary(tp_c, pred_c, gt_c)
+
+
+def ref_summary(tp_c, pred_c, gt_c):
     prec_per_class = np.where(pred_c > 0, tp_c / np.maximum(pred_c, 1), 1.0)
     rec_per_class = np.where(gt_c > 0, tp_c / np.maximum(gt_c, 1), 1.0)
     c_p = float(prec_per_class.mean())
@@ -399,3 +403,54 @@ class TestOneRankPath:
         with pytest.raises(NumericError,
                            match="record 3 has 2 scores; record 0 has 4"):
             predicted_k_eval(records, [1, 1, 1, 1])
+
+
+# The per-k path that the rank histograms replaced, kept as the reference
+# for the (scores, truth mask) tables that eval-ml reads: each k's mask of
+# the k best-ranked classes of each row, its counts summed as floats.
+def ref_mask_sums(scores, truth, k):
+    order = np.argsort(-scores, axis=1, kind="stable")
+    pred = np.zeros_like(truth)
+    np.put_along_axis(pred, order[:, :k], True, axis=1)
+    return ref_summary(*(m.sum(0, dtype=float) for m in (pred & truth, pred, truth)))
+
+
+@st.composite
+def tables(draw):
+    """(scores, truth mask, k_values): k repeated and unsorted, 0 and C among them."""
+    n_classes = draw(st.integers(1, 6), label="C")
+    n = draw(st.integers(1, 8), label="n")
+    scores = np.array(draw(st.lists(SCORES, min_size=n * n_classes, max_size=n * n_classes)))
+    truth = np.array(draw(st.lists(st.booleans(), min_size=n * n_classes,
+                                   max_size=n * n_classes)))
+    k_values = draw(st.permutations(
+        [0, n_classes] + draw(st.lists(st.integers(0, n_classes), max_size=6))), label="k")
+    return scores.reshape(n, n_classes), truth.reshape(n, n_classes), k_values
+
+
+class TestTablePath:
+    """``topk_sweep`` on the (scores, truth mask) pair returns, for each k in
+    the order given, what each k's own mask sums gave."""
+
+    @PROPERTY
+    @given(tables())
+    @example((np.array([[0.5, -0.0, 0.0, 0.5]]), np.array([[True, True, False, False]]),
+              [4, 2, 0, 2, 4, 1]))
+    def test_topk_sweep(self, case):
+        scores, truth, k_values = case
+        got = topk_sweep((scores, truth), k_values)
+        assert got == [(k, ref_mask_sums(scores, truth, k)) for k in k_values]
+        assert all(type(k) is int for k, _ in got)
+
+    @pytest.mark.parametrize("bad, says", [
+        (True, "k must be a non-negative integer below 2**63, got True"),
+        (-1, "k must be a non-negative integer below 2**63, got -1"),
+        (1.5, "k must be a non-negative integer below 2**63, got 1.5"),
+        (4, "k must lie in [0, 3], got 4"),
+    ])
+    def test_bad_k_is_rejected_with_its_message(self, bad, says):
+        scores, truth = np.array([[0.5, 0.25, 1.0]] * 2), np.ones((2, 3), dtype=bool)
+        for k_values in ([bad], [0, 3, bad, 1]):
+            with pytest.raises(NumericError) as err:
+                topk_sweep((scores, truth), k_values)
+            assert str(err.value) == says

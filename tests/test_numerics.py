@@ -229,3 +229,22 @@ class TestCountValidator:
             with pytest.raises(NumericError, match=r"^m must be a non-negative integer below "
                                                    r"2\*\*63, got array\("):
                 _check_count(bad)
+
+    # 2**63 - 1 is the largest count.  As a float it rounds up to 2**63, so
+    # integer inputs are compared as integers, whatever their numpy type.
+    @pytest.mark.parametrize("top", [2**63 - 1, np.int64(2**63 - 1), np.uint64(2**63 - 1),
+                                     np.array(2**63 - 1, dtype=np.uint64)], ids=repr)
+    def test_largest_count_passes(self, top):
+        assert _check_count(top) == 2**63 - 1 and type(_check_count(top)) is int
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_largest_count_column_passes(self, dtype):
+        got = _check_count(np.array([0, 2**63 - 1], dtype=dtype))
+        assert got.dtype == np.int64 and got.tolist() == [0, 2**63 - 1]
+
+    @pytest.mark.parametrize("over", [2**63, np.uint64(2**63), np.array([2**63], dtype=np.uint64),
+                                      np.uint64(2**64 - 1), 2.0**63], ids=repr)
+    def test_first_count_past_the_largest_fails(self, over):
+        with pytest.raises(NumericError) as err:
+            _check_count(over)
+        assert str(err.value) == f"m must be a non-negative integer below 2**63, got {over!r}"
