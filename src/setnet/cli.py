@@ -6,9 +6,10 @@ artifact directory).  Runs print one machine-readable JSON line to stdout
 that echoes the resolved config, its hash and the seed; all artifacts
 embed the same triple.  Each config value is type-checked against the
 command's schema before the command runs; a wrongly typed or unknown key is
-a "config" error.  ``train``, ``predict`` and ``eval-ml`` also print their
-stage wall times and throughput, which stay out of the artifacts.  Failures
-print {"code", "message"} and exit 1, with code "config", "data" or "numeric".
+a "config" error.  ``train``, ``predict``, ``eval-ml``, ``eval-det`` and
+``nms`` also print their stage wall times and throughput, which stay out of
+the artifacts.  Failures print {"code", "message"} and exit 1, with code
+"config", "data" or "numeric".
 The SETNET_LOG environment variable (error|info|debug) controls stderr
 verbosity.
 """
@@ -397,6 +398,7 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
 def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
     _check(cfg, "iou_thresh", 0.0 < cfg["iou_thresh"] < 1.0, "in (0, 1)")
     _check(cfg, "n_images", cfg["n_images"] is None or cfg["n_images"] >= 1, "null or >= 1")
+    marks = [time.perf_counter()]
     dets = formats.read_boxes(cfg["dets"], with_score=True)
     gts = formats.read_boxes(cfg["gts"], with_score=False)
     image_ids = sorted(set(dets) | set(gts))
@@ -404,6 +406,7 @@ def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
         raise DataError("no images found in detection/ground-truth files")
     _check(cfg, "n_images", cfg["n_images"] is None or cfg["n_images"] >= len(image_ids),
            f"null or at least the {len(image_ids)} images in the dets and gts files")
+    marks.append(time.perf_counter())
     empty = np.zeros((0, 5))
     matches = [
         detect.match_tables(dets.get(i, empty), gts.get(i, empty), cfg["iou_thresh"])
@@ -414,12 +417,15 @@ def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
     best_f1 = detect.best_f1_over_thresholds(matches)
     mr = detect.log_avg_miss_rate(matches, n_images)
     miss, fppi = detect.miss_rate_curve(matches, n_images)
+    marks.append(time.perf_counter())
     curve_path = _outpath(out_dir, "curve.csv")
     _write_curve_csv(curve_path, header, ["fppi", "miss_rate"],
                      [[float(f), float(m)] for f, m in zip(fppi, miss)])
     result = {"f1": f1, "best_f1": best_f1, "mr": mr, "n_images": n_images}
     metrics_path = _write_json(out_dir, "metrics.json", {**header, **result})
-    return {"files": {"curve": curve_path, "metrics": metrics_path}, **result}
+    marks.append(time.perf_counter())
+    return {"files": {"curve": curve_path, "metrics": metrics_path}, **result,
+            **_timings(marks, "eval", "images_per_s", len(image_ids))}
 
 
 def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
@@ -453,17 +459,30 @@ def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
 
 def cmd_nms(cfg: dict, header: dict, out_dir: str) -> dict:
     nms_cfg = _build(detect.NMSConfig, cfg)
+    marks = [time.perf_counter()]
     proposals = formats.read_boxes(cfg["proposals"], with_score=True)
-    image_ids = sorted(proposals)
-    mstar = _mstar_lookup(cfg, image_ids)
-    kept = {i: proposals[i][detect.adaptive_nms_rows(proposals[i], mstar[i], nms_cfg)]
-            for i in image_ids}
+    mstar = _mstar_lookup(cfg, sorted(proposals))
+    # An m* file may name images without proposals: they keep no boxes.
+    image_ids = sorted(set(proposals) | set(mstar))
+    marks.append(time.perf_counter())
+    empty = np.zeros((0, 5))
+    kept, steps = {}, {}
+    for i in image_ids:
+        table = proposals.get(i, empty)
+        rows, k = detect.adaptive_nms_rows(table, mstar[i], nms_cfg)
+        kept[i] = table[rows]
+        steps[k] = steps.get(k, 0) + 1
+    marks.append(time.perf_counter())
     path = _outpath(out_dir, "kept.txt")
     formats.write_boxes(path, header, kept.items(), with_score=True)
-    # n_short: the images where no threshold of the sweep kept m* boxes.
+    marks.append(time.perf_counter())
+    # n_short: the images where no threshold of the sweep kept m* boxes;
+    # sweep_steps: how many images stopped at each threshold index k.
     return {"files": {"kept": path}, "n_images": len(image_ids),
             "n_kept": sum(map(len, kept.values())),
-            "n_short": sum(len(kept[i]) < mstar[i] for i in image_ids)}
+            "n_short": sum(len(kept[i]) < mstar[i] for i in image_ids),
+            "sweep_steps": steps,
+            **_timings(marks, "nms", "images_per_s", len(image_ids))}
 
 
 def _normalised(values: list[float], key: str) -> np.ndarray:

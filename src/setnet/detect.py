@@ -4,12 +4,27 @@ The adaptive NMS sweeps the overlap threshold upward from its starting
 value until the greedy pass keeps at least the requested number of boxes.
 Note that the kept count of greedy NMS is *not* monotone in the threshold
 (a suppressed box can shadow others), so the sweep stops at the first
-qualifying threshold instead of bisecting.  An image's overlaps are
-computed once, in numpy: a box's row (the lower-scored boxes it overlaps
-by more than the sweep's first threshold) is built the first time the box
-is kept and reused by every later threshold of the sweep.  The sweep and
-matching take every IoU from one routine, ``_overlaps``, so a threshold
-comparison sees the same float value whichever caller asks.
+qualifying threshold instead of bisecting.  Each image costs a few numpy
+calls over the overlaps it needs:
+
+* A box's row lists, as pairs (j, K), the lower-scored boxes j whose IoU
+  with it exceeds the sweep's first threshold; K counts the thresholds
+  below that IoU, so the pair suppresses at the k-th threshold exactly
+  when k < K.  Rows are built in blocks: the row of a kept box that lacks
+  one, with those of the next boxes not yet suppressed, no more than the
+  pass can still keep and at most ``_BLOCK`` IoU values, each compared
+  only with the boxes that overlap it in x.  A row serves every later
+  threshold.
+* A pass at t0 that misses m* is complete.  Later thresholds keep the same
+  boxes until one of its kept boxes' suppressions lapses, at the smallest
+  K in their rows, so the sweep goes on from there (or, if there is none,
+  returns t0's boxes, which are what t_max keeps).
+* From there the passes of up to ``_WIDTH`` thresholds run in one walk,
+  each box carrying the thresholds where it is suppressed as the bits of
+  one int; the first threshold that keeps m* boxes gives the result.
+
+The sweep and matching take every IoU from one routine, ``_overlaps``, so
+a threshold comparison sees the same float value whichever caller asks.
 If no threshold keeps m* boxes, fewer are returned; the ``nms`` command
 counts those images as ``n_short``.
 
@@ -25,6 +40,7 @@ points in [1e-2, 1] and averaged in log space with a 1e-10 floor.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +66,8 @@ __all__ = [
 
 MISS_RATE_FLOOR = 1e-10
 FPPI_REFERENCES = tuple(10.0 ** e for e in np.linspace(-2.0, 0.0, 9))
+_BLOCK = 1 << 16  # IoU values per block of overlap rows: bounds its temporaries
+_WIDTH = 63  # thresholds one walk carries: the bits of a mask that an int64 holds
 
 
 @dataclass(frozen=True)
@@ -137,7 +155,10 @@ def box_table(boxes: list[BoxDetection]) -> np.ndarray:
 
 def _geometry(t: np.ndarray) -> np.ndarray:
     """Rows x1, y1, x2, y2, area (as BoxDetection computes it) of a box table."""
-    return np.vstack([t[:, :4].T, (t[:, 2] - t[:, 0]) * (t[:, 3] - t[:, 1])])
+    g = np.empty((5, len(t)))
+    g[:4] = t[:, :4].T
+    np.multiply(g[2] - g[0], g[3] - g[1], out=g[4])
+    return g
 
 
 def _by_score(table: np.ndarray) -> np.ndarray:
@@ -159,51 +180,112 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Sweep:
-    """Greedy NMS over one image's box table at any threshold >= ``floor``.
+    """Greedy NMS over one image's box table at the thresholds ``ts[k]``.
 
-    Row i lists the (j, IoU) pairs of the boxes j after box i in score
-    order whose IoU with it exceeds ``floor``; a smaller IoU cannot
-    suppress at any threshold >= floor.  A row is computed the first time
-    its box is kept and cached, so memory stays at the rows actually
-    needed instead of a dense n x n matrix.
+    ``ts`` is non-decreasing.  Row i lists the pairs (j, K) of the boxes j
+    after box i in score order whose IoU v with it exceeds ``ts[0]``, where
+    K = ``searchsorted(ts, v, "left")``: the pair suppresses at ``ts[k]``
+    (v > ts[k]) exactly when k < K.
+
+    A walk runs the passes of up to ``_WIDTH`` consecutive thresholds at
+    once.  Each box carries one int mask: bit b set where it is suppressed
+    at the walk's b-th threshold.  A kept box's pair (j, K) sets, in j's
+    mask, the bits of the thresholds where the box is kept and the pair
+    suppresses.
+
+    Rows are built when a walk keeps a box whose row is missing, in one
+    block with the rows of the next boxes that are neither suppressed at
+    every threshold of the walk nor built, at most ``_BLOCK`` IoU values.
+    A walk of one threshold with a limit builds no more rows than the boxes
+    it can still keep.  Only boxes that overlap in x are compared: in the
+    boxes sorted by x1, row i's candidates lie from the first whose running
+    maximum of x2 exceeds x1_i to the last whose x1 is below x2_i (any other
+    pair has ix = 0, so IoU 0 <= ts[0]).  Each IoU comes from ``_overlaps``
+    on that pair alone, so every value keeps its bits.
     """
 
-    def __init__(self, table: np.ndarray, floor: float) -> None:
+    def __init__(self, table: np.ndarray, ts: np.ndarray) -> None:
+        self.ts = ts
         self.order = _by_score(table)
-        self._geometry = _geometry(table[self.order])
-        self._floor = floor
-        self._rows: list[list[tuple[int, float]] | None] = [None] * len(table)
+        g = self._geometry = _geometry(table[self.order])
+        self._by_x = g[0].argsort(kind="stable")
+        # Row i's candidates: the positions lo[i] .. lo[i] + size[i] - 1 in x order.
+        self._lo = np.maximum.accumulate(g[2][self._by_x]).searchsorted(g[0], "right")
+        self._size = g[0][self._by_x].searchsorted(g[2], "left") - self._lo
+        self._unbuilt = np.ones(len(table), dtype=bool)
+        self._rows: list[tuple[list[int], list[int]] | None] = [None] * len(table)
 
-    def _row(self, i: int) -> list[tuple[int, float]]:
-        row = _overlaps(self._geometry[:, i], self._geometry[:, i + 1:])
-        js = np.flatnonzero(row > self._floor)
-        return list(zip((js + (i + 1)).tolist(), row[js].tolist()))
+    def _build(self, i: int, free: np.ndarray, rows: int) -> None:
+        """Build the rows of the first ``rows`` boxes from box i on that are
+        ``free`` (a mask over them, true at box i) and not built, within
+        ``_BLOCK`` values."""
+        block = np.flatnonzero(free & self._unbuilt[i:])[:rows] + i
+        size = self._size[block]
+        end = size.cumsum()
+        cut = int(end.searchsorted(_BLOCK, "right")) or 1
+        if cut < len(block):
+            block, size, end = block[:cut], size[:cut], end[:cut]
+        own = block.repeat(size)
+        j = self._by_x[(self._lo[block] - end + size).repeat(size) + np.arange(end[-1])]
+        later = np.flatnonzero(j > own)
+        own, j = own[later], j[later]
+        g = self._geometry
+        v = _overlaps(g.take(own, axis=1), g.take(j, axis=1))
+        hit = np.flatnonzero(v > self.ts[0])
+        own, j, k = own[hit], j[hit], self.ts.searchsorted(v[hit], "left")
+        ends = own.searchsorted(block, "right").tolist()
+        js, ks = j.tolist(), k.tolist()
+        start = 0
+        for r, stop in zip(block.tolist(), ends):
+            self._rows[r] = (js[start:stop], ks[start:stop])
+            start = stop
+        self._unbuilt[block] = False
 
-    def greedy(self, t: float, limit: int | None = None) -> np.ndarray:
-        """Table rows kept, in score order: keep box i unless an earlier kept
-        box has IoU > t with it; stop once ``limit`` boxes are kept."""
-        suppressed = [False] * len(self.order)
-        kept: list[int] = []
-        for i in range(len(self.order)):
-            if suppressed[i]:
+    def greedy(self, k: int, width: int, limit: int | None = None) -> np.ndarray:
+        """The greedy passes at ts[k], ..., ts[k + width - 1] in one walk: a
+        pass keeps box i unless a box it kept earlier has IoU > its threshold
+        with box i.  Bit b of box i's mask is set when the pass at ts[k + b]
+        keeps it.  The walk stops once the pass at ts[k] keeps ``limit`` boxes."""
+        n, n_ts = len(self.order), len(self.ts)
+        full = (1 << width) - 1
+        # below[K]: the bits b < K - k, at whose thresholds a pair with that K suppresses.
+        below = ([0] * (k + 1) + [(1 << b) - 1 for b in range(1, width)]
+                 + [full] * (n_ts + 1 - k - width))
+        suppressed = array("q", bytes(8 * n))
+        masks = array("q", bytes(8 * n))
+        rows = self._rows
+        kept = 0  # boxes the pass at ts[k] keeps
+        for i in range(n):
+            mask = full ^ suppressed[i]
+            if not mask:
                 continue
-            kept.append(i)
-            if len(kept) == limit:
-                break
-            row = self._rows[i]
-            if row is None:
-                row = self._rows[i] = self._row(i)
-            for j, v in row:
-                if v > t:
-                    suppressed[j] = True
-        return self.order[kept]
+            masks[i] = mask
+            if mask & 1:
+                kept += 1
+                if kept == limit:
+                    break
+            if rows[i] is None:
+                free = np.frombuffer(suppressed, dtype=np.int64)[i:] != full
+                self._build(i, free, n if width > 1 or limit is None else limit - kept)
+            for j, big_k in zip(*rows[i]):
+                suppressed[j] |= mask & below[big_k]
+        return np.frombuffer(masks, dtype=np.int64)
+
+    def lapse(self, kept: np.ndarray) -> int:
+        """The smallest K in the rows of the ``kept`` boxes (``len(ts)`` if
+        none): the first threshold at which one of their suppressions lapses.
+        If they are the boxes a complete pass keeps at ts[k] < ts[K], every
+        threshold from ts[k] to below ts[K] keeps them too."""
+        return min((min(self._rows[i][1], default=len(self.ts)) for i in kept.tolist()),
+                   default=len(self.ts))
 
 
 def greedy_nms(boxes: list[BoxDetection], t: float) -> list[BoxDetection]:
     """Score-descending sweep keeping boxes whose IoU with every kept box is <= t."""
     if not 0.0 <= t < 1.0:
         raise NumericError(f"threshold must lie in [0,1), got {t!r}")
-    return [boxes[i] for i in _Sweep(box_table(boxes), t).greedy(t)]
+    sweep = _Sweep(box_table(boxes), np.array([t]))
+    return [boxes[i] for i in sweep.order[np.flatnonzero(sweep.greedy(0, 1))]]
 
 
 def adaptive_nms(
@@ -222,24 +304,34 @@ def adaptive_nms(
     returned, fewer than m_star, and ``len(result) < m_star`` is how a
     caller tells (the ``nms`` command counts these images as ``n_short``).
     """
-    return [boxes[i] for i in adaptive_nms_rows(box_table(boxes), m_star, cfg)]
+    return [boxes[i] for i in adaptive_nms_rows(box_table(boxes), m_star, cfg)[0]]
 
 
 def adaptive_nms_rows(table: np.ndarray, m_star: int | None,
-                      cfg: NMSConfig = NMSConfig()) -> np.ndarray:
-    """``adaptive_nms`` on a box table: the kept rows' indices, in score order."""
+                      cfg: NMSConfig = NMSConfig()) -> tuple[np.ndarray, int]:
+    """``adaptive_nms`` on a box table: the kept rows' indices, in score order,
+    and the index k of the threshold t0 + k*step whose pass they are (the
+    first to keep m_star boxes, else the last)."""
     if m_star is not None and m_star < 0:
         raise NumericError(f"m_star must be >= 0, got {m_star!r}")
     if m_star == 0:
-        return np.zeros(0, dtype=np.intp)
-    sweep = _Sweep(table, cfg.t0)
+        return np.zeros(0, dtype=np.intp), 0
     n_steps = int(math.floor((cfg.t_max - cfg.t0) / cfg.step + 1e-9))
-    for k in range(n_steps + 1):
-        t = min(cfg.t0 + k * cfg.step, cfg.t_max)
-        kept = sweep.greedy(t, m_star)
-        if m_star is None or len(kept) >= m_star:
-            break
-    return kept
+    ts = np.minimum(cfg.t0 + np.arange(n_steps + 1) * cfg.step, cfg.t_max)
+    sweep = _Sweep(table, ts)
+    k, width = 0, 1
+    while True:
+        kept = sweep.greedy(k, width, m_star)[:, None] >> np.arange(width) & 1 != 0
+        met = [0] if m_star is None else np.flatnonzero(kept.sum(axis=0) >= m_star)
+        if len(met):
+            return sweep.order[np.flatnonzero(kept[:, met[0]])[:m_star]], k + int(met[0])
+        if k == 0:  # the pass at t0 was complete: skip to where it can change
+            k = sweep.lapse(np.flatnonzero(kept[:, 0]))
+        else:
+            k += width
+        if k >= len(ts):
+            return sweep.order[np.flatnonzero(kept[:, -1])], n_steps
+        width = min(_WIDTH, len(ts) - k)
 
 
 def match_detections(

@@ -43,6 +43,7 @@ SCHEMA_VERSION = 1
 # One encoder for every line: json.dumps would build one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _SCAN = json.JSONDecoder().scan_once  # the C scanner: (value at index 0, its end)
+_BOX_BATCH = 6 * 1024  # box fields converted at a time: bounds the strings held
 
 
 def canonical_json(obj) -> str:
@@ -89,7 +90,9 @@ def read_jsonl(path: str, check: Callable | None = None) -> tuple[dict | None, l
                 except (StopIteration, ValueError, RecursionError):
                     try:  # json.loads is _SCAN plus a test for trailing text
                         doc = json.loads(line)  # so it only words the fault
-                    except (json.JSONDecodeError, RecursionError) as e:
+                    # A JSONDecodeError, or the ValueError of an integer
+                    # past int's digit limit.
+                    except (ValueError, RecursionError) as e:
                         if check is not None:
                             check(rows)
                         raise DataError(f"{path}:{ln + 1}: invalid JSON: {e}") from e
@@ -118,43 +121,77 @@ def write_boxes(
 def read_boxes(path: str, with_score: bool) -> dict[int, np.ndarray]:
     """Box tables by image id, rows in file order; GT files (no score column)
     get score 1.0.  The earliest bad row is a DataError naming its line."""
-    expected = 6 if with_score else 5
-    vals = array("d")  # x1, y1, x2, y2, score of each row in turn
+    width = 6 if with_score else 5
+    fields: list[str] = []  # the fields of the rows read but not yet converted
+    ids: list[int] = []  # the image id of each converted row
+    vals = array("d")  # x1, y1, x2, y2[, score] of each converted row
     lines: list[int] = []  # the file line of each row
-    rows: dict[int, list[int]] = {}  # image id -> its rows
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for ln, line in enumerate(fh, 1):
                 parts = line.split()
                 if not parts or parts[0].startswith("#"):
                     continue
-                try:
-                    if len(parts) != expected:
-                        raise ValueError(f"expected {expected} fields, got {len(parts)}")
-                    image_id = int(parts[0])
-                    vals.extend(map(float, parts[1:]))
-                except ValueError as e:
-                    _check_boxes(path, vals, lines)  # an earlier bad row first
-                    raise DataError(f"{path}:{ln}: {e}") from e
-                if not with_score:
-                    vals.append(1.0)
-                rows.setdefault(image_id, []).append(len(lines))
+                if len(parts) != width:
+                    _convert(path, fields, ids, vals, lines, width)
+                    _box_table(path, vals, lines, width)  # an earlier bad row first
+                    raise DataError(f"{path}:{ln}: expected {width} fields, "
+                                    f"got {len(parts)}")
+                fields += parts
                 lines.append(ln)
+                if len(fields) >= _BOX_BATCH:
+                    _convert(path, fields, ids, vals, lines, width)
     except (OSError, UnicodeDecodeError) as e:
+        _convert(path, fields, ids, vals, lines, width)  # an earlier row that does not parse
         raise DataError(f"cannot read {path}: {e}") from e
-    table = _check_boxes(path, vals, lines)
+    _convert(path, fields, ids, vals, lines, width)
+    table = _box_table(path, vals, lines, width)
+    rows: dict[int, list[int]] = {}  # image id -> its rows
+    for r, image_id in enumerate(ids):
+        rows.setdefault(image_id, []).append(r)
     return {image_id: table[r] for image_id, r in rows.items()}
 
 
-def _check_boxes(path: str, vals: array, lines: list[int]) -> np.ndarray:
-    """The rows read so far as a box table; a row BoxDetection rejects is a DataError."""
-    t = np.frombuffer(vals, dtype=float)[:5 * len(lines)].reshape(-1, 5)
-    for i in BoxDetection.rejected_rows(t):
+def _convert(path: str, fields: list[str], ids: list[int], vals: array,
+             lines: list[int], width: int) -> None:
+    """Move the rows whose fields are ``fields`` into ``ids`` and ``vals``:
+    all at once, one conversion for the ids and one for the values, or, when
+    a field does not parse, row by row up to the first that does not.  That
+    row is a DataError naming its line, unless BoxDetection rejects a row
+    before it."""
+    id_fields = fields[::width]
+    del fields[::width]  # the values remain, width - 1 per row
+    try:
+        new_ids = list(map(int, id_fields))
+        new_vals = array("d", map(float, fields))
+    except ValueError:
+        for r, field in enumerate(id_fields):
+            try:
+                image_id = int(field)
+                row = list(map(float, fields[r * (width - 1):(r + 1) * (width - 1)]))
+            except ValueError as e:
+                _box_table(path, vals, lines, width)
+                raise DataError(f"{path}:{lines[len(ids)]}: {e}") from e
+            ids.append(image_id)
+            vals.extend(row)
+        raise
+    ids += new_ids
+    vals += new_vals
+    fields.clear()
+
+
+def _box_table(path: str, vals: array, lines: list[int], width: int) -> np.ndarray:
+    """The converted rows as a box table, score 1.0 where a row has none; the
+    earliest row that BoxDetection rejects is a DataError naming its line."""
+    table = np.frombuffer(vals).reshape(-1, width - 1)
+    if width == 5:
+        table = np.column_stack([table, np.ones(len(table))])
+    for i in BoxDetection.rejected_rows(table):
         try:
-            BoxDetection(*t[i].tolist())
+            BoxDetection(*table[i].tolist())
         except ValueError as e:
             raise DataError(f"{path}:{lines[i]}: {e}") from e
-    return t
+    return table
 
 
 def read_records(path: str, *fields: str, width: int | None = None) -> list:

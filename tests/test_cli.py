@@ -1129,3 +1129,104 @@ def test_predict_and_eval_ml_report_their_stage_times_on_stdout_only(capsys, tmp
         for path in payload["files"].values():
             text = (tmp_path / path).read_text(encoding="utf-8")
             assert "timings" not in text and rate not in text
+
+
+# What nms and eval-det write on a crowded boxes synth (the det-crowd scene
+# settings at a small n), as the first 16 hex digits of each file's sha256.
+# nms runs three ways: m* from the true counts, m* = 2 (met early) and m*
+# above every proposal count (the whole sweep runs on every image).  Paths
+# are relative to the run directory, so the config hash every file embeds is
+# fixed.  Recorded before the NMS sweep built its overlap rows in blocks and
+# skipped thresholds: that rewrite must keep every byte.
+DET_SYNTH = {"task": "boxes", "n": 24, "d": 8, "cell_count": 10, "box_size": 12.0,
+             "duplicates": 8, "fp_rate": 2.0, "seed": 23,
+             "alpha_map": {"weights": [150.0, 0.8], "bias": -64.0, "lo": 0.11, "hi": 60.0}}
+DET_RUNS = [
+    ("nms", {"proposals": "data/proposals.txt", "mstar_file": "data/counts.jsonl"}, "counts"),
+    ("nms", {"proposals": "data/proposals.txt", "mstar_fixed": 2}, "twos"),
+    ("nms", {"proposals": "data/proposals.txt", "mstar_fixed": 10_000}, "unreachable"),
+    ("eval-det", {"dets": "counts/kept.txt", "gts": "data/gt.txt"}, "eval"),
+]
+DET_GOLDEN = {
+    "counts/kept.txt": "d061cc5f8d71806f",
+    "twos/kept.txt": "0d03d79e33d070df",
+    "unreachable/kept.txt": "4f3e551230fe1acd",
+    "eval/metrics.json": "d8a8a4f9db037e6c",
+    "eval/curve.csv": "041472008488b9a3",
+}
+
+
+def run_det_chain(capsys, tmp_path, monkeypatch):
+    """The stdout JSON line of each run of ``DET_RUNS`` after the boxes synth."""
+    from setnet import cli
+    monkeypatch.chdir(tmp_path)
+    lines = []
+    for i, (command, cfg, out) in enumerate([("synth", DET_SYNTH, "data"), *DET_RUNS]):
+        path = write_config(tmp_path, f"{i}.json", cfg)
+        assert cli.main([command, "--config", path, "--out", out]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        lines.append(json.loads(line))
+    return lines
+
+
+def test_nms_and_eval_det_write_the_pinned_bytes(capsys, tmp_path, monkeypatch):
+    run_det_chain(capsys, tmp_path, monkeypatch)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+           for name in ("counts/kept.txt", "twos/kept.txt", "unreachable/kept.txt",
+                        "eval/metrics.json", "eval/curve.csv")}
+    assert got == DET_GOLDEN
+
+
+def test_nms_and_eval_det_report_their_stage_times_on_stdout_only(capsys, tmp_path,
+                                                                  monkeypatch):
+    payloads = run_det_chain(capsys, tmp_path, monkeypatch)[1:]
+    for payload, stage in [*((p, "nms") for p in payloads[:3]), (payloads[3], "eval")]:
+        timings = payload["timings_ms"]
+        assert sorted(timings) == sorted(["read", stage, "write"])
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        # Without an n_images key, eval-det counts the images in its files.
+        assert payload["images_per_s"] == pytest.approx(
+            payload["n_images"] / (timings[stage] / 1e3), rel=0.01, abs=1.0)
+        for path in payload["files"].values():
+            text = (tmp_path / path).read_text(encoding="utf-8")
+            assert "timings" not in text and "images_per_s" not in text
+    # sweep_steps counts each image once, by the threshold index it stopped at:
+    # m* = 2 is met at t0 on every image with two boxes apart, and an
+    # unreachable m* ends no later than the last threshold, 0.95 at 0.4 + 55 * 0.01.
+    for payload in payloads[:3]:
+        steps = {int(k): v for k, v in payload["sweep_steps"].items()}
+        assert sum(steps.values()) == payload["n_images"] == DET_SYNTH["n"]
+        assert max(steps) <= 55
+        assert "sweep_steps" not in (tmp_path / payload["files"]["kept"]).read_text()
+
+
+def test_nms_counts_images_that_only_its_mstar_file_names(capsys, tmp_path):
+    # Images 4 and 5 are in the m* file but have no proposals: they keep no
+    # boxes, and image 4, whose m* is 1, is short of it, so its sweep ends at
+    # the last threshold, 0.95 at 0.4 + 55 * 0.01.
+    proposals = tmp_path / "proposals.txt"
+    proposals.write_text("1 0 0 5 5 0.9\n3 0 0 4 4 0.6\n")
+    mstar = tmp_path / "mstar.jsonl"
+    mstar.write_text("".join(json.dumps({"image_id": i, "count": c}) + "\n"
+                             for i, c in ((1, 1), (3, 1), (4, 1), (5, 0))))
+    code, lines, err = run_main(capsys, tmp_path, "nms", {
+        "proposals": str(proposals), "mstar_file": str(mstar)})
+    assert code == 0 and err == ""
+    payload = json.loads(lines[0])
+    assert (payload["n_images"], payload["n_kept"], payload["n_short"]) == (4, 2, 1)
+    assert payload["sweep_steps"] == {"0": 3, "55": 1}
+    kept = (tmp_path / "out" / "kept.txt").read_text().splitlines()[1:]
+    assert kept == ["1 0.0 0.0 5.0 5.0 0.9", "3 0.0 0.0 4.0 4.0 0.6"]
+
+
+def test_integer_past_the_digit_limit_is_a_data_error_naming_its_line(capsys, tmp_path):
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"scores": [0.5], "truth": [0]}\n'
+                       '{"scores": [0.5], "truth": [' + "1" * 5000 + "]}\n")
+    code, lines, err = run_main(capsys, tmp_path, "eval-ml", {"records": str(records)})
+    assert code == 1 and err == ""
+    assert lines == [json.dumps({
+        "code": "data",
+        "message": f"{records}:2: invalid JSON: Exceeds the limit (4300 digits) for "
+                   "integer string conversion: value has 5000 digits; use "
+                   "sys.set_int_max_str_digits() to increase the limit"})]

@@ -14,6 +14,7 @@ bit at the threshold knife edges of NMS and matching.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from setnet import (
     log_avg_miss_rate,
     match_detections,
 )
+from setnet import detect
 from setnet.detect import best_f1_over_thresholds
 
 
@@ -436,6 +438,16 @@ def sweep_configs(draw, cloud):
     return NMSConfig(t0=t0, step=step, t_max=t_max)
 
 
+@st.composite
+def edge_configs(draw, cloud):
+    """A sweep of one threshold: t0 == t_max, or a step past t_max."""
+    t0 = draw(st.sampled_from(pairwise_ious(cloud)) | st.floats(0.0, 0.9))
+    if draw(st.booleans()):
+        return NMSConfig(t0=t0, step=draw(st.floats(0.001, 0.5)), t_max=t0)
+    return NMSConfig(t0=t0, step=draw(st.floats(1.0, 2.0)),
+                     t_max=draw(st.floats(t0, max(t0, 0.95))))
+
+
 FOUR_BOX = four_box_fixture()
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
@@ -489,6 +501,23 @@ class TestAgainstScalarReference:
                      * cfg.step, cfg.t_max)
         for a, b in itertools.combinations(kept, 2):
             assert ref_iou(a, b) <= t_last
+
+    @PROPERTY
+    @given(st.data())
+    def test_sweep_in_small_blocks_and_walks(self, data):
+        # The sweep builds overlap rows in blocks of at most _BLOCK IoU values
+        # and runs up to _WIDTH thresholds in one walk; at these sizes a cloud
+        # needs many blocks and walks.
+        cloud = data.draw(clouds(max_size=30), label="cloud")
+        cfg = data.draw(sweep_configs(cloud) | edge_configs(cloud), label="cfg")
+        m_star = data.draw(st.integers(0, len(cloud) + 1) | st.none(), label="m_star")
+        sizes = {"_BLOCK": data.draw(st.sampled_from([1, 5, 64]), label="block"),
+                 "_WIDTH": data.draw(st.sampled_from([1, 2, 5]), label="width")}
+        with mock.patch.multiple(detect, **sizes):
+            kept = adaptive_nms(cloud, m_star, cfg)
+            greedy = greedy_nms(cloud, cfg.t0)
+        assert ids(kept) == ids(ref_adaptive_nms(cloud, m_star, cfg))
+        assert ids(greedy) == ids(ref_greedy_nms(cloud, cfg.t0))
 
     @pytest.mark.parametrize("m_star", [None, 0, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("t0", [0.3, 0.379, 0.45, 64.0 / 130.0])

@@ -9,12 +9,13 @@ that formats ``BoxDetection`` fields one by one.
 import json
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from setnet import BoxDetection, DataError, ParamMap, SynthConfig, cli, gen_boxes
+from setnet import BoxDetection, DataError, ParamMap, SynthConfig, cli, formats, gen_boxes
 from setnet.detect import box_table
 from setnet.formats import (
     canonical_json,
@@ -122,6 +123,21 @@ def test_rejected_box_is_data_error_with_line(tmp_path, row):
         read_boxes(str(path), with_score=True)
 
 
+@pytest.mark.parametrize("row, want", [
+    ("1 0 0 x 5 0.5", "{path}:2049: could not convert string to float: 'x'"),
+    ("1 0 0 5 5 0.5", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+])
+def test_box_row_read_before_undecodable_bytes(tmp_path, row, want):
+    # The bytes sit past the chunks of text that hold the first 2,049 rows,
+    # so those rows are read first, and one that does not parse wins.
+    path = tmp_path / "boxes.txt"
+    good = "2 0 0 5 5 0.5\n"
+    path.write_bytes((good * 2048 + row + "\n" + good * 1000).encode() + b"\xff\n")
+    with pytest.raises(DataError) as info:
+        read_boxes(str(path), with_score=True)
+    assert str(info.value).startswith(want.format(path=path))
+
+
 # -- the box table reader and writer against per-BoxDetection references ------
 
 
@@ -216,22 +232,27 @@ def outcome(read, path, with_score):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(box_files())
+@given(box_files(), st.sampled_from([1, 7, formats._BOX_BATCH]))
 # A bad value before a bad field count, and the reverse: the earlier line wins.
-@example((True, ["# {}", "1 0 0 5 5 0.5", "2 0 0 0 5 0.5", "1 2 3"]))
-@example((True, ["1 0 0 5 5 0.5", "1 2 3", "2 0 0 0 5 0.5"]))
-@example((False, ["1 0 0 5 5", "1 0 0 x 5", "2 0 nan 5 5"]))
-@example((False, ["1 0 0 5 5", "1 0 0 inf 5", "2 0 0 5 5 0.5"]))
+@example((True, ["# {}", "1 0 0 5 5 0.5", "2 0 0 0 5 0.5", "1 2 3"]), 1)
+@example((True, ["1 0 0 5 5 0.5", "1 2 3", "2 0 0 0 5 0.5"]), 7)
+@example((False, ["1 0 0 5 5", "1 0 0 x 5", "2 0 nan 5 5"]), 7)
+@example((False, ["1 0 0 5 5", "1 0 0 inf 5", "2 0 0 5 5 0.5"]), formats._BOX_BATCH)
+# A rejected row in an earlier batch than a value that does not parse.
+@example((True, ["2 0 0 0 5 0.5", "1 0 0 5 5 0.5", "1 0 0 x 5 0.5"]), 7)
 # Both extents negative: the area is positive, the box is not.
-@example((True, ["3 5 5 0 0 0.5"]))
+@example((True, ["3 5 5 0 0 0.5"]), formats._BOX_BATCH)
 # Non-contiguous images with comments and blanks between their rows.
 @example((True, ["1 0 0 5 5 0.5", "", "2 -0.0 5e-324 1e-200 1e200 1.0",
-                 "# 1 0 0 0 5 0.5", "1 1 1 6 6 -0.0", "  ", "2 0 0 1 1 0.0"]))
-def test_box_reader_agrees_with_box_detection(tmp_path_factory, case):
+                 "# 1 0 0 0 5 0.5", "1 1 1 6 6 -0.0", "  ", "2 0 0 1 1 0.0"]), 7)
+def test_box_reader_agrees_with_box_detection(tmp_path_factory, case, batch):
     with_score, lines = case
     path = tmp_path_factory.mktemp("boxes") / "boxes.txt"
     path.write_text("".join(line + "\n" for line in lines))
-    got = outcome(read_boxes, str(path), with_score)
+    # The reader converts its fields in batches of _BOX_BATCH; at 1 or 7
+    # fields a file spans many batches.
+    with mock.patch.object(formats, "_BOX_BATCH", batch):
+        got = outcome(read_boxes, str(path), with_score)
     want = outcome(ref_read_boxes, str(path), with_score)
     if isinstance(want, str):
         assert got == want
@@ -304,7 +325,7 @@ def ref_read_jsonl(path, check=None):
                     continue
                 try:
                     doc = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as e:
+                except (ValueError, RecursionError) as e:
                     if check is not None:
                         check(rows)
                     raise DataError(f"{path}:{ln + 1}: invalid JSON: {e}") from e
@@ -323,7 +344,7 @@ def jsonl_outcome(read, path):
     seen = []
     try:
         got = read(path, lambda rows: seen.append(repr(rows)))
-    except Exception as e:  # a DataError, or the ValueError of an over-long integer
+    except DataError as e:
         got = (type(e), str(e))
     return repr(got), seen
 
@@ -370,7 +391,7 @@ def jsonl_line(draw):
 @example(['{"a": "x\u2028y"}', "[1]"], "\n", True)  # not a line break in a file
 @example(['{"schema_version": 1}', "[1]", "2"], "\r", False)
 @example(["[1]", "\xa0", "[2]"], "\n", True)  # a line that strips to nothing
-@example(["1" * 5000], "\n", True)  # past int's digit limit: a ValueError
+@example(["1" * 5000], "\n", True)  # past int's digit limit: not JSON here
 def test_jsonl_reader_agrees_with_json_loads_per_line(tmp_path_factory, lines, sep, last):
     path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
     path.write_bytes((sep.join(lines) + (sep if last else "")).encode("utf-8"))
