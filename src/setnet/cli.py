@@ -425,6 +425,7 @@ def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
     metrics_path = _write_json(out_dir, "metrics.json", {**header, **result})
     marks.append(time.perf_counter())
     return {"files": {"curve": curve_path, "metrics": metrics_path}, **result,
+            "n_matched": sum(m.tp for m in matches),
             **_timings(marks, "eval", "images_per_s", len(image_ids))}
 
 

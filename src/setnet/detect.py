@@ -42,6 +42,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -353,19 +355,19 @@ def match_tables(dets: np.ndarray, gts: np.ndarray, iou_thresh: float) -> MatchR
     ordered = dets[_by_score(dets)]
     # One row per detection: its IoU with every ground truth.
     overlaps = _overlaps(_geometry(ordered)[:, :, None], _geometry(gts)[:, None, :])
-    taken = np.zeros(len(gts), dtype=bool)
-    flags: list[tuple[float, bool]] = []
-    for score, row in zip(ordered[:, 4].tolist(), overlaps):
-        # Among the untaken ground truths, argmax picks the highest IoU and
-        # the lower index on ties; a match needs IoU >= iou_thresh (> 0).
-        row = np.where(taken, 0.0, row)
-        best_i = int(np.argmax(row)) if len(gts) else -1
-        hit = best_i >= 0 and bool(row[best_i] >= iou_thresh)
-        if hit:
-            taken[best_i] = True
-        flags.append((score, hit))
-    tp = sum(hit for _, hit in flags)
-    return MatchResult(tp=tp, fp=len(dets) - tp, fn=len(gts) - tp, flags=tuple(flags))
+    # Only the pairs that reach iou_thresh (> 0) can match: each detection,
+    # in score order, takes its untaken one of highest IoU, the first (the
+    # lower index) of equal ones.
+    det, gt = np.nonzero(overlaps >= iou_thresh)
+    taken, hits = set(), set()
+    for d, pairs in groupby(zip(det.tolist(), gt.tolist(), overlaps[det, gt].tolist()),
+                            key=itemgetter(0)):
+        best = max((p for p in pairs if p[1] not in taken), key=itemgetter(2), default=None)
+        if best is not None:
+            taken.add(best[1])
+            hits.add(d)
+    flags = tuple((score, d in hits) for d, score in enumerate(ordered[:, 4].tolist()))
+    return MatchResult(len(hits), len(dets) - len(hits), len(gts) - len(hits), flags)
 
 
 def _operating_points(matches: list[MatchResult]) -> tuple[np.ndarray, np.ndarray, int]:

@@ -6,14 +6,16 @@ config hash and seed, so runs are self-describing and diffable:
 * JSONL files: first line is the header object, then one record per line
   ({"features": [...], "count": m} / {"scores": [...], "truth": [...]}).
 * Box files: whitespace-separated "image_id x1 y1 x2 y2 [score]" records,
-  header carried in a leading "# {...}" comment line.
+  header carried in a leading "# {...}" comment line.  numpy's C parser
+  reads an ordinary box file; Python's int and float, line by line, read
+  the rest and word the earliest bad line.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from array import array
+import warnings
 from functools import partial
 from itertools import chain
 from typing import Callable, Iterable
@@ -43,7 +45,6 @@ SCHEMA_VERSION = 1
 # One encoder for every line: json.dumps would build one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _SCAN = json.JSONDecoder().scan_once  # the C scanner: (value at index 0, its end)
-_BOX_BATCH = 6 * 1024  # box fields converted at a time: bounds the strings held
 
 
 def canonical_json(obj) -> str:
@@ -119,79 +120,77 @@ def write_boxes(
 
 
 def read_boxes(path: str, with_score: bool) -> dict[int, np.ndarray]:
-    """Box tables by image id, rows in file order; GT files (no score column)
-    get score 1.0.  The earliest bad row is a DataError naming its line."""
+    """Box tables by image id, in first-appearance order, rows in file order;
+    GT files (no score column) get score 1.0.  The earliest bad row is a
+    DataError naming its line.  One ``np.loadtxt`` call parses an ASCII file,
+    its rows grouped as slices of one table sorted by id; ``_read_box_lines``
+    reads a file that call cannot (``1_0``, an id beyond int64, a comment
+    after the first line, a bad line) or that holds a rejected row."""
     width = 6 if with_score else 5
-    fields: list[str] = []  # the fields of the rows read but not yet converted
-    ids: list[int] = []  # the image id of each converted row
-    vals = array("d")  # x1, y1, x2, y2[, score] of each converted row
-    lines: list[int] = []  # the file line of each row
+    try:
+        with open(path, "rb") as fh:
+            skip = fh.readline().lstrip().startswith(b"#")
+        # ASCII only: numpy's int64 parser takes some other code points for
+        # digits.  A warning ("input contained no data") also falls back.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, dtype=[("id", np.int64), ("v", float, (width - 1,))],
+                              comments=None, skiprows=int(skip), encoding="ascii", ndmin=1)
+    except (OSError, ValueError, Warning):
+        return _read_box_lines(path, width)
+    table = np.ones((len(rows), 5))
+    table[:, :width - 1] = rows["v"]
+    if BoxDetection.rejected_rows(table).size:
+        return _read_box_lines(path, width)
+    return _by_image(rows["id"], table)
+
+
+def _read_box_lines(path: str, width: int) -> dict[int, np.ndarray]:
+    """``read_boxes`` line by line with ``int`` and ``float``; the earliest bad
+    line (field count, value or rejected row) is a DataError naming it."""
+    ids, vals, lines = [], [], []  # each row's image id, other fields and file line
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for ln, line in enumerate(fh, 1):
                 parts = line.split()
                 if not parts or parts[0].startswith("#"):
                     continue
-                if len(parts) != width:
-                    _convert(path, fields, ids, vals, lines, width)
-                    _box_table(path, vals, lines, width)  # an earlier bad row first
-                    raise DataError(f"{path}:{ln}: expected {width} fields, "
-                                    f"got {len(parts)}")
-                fields += parts
+                try:
+                    if len(parts) != width:
+                        raise ValueError(f"expected {width} fields, got {len(parts)}")
+                    image_id, row = int(parts[0]), list(map(float, parts[1:]))
+                except ValueError as e:
+                    _box_table(path, vals, lines, width)  # an earlier rejected row first
+                    raise DataError(f"{path}:{ln}: {e}") from e
+                ids.append(image_id)
+                vals.append(row)
                 lines.append(ln)
-                if len(fields) >= _BOX_BATCH:
-                    _convert(path, fields, ids, vals, lines, width)
     except (OSError, UnicodeDecodeError) as e:
-        _convert(path, fields, ids, vals, lines, width)  # an earlier row that does not parse
         raise DataError(f"cannot read {path}: {e}") from e
-    _convert(path, fields, ids, vals, lines, width)
-    table = _box_table(path, vals, lines, width)
-    rows: dict[int, list[int]] = {}  # image id -> its rows
-    for r, image_id in enumerate(ids):
-        rows.setdefault(image_id, []).append(r)
-    return {image_id: table[r] for image_id, r in rows.items()}
+    return _by_image(np.array(ids, dtype=object), _box_table(path, vals, lines, width))
 
 
-def _convert(path: str, fields: list[str], ids: list[int], vals: array,
-             lines: list[int], width: int) -> None:
-    """Move the rows whose fields are ``fields`` into ``ids`` and ``vals``:
-    all at once, one conversion for the ids and one for the values, or, when
-    a field does not parse, row by row up to the first that does not.  That
-    row is a DataError naming its line, unless BoxDetection rejects a row
-    before it."""
-    id_fields = fields[::width]
-    del fields[::width]  # the values remain, width - 1 per row
-    try:
-        new_ids = list(map(int, id_fields))
-        new_vals = array("d", map(float, fields))
-    except ValueError:
-        for r, field in enumerate(id_fields):
-            try:
-                image_id = int(field)
-                row = list(map(float, fields[r * (width - 1):(r + 1) * (width - 1)]))
-            except ValueError as e:
-                _box_table(path, vals, lines, width)
-                raise DataError(f"{path}:{lines[len(ids)]}: {e}") from e
-            ids.append(image_id)
-            vals.extend(row)
-        raise
-    ids += new_ids
-    vals += new_vals
-    fields.clear()
-
-
-def _box_table(path: str, vals: array, lines: list[int], width: int) -> np.ndarray:
-    """The converted rows as a box table, score 1.0 where a row has none; the
+def _box_table(path: str, vals: list, lines: list[int], width: int) -> np.ndarray:
+    """The rows ``vals`` as a box table, score 1.0 where a row has none; the
     earliest row that BoxDetection rejects is a DataError naming its line."""
-    table = np.frombuffer(vals).reshape(-1, width - 1)
-    if width == 5:
-        table = np.column_stack([table, np.ones(len(table))])
+    table = np.ones((len(vals), 5))
+    table[:, :width - 1] = np.array(vals, dtype=float).reshape(-1, width - 1)
     for i in BoxDetection.rejected_rows(table):
         try:
             BoxDetection(*table[i].tolist())
         except ValueError as e:
             raise DataError(f"{path}:{lines[i]}: {e}") from e
     return table
+
+
+def _by_image(ids: np.ndarray, table: np.ndarray) -> dict[int, np.ndarray]:
+    """The rows of ``table`` by image id, in first-appearance order: each
+    image's rows, in table order, are one slice of the table sorted by id."""
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.r_[len(ids) > 0, ids[1:] != ids[:-1]])
+    tables, keys = np.split(table[order], starts[1:]), ids[starts].tolist()
+    return {keys[g]: tables[g] for g in np.argsort(order[starts]).tolist()}
 
 
 def read_records(path: str, *fields: str, width: int | None = None) -> list:

@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from setnet import DataError, NumericError
+from setnet.detect import match_tables
+from setnet.formats import read_boxes
 
 
 def run_cli(*args, cwd=None):
@@ -1190,6 +1192,14 @@ def test_nms_and_eval_det_report_their_stage_times_on_stdout_only(capsys, tmp_pa
         for path in payload["files"].values():
             text = (tmp_path / path).read_text(encoding="utf-8")
             assert "timings" not in text and "images_per_s" not in text
+    # eval-det's n_matched is its true positives, on stdout only.
+    dets = read_boxes(str(tmp_path / "counts" / "kept.txt"), with_score=True)
+    gts = read_boxes(str(tmp_path / "data" / "gt.txt"), with_score=False)
+    empty = np.zeros((0, 5))
+    assert payloads[3]["n_matched"] == sum(
+        match_tables(dets.get(i, empty), gts.get(i, empty), 0.5).tp for i in set(dets) | set(gts))
+    assert payloads[3]["n_matched"] > 0
+    assert "n_matched" not in (tmp_path / "eval" / "metrics.json").read_text()
     # sweep_steps counts each image once, by the threshold index it stopped at:
     # m* = 2 is met at t0 on every image with two boxes apart, and an
     # unreachable m* ends no later than the last threshold, 0.95 at 0.4 + 55 * 0.01.
@@ -1217,6 +1227,22 @@ def test_nms_counts_images_that_only_its_mstar_file_names(capsys, tmp_path):
     assert payload["sweep_steps"] == {"0": 3, "55": 1}
     kept = (tmp_path / "out" / "kept.txt").read_text().splitlines()[1:]
     assert kept == ["1 0.0 0.0 5.0 5.0 0.9", "3 0.0 0.0 4.0 4.0 0.6"]
+
+
+def test_nms_on_a_proposals_file_with_only_its_header(capsys, tmp_path, recwarn):
+    # No proposals: every image of the m* file keeps no boxes, and the
+    # parse of an empty file warns nothing (numpy's "input contained no
+    # data" would reach stderr).
+    proposals = tmp_path / "proposals.txt"
+    proposals.write_text('# {"schema_version": 1}\n')
+    mstar = tmp_path / "mstar.jsonl"
+    mstar.write_text("".join(json.dumps({"image_id": i, "count": 1}) + "\n" for i in (2, 5)))
+    code, lines, err = run_main(capsys, tmp_path, "nms", {
+        "proposals": str(proposals), "mstar_file": str(mstar)})
+    assert code == 0 and err == "" and len(lines) == 1, (lines, err)
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+    payload = json.loads(lines[0])
+    assert (payload["n_images"], payload["n_kept"], payload["n_short"]) == (2, 0, 2)
 
 
 def test_integer_past_the_digit_limit_is_a_data_error_naming_its_line(capsys, tmp_path):

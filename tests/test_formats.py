@@ -191,6 +191,17 @@ BAD_EXTENT = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-310, 1e-200, 1e200, 1e
 BAD_SCORE = st.sampled_from([1.0000000000000002, -5e-324, math.nan, math.inf, 1.0])
 
 
+# Tokens and separators on which numpy's C parser and Python's int/float
+# (the reference) may disagree: digits and forms only Python reads, ids
+# beyond int64, forms both reject, an unassigned code point that numpy's
+# int64 parser takes for a digit, and whitespace that only str.split splits.
+ODD_ID = st.sampled_from(["1_0", "\u0661", "\u2fe51", "9223372036854775808",
+                          "-9223372036854775809", "1.0", "1e2", "+7", "007"])
+ODD_VALUE = st.sampled_from(["1_0.5", "\u0661.\u0665", "0x1p3", "1d0", "1,5", "0.5#x",
+                             "+.5e1", "Infinity", "1e400"])
+ODD_SEP = st.sampled_from(["\x0c", "\xa0", "\x0b", "\x1c", "\u3000", " \t "])
+
+
 @st.composite
 def box_line(draw, with_score, kind):
     if kind == "comment":
@@ -210,18 +221,25 @@ def box_line(draw, with_score, kind):
     elif kind == "word":
         fields[draw(st.integers(0, len(fields) - 1))] = draw(
             st.sampled_from(["x", "1.5", "--1"]))
+    elif kind == "odd":
+        i = draw(st.integers(0, len(fields) - 1))
+        fields[i] = draw(ODD_ID if i == 0 else ODD_VALUE)
+        return draw(ODD_SEP).join(fields)
     return " ".join(fields)
 
 
 @st.composite
 def box_files(draw):
-    """(with_score, lines); half the files hold only lines that may parse."""
+    """(with_score, lines); half the files hold only lines that may parse,
+    half start with a header comment, and some lines end in \\r\\n."""
     with_score = draw(st.booleans())
     kinds = ["row", "row", "row", "comment", "blank"]
     if draw(st.booleans()):
-        kinds += ["edge", "edge", "fields", "word"]
+        kinds += ["edge", "edge", "fields", "word", "odd"]
     lines = draw(st.lists(st.sampled_from(kinds), max_size=10))
-    return with_score, [draw(box_line(with_score, kind)) for kind in lines]
+    header = ["# {}"] if draw(st.booleans()) else []
+    ends = st.sampled_from(["", "\r"])
+    return with_score, header + [draw(box_line(with_score, kind)) + draw(ends) for kind in lines]
 
 
 def outcome(read, path, with_score):
@@ -232,27 +250,33 @@ def outcome(read, path, with_score):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(box_files(), st.sampled_from([1, 7, formats._BOX_BATCH]))
+@given(box_files())
 # A bad value before a bad field count, and the reverse: the earlier line wins.
-@example((True, ["# {}", "1 0 0 5 5 0.5", "2 0 0 0 5 0.5", "1 2 3"]), 1)
-@example((True, ["1 0 0 5 5 0.5", "1 2 3", "2 0 0 0 5 0.5"]), 7)
-@example((False, ["1 0 0 5 5", "1 0 0 x 5", "2 0 nan 5 5"]), 7)
-@example((False, ["1 0 0 5 5", "1 0 0 inf 5", "2 0 0 5 5 0.5"]), formats._BOX_BATCH)
-# A rejected row in an earlier batch than a value that does not parse.
-@example((True, ["2 0 0 0 5 0.5", "1 0 0 5 5 0.5", "1 0 0 x 5 0.5"]), 7)
+@example((True, ["# {}", "1 0 0 5 5 0.5", "2 0 0 0 5 0.5", "1 2 3"]))
+@example((True, ["1 0 0 5 5 0.5", "1 2 3", "2 0 0 0 5 0.5"]))
+@example((False, ["1 0 0 5 5", "1 0 0 x 5", "2 0 nan 5 5"]))
+@example((False, ["1 0 0 5 5", "1 0 0 inf 5", "2 0 0 5 5 0.5"]))
+# A rejected row before a value that does not parse.
+@example((True, ["2 0 0 0 5 0.5", "1 0 0 5 5 0.5", "1 0 0 x 5 0.5"]))
 # Both extents negative: the area is positive, the box is not.
-@example((True, ["3 5 5 0 0 0.5"]), formats._BOX_BATCH)
+@example((True, ["3 5 5 0 0 0.5"]))
 # Non-contiguous images with comments and blanks between their rows.
 @example((True, ["1 0 0 5 5 0.5", "", "2 -0.0 5e-324 1e-200 1e200 1.0",
-                 "# 1 0 0 0 5 0.5", "1 1 1 6 6 -0.0", "  ", "2 0 0 1 1 0.0"]), 7)
-def test_box_reader_agrees_with_box_detection(tmp_path_factory, case, batch):
+                 "# 1 0 0 0 5 0.5", "1 1 1 6 6 -0.0", "  ", "2 0 0 1 1 0.0"]))
+# What only Python reads, after a header: an id with an underscore, one in
+# Arabic-Indic digits, one beyond int64, a form-feed separator.
+@example((True, ["# {}", "1_0 0 0 5 5 0.5", "\u0661 1 1 6 6 0.25",
+                 "9223372036854775808 0 0 1 1 1.0", "1\x0c0 0 5 5 0.5\r"]))
+# An id that numpy's int64 parser reads as 122131 and int() rejects.
+@example((True, ["# {}", "1 0 0 5 5 0.5", "\u2fe51 0 0 5 5 0.5"]))
+# A header and nothing else; a comment after the header.
+@example((False, ["# {}"]))
+@example((False, ["# {}", "0 0 0 5 5", "#", "0 1 1 6 6"]))
+def test_box_reader_agrees_with_box_detection(tmp_path_factory, case):
     with_score, lines = case
     path = tmp_path_factory.mktemp("boxes") / "boxes.txt"
-    path.write_text("".join(line + "\n" for line in lines))
-    # The reader converts its fields in batches of _BOX_BATCH; at 1 or 7
-    # fields a file spans many batches.
-    with mock.patch.object(formats, "_BOX_BATCH", batch):
-        got = outcome(read_boxes, str(path), with_score)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    got = outcome(read_boxes, str(path), with_score)
     want = outcome(ref_read_boxes, str(path), with_score)
     if isinstance(want, str):
         assert got == want
@@ -309,6 +333,23 @@ def test_crowd_scene_bytes_survive_read_and_write(tmp_path):
                     read_boxes(str(tmp_path / "scene" / name), with_score).items(),
                     with_score)
         assert again.read_bytes() == written
+
+
+def test_ordinary_box_files_skip_the_line_loop(tmp_path):
+    # A synth scene's files are read by numpy's parser alone; the line loop
+    # runs for what only Python reads, such as the id 1_0.
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"task": "boxes", "n": 40, "seed": 3,
+                               "alpha_map": CROWD_MAP, **CROWD}))
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "scene")]) == 0
+    odd = tmp_path / "odd.txt"
+    odd.write_text("# {}\n1_0 0 0 5 5 0.5\n")
+    with mock.patch.object(formats, "_read_box_lines", wraps=formats._read_box_lines) as loop:
+        for name, with_score in (("proposals.txt", True), ("gt.txt", False)):
+            assert read_boxes(str(tmp_path / "scene" / name), with_score)
+        assert loop.call_count == 0
+        assert list(read_boxes(str(odd), with_score=True)) == [10]
+        assert loop.call_count == 1
 
 
 # The JSONL reader is checked against the reader it replaced, which called
