@@ -20,13 +20,6 @@ The loss, the sigmoid and the heads work elementwise on arrays (one entry
 per sample); ``card_nll`` and ``card_grad`` wrap the loss for one sample.
 ``AlphaBeta`` and the heads reject an alpha or beta that is not finite and
 > 0 with the positivity check of ``numerics``.
-
-A batch costs one kernel call per special function: the loss stacks
-(m+alpha, m+1, alpha) into one ``log_gamma`` call and (m+alpha, alpha)
-into one ``digamma`` call, each of which checks its input once.  The head
-checks alpha and beta once per batch, and its backward pass takes the
-forward pass's sigmoids.  Every kernel is elementwise, so each value is the
-one that a call per term gives.
 """
 
 from __future__ import annotations
@@ -100,9 +93,9 @@ def card_nll_grad(m, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nll, d nll/d alpha, d nll/d beta) of counts m under valid alpha=a,
     beta=b, elementwise; NumericError if a gradient is not finite.
 
-    One ``log_gamma`` call on the stacked (m+a, m+1, a) and one ``digamma``
-    call on its rows m+a and a: both kernels are elementwise, so each value
-    is the one that a call per term gives.
+    A batch costs one ``log_gamma`` call on the stacked (m+a, m+1, a) and
+    one ``digamma`` call on its rows m+a and a: both kernels are elementwise,
+    so each value is the one that a call per term gives.
     """
     m = _check_count(m)
     log_b, log1p_b = np.log(b), np.log1p(b)

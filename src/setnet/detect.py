@@ -4,24 +4,8 @@ The adaptive NMS sweeps the overlap threshold upward from its starting
 value until the greedy pass keeps at least the requested number of boxes.
 Note that the kept count of greedy NMS is *not* monotone in the threshold
 (a suppressed box can shadow others), so the sweep stops at the first
-qualifying threshold instead of bisecting.  Each image costs a few numpy
-calls over the overlaps it needs:
-
-* A box's row lists, as pairs (j, K), the lower-scored boxes j whose IoU
-  with it exceeds the sweep's first threshold; K counts the thresholds
-  below that IoU, so the pair suppresses at the k-th threshold exactly
-  when k < K.  Rows are built in blocks: the row of a kept box that lacks
-  one, with those of the next boxes not yet suppressed, no more than the
-  pass can still keep and at most ``_BLOCK`` IoU values, each compared
-  only with the boxes that overlap it in x.  A row serves every later
-  threshold.
-* A pass at t0 that misses m* is complete.  Later thresholds keep the same
-  boxes until one of its kept boxes' suppressions lapses, at the smallest
-  K in their rows, so the sweep goes on from there (or, if there is none,
-  returns t0's boxes, which are what t_max keeps).
-* From there the passes of up to ``_WIDTH`` thresholds run in one walk,
-  each box carrying the thresholds where it is suppressed as the bits of
-  one int; the first threshold that keeps m* boxes gives the result.
+qualifying threshold instead of bisecting.  ``_Sweep`` runs an image's
+passes in a few numpy calls over the overlaps they need.
 
 The sweep and matching take every IoU from one routine, ``_overlaps``, so
 a threshold comparison sees the same float value whichever caller asks.
@@ -195,7 +179,7 @@ class _Sweep:
     mask, the bits of the thresholds where the box is kept and the pair
     suppresses.
 
-    Rows are built when a walk keeps a box whose row is missing, in one
+    Rows are built once, when a walk keeps a box whose row is missing, in one
     block with the rows of the next boxes that are neither suppressed at
     every threshold of the walk nor built, at most ``_BLOCK`` IoU values.
     A walk of one threshold with a limit builds no more rows than the boxes

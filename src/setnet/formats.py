@@ -6,9 +6,7 @@ config hash and seed, so runs are self-describing and diffable:
 * JSONL files: first line is the header object, then one record per line
   ({"features": [...], "count": m} / {"scores": [...], "truth": [...]}).
 * Box files: whitespace-separated "image_id x1 y1 x2 y2 [score]" records,
-  header carried in a leading "# {...}" comment line.  numpy's C parser
-  reads an ordinary box file; Python's int and float, line by line, read
-  the rest and word the earliest bad line.
+  header carried in a leading "# {...}" comment line.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import json
 import warnings
 from functools import partial
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -72,36 +70,47 @@ def write_jsonl(path: str, header: dict, rows: Iterable[dict]) -> None:
             fh.write("\n")
 
 
+def _lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file, split as text mode splits them.  A line
+    that is not UTF-8 raises its UnicodeDecodeError after the lines before it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line in fh:
+            if not line.isascii():  # raises where surrogateescape stood in for bytes
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            yield line
+
+
 def read_jsonl(path: str, check: Callable | None = None) -> tuple[dict | None, list[dict]]:
     """Rows of a JSONL file; a leading header object is split off.  A line
-    that is not JSON is a DataError naming it, raised after ``check`` (when
+    that is not JSON or not UTF-8 is a DataError, raised after ``check`` (when
     given) has seen the rows before it, so that it can raise for one first."""
     rows: list[dict] = []
     header = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc, end = _SCAN(line, 0)
-                    if end != len(line):
-                        raise ValueError(end)
-                except (StopIteration, ValueError, RecursionError):
-                    try:  # json.loads is _SCAN plus a test for trailing text
-                        doc = json.loads(line)  # so it only words the fault
-                    # A JSONDecodeError, or the ValueError of an integer
-                    # past int's digit limit.
-                    except (ValueError, RecursionError) as e:
-                        if check is not None:
-                            check(rows)
-                        raise DataError(f"{path}:{ln + 1}: invalid JSON: {e}") from e
-                if ln == 0 and isinstance(doc, dict) and "schema_version" in doc:
-                    header = doc
-                else:
-                    rows.append(doc)
+        for ln, line in enumerate(_lines(path)):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc, end = _SCAN(line, 0)
+                if end != len(line):
+                    raise ValueError(end)
+            except (StopIteration, ValueError, RecursionError):
+                try:  # json.loads is _SCAN plus a test for trailing text
+                    doc = json.loads(line)  # so it only words the fault
+                # A JSONDecodeError, or the ValueError of an integer
+                # past int's digit limit.
+                except (ValueError, RecursionError) as e:
+                    if check is not None:
+                        check(rows)
+                    raise DataError(f"{path}:{ln + 1}: invalid JSON: {e}") from e
+            if ln == 0 and isinstance(doc, dict) and "schema_version" in doc:
+                header = doc
+            else:
+                rows.append(doc)
     except (OSError, UnicodeDecodeError) as e:
+        if check is not None:
+            check(rows)
         raise DataError(f"cannot read {path}: {e}") from e
     return header, rows
 
@@ -150,22 +159,22 @@ def _read_box_lines(path: str, width: int) -> dict[int, np.ndarray]:
     line (field count, value or rejected row) is a DataError naming it."""
     ids, vals, lines = [], [], []  # each row's image id, other fields and file line
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, 1):
-                parts = line.split()
-                if not parts or parts[0].startswith("#"):
-                    continue
-                try:
-                    if len(parts) != width:
-                        raise ValueError(f"expected {width} fields, got {len(parts)}")
-                    image_id, row = int(parts[0]), list(map(float, parts[1:]))
-                except ValueError as e:
-                    _box_table(path, vals, lines, width)  # an earlier rejected row first
-                    raise DataError(f"{path}:{ln}: {e}") from e
-                ids.append(image_id)
-                vals.append(row)
-                lines.append(ln)
+        for ln, line in enumerate(_lines(path), 1):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            try:
+                if len(parts) != width:
+                    raise ValueError(f"expected {width} fields, got {len(parts)}")
+                image_id, row = int(parts[0]), list(map(float, parts[1:]))
+            except ValueError as e:
+                _box_table(path, vals, lines, width)  # an earlier rejected row first
+                raise DataError(f"{path}:{ln}: {e}") from e
+            ids.append(image_id)
+            vals.append(row)
+            lines.append(ln)
     except (OSError, UnicodeDecodeError) as e:
+        _box_table(path, vals, lines, width)
         raise DataError(f"cannot read {path}: {e}") from e
     return _by_image(np.array(ids, dtype=object), _box_table(path, vals, lines, width))
 
@@ -200,24 +209,52 @@ def read_records(path: str, *fields: str, width: int | None = None) -> list:
     as ``width`` (a model's input size) or, without one, as record 0's, which
     is not empty; truth labels lie below their record's score count.  An image
     id names one record.  The earliest bad record, else a line that is not
-    JSON, is a DataError naming it, or a NumericError if the record's vector
-    does not fit ``width``."""
-    check = partial(_check_records, path, fields, width)
-    _, rows = read_jsonl(path, check)
-    try:
-        columns, lengths = _columns(rows, fields)
-        if lengths is not None:  # every vector as long as width, or as record 0's
-            d = width if width is not None else int(lengths[0]) if rows else 0
-            if (lengths != d).any() or width is None and rows and not d:
-                raise ValueError("ragged")
-            columns[0] = columns[0].reshape(len(rows), d)
-        if fields[0] == "image_id" and np.unique(columns[0]).size < len(rows):
-            raise ValueError("repeated image id")
-    except (KeyError, TypeError, ValueError):
-        check(rows)  # words the fault
-        raise
+    JSON or not UTF-8, is a DataError, or a NumericError if the record's
+    vector does not fit ``width``."""
+    check = partial(_checked_columns, path, fields, width)
+    columns = check(read_jsonl(path, check)[1])
     if "truth" in fields:
         columns[1] = _mask(*columns[1], columns[0].shape)
+    return columns
+
+
+def _checked_columns(path: str, fields: tuple, width: int | None, rows: list) -> list:
+    """The columns of ``read_records`` in ``rows``, a vector column as its
+    (n, d) matrix, or the error of the earliest bad record.  Only when
+    ``_columns`` flags the whole list does it run on one record at a time, to
+    find the first record n that breaks a rule of its own; the rules across
+    records are checked on the records before n."""
+    n, own = len(rows), None
+    try:
+        columns, lengths = _columns(rows, fields)
+    except (KeyError, TypeError, ValueError):
+        for n, row in enumerate(rows):
+            try:
+                _columns([row], fields)
+            except (KeyError, TypeError, ValueError) as e:
+                own = e
+                break
+        else:
+            n = len(rows)
+        columns, lengths = _columns(rows[:n], fields)
+    # Each fault across records lies before record n, and record 0 before any.
+    if lengths is not None:
+        d = width if width is not None else int(lengths[0]) if n else 0
+        if width is None and n and not d:
+            raise DataError(f"{path}: record 0 has no {fields[0]}")
+        for i in np.flatnonzero(lengths != d)[:1].tolist():
+            than = "record 0 has" if width is None else "the model takes"
+            raise (DataError if width is None else NumericError)(
+                f"{path}: record {i} has {lengths[i]} {fields[0]}; {than} {d}")
+        columns[0] = columns[0].reshape(n, d)
+    elif fields[0] == "image_id":
+        _, first, inverse = np.unique(columns[0], return_index=True, return_inverse=True)
+        for i in np.flatnonzero(first[inverse] != np.arange(n))[:1].tolist():
+            raise DataError(f"{path}: record {i}: image_id {columns[0][i]} "
+                            f"repeats record {first[inverse[i]]}")
+    if own is not None:
+        what = f"no {own} field" if isinstance(own, KeyError) else own
+        raise DataError(f"{path}: record {n}: {what}") from own
     return columns
 
 
@@ -272,40 +309,3 @@ def _columns(rows: list, fields: tuple) -> tuple[list, np.ndarray | None]:
         out.append(col)
         lengths = sizes
     return out, lengths
-
-
-def _check_records(path: str, fields: tuple, width: int | None, rows: list) -> None:
-    """The checks of ``read_records`` record by record, each record's own by
-    ``_columns`` and then those across records; the earliest bad record
-    raises as ``read_records`` says.  When ``_columns`` passes the whole list,
-    no record breaks a rule of its own and its columns serve every record;
-    otherwise each record goes through ``_columns`` alone."""
-    try:
-        columns, lengths = _columns(rows, fields)
-        whole = True
-    except (KeyError, TypeError, ValueError):
-        whole = False
-    want = width
-    ids: dict[int, int] = {}  # image id -> the record that names it
-    for i, row in enumerate(rows):
-        j = i if whole else 0  # the record's place in the columns
-        try:
-            if not whole:
-                columns, lengths = _columns([row], fields)
-            key = int(columns[0][j]) if fields[0] == "image_id" else None
-            if key is not None and ids.setdefault(key, i) != i:
-                raise ValueError(f"image_id {key} repeats record {ids[key]}")
-        except (KeyError, TypeError, ValueError) as e:
-            what = f"no {e} field" if isinstance(e, KeyError) else e
-            raise DataError(f"{path}: record {i}: {what}") from e
-        if lengths is None:
-            continue
-        n = int(lengths[j])
-        if want is None:
-            if not n:
-                raise DataError(f"{path}: record 0 has no {fields[0]}")
-            want = n
-        elif n != want:
-            than = "record 0 has" if width is None else "the model takes"
-            raise (DataError if width is None else NumericError)(
-                f"{path}: record {i} has {n} {fields[0]}; {than} {want}")

@@ -9,16 +9,8 @@ model depends on one well-tested evaluation path.
 
 Each call checks its input once and then pays numpy's per-operation cost,
 which at the sizes of a training batch outweighs the arithmetic.  So a
-caller with several arguments for one kernel stacks them into one call, as
-the NB loss does once per batch (``cardloss.card_nll_grad``); the values are
-those of separate calls, bit for bit.
-
-Note on the negative binomial mode: near parameter settings where two
-adjacent pmf values tie in exact arithmetic (e.g. a=5, b=0.5 ties m=3
-against m=4), the winner in floating point depends on the last ulp of the
-underlying log-gamma.  ``nb_mode`` resolves such knife edges by comparing
-log-pmf values of the same kernel, so it agrees exactly with a brute-force
-argmax over the same pmf.
+caller with several arguments for one kernel stacks them into one call; the
+values are those of separate calls, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +33,9 @@ __all__ = [
 ]
 
 _HALF_LOG_TWO_PI = 0.9189385332046727  # ln(2*pi)/2
-_PMF_CHUNK = 512  # counts per array call in nb_pmf_truncated
+_PMF_MASS = 1.0 - 1e-12  # nb_pmf_truncated stops where the CDF reaches this,
+_PMF_CAP = 10**6  # or at this count,
+_PMF_CHUNK = 512  # evaluating this many counts per array call.
 # Bernoulli terms of the digamma asymptotic series, innermost (x^-14) first.
 _DIGAMMA_SERIES = (1.0 / 12.0, 691.0 / 32760.0, 1.0 / 132.0, 1.0 / 240.0,
                    1.0 / 252.0, 1.0 / 120.0, 1.0 / 12.0)
@@ -173,6 +167,9 @@ def nb_mode_batch(a, b) -> np.ndarray:
     k = floor((a-1) b / (1-b)) locates the peak; the first maximum of the
     log-pmf over {k-1, k, k+1} (clipped at 0) wins, so the smaller m wins
     exact ties and a brute-force argmax of the same pmf agrees bit for bit.
+    That holds on knife edges too: where two adjacent pmf values tie in exact
+    arithmetic (a=5, b=0.5 ties m=3 against m=4), the winner in floating
+    point depends on the last ulp of the log-gamma.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     # Where a <= 1 the answer is 0; k = 0 there only keeps the candidates valid.
@@ -188,24 +185,19 @@ def nb_mode(p: NegBinParams) -> int:
     return int(nb_mode_batch(p.a, p.b))
 
 
-def nb_pmf_truncated(
-    p: NegBinParams, mass: float = 1.0 - 1e-12, cap: int = 10**6
-) -> list[float]:
-    """pmf values over m = 0..M, M the smallest count with CDF >= ``mass``.
-
-    Truncation is capped at ``cap`` support points.  The returned vector is
-    not re-normalised; its deficit is at most 1 - ``mass``.  The support is
-    evaluated in chunks of counts; the CDF still adds one term at a time.
+def nb_pmf_truncated(p: NegBinParams) -> list[float]:
+    """pmf values over m = 0..M, M the smallest count with CDF >= ``_PMF_MASS``,
+    at most ``_PMF_CAP``.  The vector is not re-normalised; its deficit is at
+    most 1 - ``_PMF_MASS``.  The support is evaluated in chunks of counts; the
+    CDF still adds one term at a time.
     """
-    if not 0.0 < mass < 1.0:
-        raise NumericError(f"mass must lie in (0,1), got {mass!r}")
     pmf: list[float] = []
     total = 0.0
-    for start in range(0, cap + 1, _PMF_CHUNK):
-        m = np.arange(start, min(start + _PMF_CHUNK, cap + 1))
+    for start in range(0, _PMF_CAP + 1, _PMF_CHUNK):
+        m = np.arange(start, min(start + _PMF_CHUNK, _PMF_CAP + 1))
         q = np.exp(_nb_log_pmf(m, p.a, p.b))
         cdf = np.cumsum(np.concatenate(([total], q)))[1:]
-        reached = np.flatnonzero(cdf >= mass)
+        reached = np.flatnonzero(cdf >= _PMF_MASS)
         if reached.size:
             return pmf + q[: reached[0] + 1].tolist()
         pmf += q.tolist()

@@ -694,6 +694,32 @@ def test_bad_record_before_a_line_that_is_not_json_wins(capsys, tmp_path, kind, 
         assert json.loads(out[0])["message"].startswith(message), out
 
 
+@pytest.mark.parametrize("kind,field,value,says", [
+    ("counting", "count", 2.5, ": count must be a non-negative integer"),
+    ("multilabel", "truth", [2, 0], ": labels must be strictly increasing"),
+])
+@pytest.mark.parametrize("good", [0, 3000])
+def test_bad_record_before_undecodable_bytes_wins(capsys, tmp_path, kind, field, value, says,
+                                                  good):
+    # Record 0 is bad, and the line after ``good`` more records is not UTF-8,
+    # in the same chunk of text as record 0 or far past it: the earliest
+    # fault is record 0.
+    rows = [dict(r) for r in VALID_RECORDS[kind]]
+    rows[0][field] = value
+    path = tmp_path / f"{kind}.jsonl"
+    for bad, message in ((True, f"{path}: record 0{says}"),
+                         (False, f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")):
+        lines = [json.dumps(r) for r in (rows if bad else VALID_RECORDS[kind])]
+        lines += lines[1:2] * good
+        path.write_bytes("".join(line + "\n" for line in lines).encode() + b"\xff\n")
+        cfg = {"data": str(path), "epochs": 1} if kind == "counting" else {"records": str(path)}
+        code, out, err = run_main(capsys, tmp_path, "train" if kind == "counting" else "eval-ml",
+                                  cfg)
+        assert code == 1 and err == "" and len(out) == 1, (out, err)
+        assert json.loads(out[0])["code"] == "data"
+        assert json.loads(out[0])["message"].startswith(message), out
+
+
 # Any JSON value, NaN and the infinities included.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -907,6 +933,23 @@ def record_text(rows, *lines):
 @example(("multilabel", record_text([{"scores": [0.5, 0.1], "truth": [0]},
                                      {"scores": [0.5], "truth": [2]}])))
 @example(("multilabel", record_text([{"scores": [], "truth": {}}])))
+# Across records, the earliest fault wins whatever its kind: a ragged record
+# or a repeated image id before a record with a fault of its own or a line
+# that is not JSON, and an empty record 0 before a later record's own fault.
+@example(("counting", record_text([{"features": [0.5] * 3, "count": 1},
+                                   {"features": [0.5] * 2, "count": 1},
+                                   {"features": [0.5] * 3, "count": 2.5}])))
+@example(("mstar", record_text([{"image_id": 4, "count": 1}, {"image_id": 4, "count": 2},
+                                {"image_id": 5, "count": 2.5}])))
+@example(("multilabel", record_text([{"scores": [0.5, 0.1], "truth": [0]},
+                                     {"scores": [0.5], "truth": []}], "{not json")))
+@example(("features", record_text([{"features": [0.5] * 3}, {"features": [0.5] * 2}],
+                                  "[1, 2")))
+@example(("counting", record_text([{"features": [], "count": 1},
+                                   {"features": [0.5], "count": 1},
+                                   {"features": [0.5], "count": -1}])))
+@example(("multilabel", record_text([{"scores": [], "truth": []},
+                                     {"scores": [0.5], "truth": [1]}])))
 def test_column_reader_agrees_with_per_record_rules(tmp_path_factory, case):
     from setnet.formats import read_records
     kind, text = case

@@ -126,13 +126,31 @@ def test_rejected_box_is_data_error_with_line(tmp_path, row):
 @pytest.mark.parametrize("row, want", [
     ("1 0 0 x 5 0.5", "{path}:2049: could not convert string to float: 'x'"),
     ("1 0 0 5 5 0.5", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+    ("1 0 0 0 5 0.5", "{path}:2049: box must have positive extent"),
 ])
 def test_box_row_read_before_undecodable_bytes(tmp_path, row, want):
     # The bytes sit past the chunks of text that hold the first 2,049 rows,
-    # so those rows are read first, and one that does not parse wins.
+    # so those rows are read first, and one that does not parse, or that
+    # BoxDetection rejects, wins.
     path = tmp_path / "boxes.txt"
     good = "2 0 0 5 5 0.5\n"
     path.write_bytes((good * 2048 + row + "\n" + good * 1000).encode() + b"\xff\n")
+    with pytest.raises(DataError) as info:
+        read_boxes(str(path), with_score=True)
+    assert str(info.value).startswith(want.format(path=path))
+
+
+@pytest.mark.parametrize("row, want", [
+    ("1 0 0 x 5 0.5", "{path}:3: could not convert string to float: 'x'"),
+    ("1 0 0 0 5 0.5", "{path}:3: box must have positive extent"),
+    ("1 0 0 5 5 0.5", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+])
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"])
+def test_box_row_in_the_text_chunk_of_undecodable_bytes(tmp_path, row, want, sep):
+    # One small chunk holds the bad row and the bytes on the line after it:
+    # the row is still read first, and its line counted as text mode splits.
+    path = tmp_path / "boxes.txt"
+    path.write_bytes(sep.join(["# {}", "2 0 0 5 5 0.5", row, ""]).encode() + b"\xff" + b"1\n")
     with pytest.raises(DataError) as info:
         read_boxes(str(path), with_score=True)
     assert str(info.value).startswith(want.format(path=path))
