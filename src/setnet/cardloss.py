@@ -93,9 +93,8 @@ def card_nll_grad(m, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nll, d nll/d alpha, d nll/d beta) of counts m under valid alpha=a,
     beta=b, elementwise; NumericError if a gradient is not finite.
 
-    A batch costs one ``log_gamma`` call on the stacked (m+a, m+1, a) and
-    one ``digamma`` call on its rows m+a and a: both kernels are elementwise,
-    so each value is the one that a call per term gives.
+    A batch makes one ``log_gamma`` call on the stacked (m+a, m+1, a) and one
+    ``digamma`` call on its rows m+a and a, by the rule of ``numerics``.
     """
     m = _check_count(m)
     log_b, log1p_b = np.log(b), np.log1p(b)
@@ -119,19 +118,20 @@ def card_nll(m: int, ab: AlphaBeta) -> float:
 
 def card_grad(m: int, ab: AlphaBeta) -> LossGrad:
     """Analytic gradient of ``card_nll`` with respect to (alpha, beta)."""
-    _, d_alpha, d_beta = card_nll_grad(m, ab.alpha, ab.beta)
-    return LossGrad(float(d_alpha), float(d_beta))
+    return LossGrad(*map(float, card_nll_grad(m, ab.alpha, ab.beta)[1:]))
 
 
 def sigmoid(z) -> np.ndarray:
     """Numerically stable logistic function, elementwise."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _pair(u, v) -> np.ndarray:
-    """``u`` and ``v`` broadcast and stacked on a last axis of 2."""
-    return np.stack(np.broadcast_arrays(u, v), axis=-1)
+    """``u`` and ``v`` broadcast and stacked on a last axis of 2, as floats."""
+    out = np.empty(np.broadcast(u, v).shape + (2,))
+    out[..., 0], out[..., 1] = u, v
+    return out
 
 
 def _scales(w: HeadWeights) -> np.ndarray:
@@ -153,7 +153,11 @@ def head_forward(z_alpha, z_beta, w: HeadWeights, s=None) -> tuple[np.ndarray, n
     ab = w.floor + _scales(w) * s
     # Saturation towards the scale is representable; towards the floor the
     # sigmoid may underflow to exactly 0, which a positive floor absorbs.
-    return _check_positive(ab[..., 0], "alpha"), _check_positive(ab[..., 1], "beta")
+    try:
+        _check_positive(ab, "alpha and beta")
+    except NumericError:  # name the column at fault
+        _check_positive(ab[..., 0], "alpha"), _check_positive(ab[..., 1], "beta")
+    return ab[..., 0][()], ab[..., 1][()]
 
 
 def head_backward(

@@ -23,6 +23,7 @@ import numpy as np
 
 from .cardloss import (
     HeadWeights,
+    _pair,
     card_nll_grad,
     head_backward,
     head_forward,
@@ -182,13 +183,11 @@ def loss_and_grads(
     if n == 0:
         raise NumericError("batch must be non-empty")
     acts, z_out = _forward_batch(model, X)
-    if model.kind == "negbin":
-        z_alpha, z_beta = z_out[:, 0], z_out[:, 1]
+    if model.kind == "negbin":  # the heads read the sigmoids, not z_alpha and z_beta
         s = sigmoid(z_out)
-        alpha, beta = head_forward(z_alpha, z_beta, model.head, s)
+        alpha, beta = head_forward(None, None, model.head, s)
         loss, d_alpha, d_beta = card_nll_grad(counts, alpha, beta)
-        delta = np.stack(head_backward(z_alpha, z_beta, model.head, d_alpha, d_beta, s),
-                         axis=1)
+        delta = _pair(*head_backward(None, None, model.head, d_alpha, d_beta, s))
     else:
         loss, d_m_hat = regression_loss(counts, z_out[:, 0])
         delta = d_m_hat[:, None]
@@ -206,7 +205,7 @@ def loss_and_grads(
                 delta = upstream * (1.0 - acts[li] * acts[li])
             else:
                 delta = upstream * (acts[li] > 0.0)
-    return float(loss.mean()), (grads_w, grads_b)
+    return float(loss.sum() / n), (grads_w, grads_b)  # loss.mean(), without its wrapper
 
 
 @_overflow_raises
@@ -227,32 +226,30 @@ def train(
     X, counts = data if isinstance(data, tuple) else _stack(data)
     if not len(counts):
         raise DataError("training data must be non-empty")
-    out = replace(model, weights=[w.copy() for w in model.weights],
-                  biases=[b.copy() for b in model.biases])
+    # One flat parameter vector, weights first; the trained model holds views of it.
+    params = model.weights + model.biases
+    theta = np.concatenate([p.ravel() for p in params])
+    ends = np.cumsum([p.size for p in params])
+    views = [v.reshape(p.shape) for v, p in zip(np.split(theta, ends[:-1]), params)]
+    n_layers, n_weights = len(model.weights), ends[len(model.weights) - 1]
+    out = replace(model, weights=views[:n_layers], biases=views[n_layers:])
+    vel = np.zeros_like(theta)
     rng = np.random.default_rng(cfg.seed)
-    vel_w = [np.zeros_like(w) for w in out.weights]
-    vel_b = [np.zeros_like(b) for b in out.biases]
+    starts = range(cfg.batch_size, len(counts), cfg.batch_size)  # of each batch but the first
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(counts))
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(counts), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for idx in np.split(rng.permutation(len(counts)), starts):
             loss, (gw, gb) = loss_and_grads(out, X[idx], counts[idx])
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss {loss!r}")
             epoch_loss += loss
-            n_batches += 1
-            for li in range(len(out.weights)):
-                vel_w[li] = cfg.momentum * vel_w[li] - cfg.learning_rate * gw[li]
-                vel_b[li] = cfg.momentum * vel_b[li] - cfg.learning_rate * gb[li]
-                out.weights[li] = (
-                    out.weights[li] + vel_w[li]
-                    - cfg.learning_rate * cfg.weight_decay * out.weights[li]
-                )
-                out.biases[li] = out.biases[li] + vel_b[li]
+            vel *= cfg.momentum
+            vel -= cfg.learning_rate * np.concatenate([g.ravel() for g in gw + gb])
+            decay = cfg.learning_rate * cfg.weight_decay * theta[:n_weights]
+            theta += vel
+            theta[:n_weights] -= decay
         if epoch_callback is not None:
-            epoch_callback(epoch, epoch_loss / n_batches)
+            epoch_callback(epoch, epoch_loss / (len(starts) + 1))
     return out
 
 

@@ -237,21 +237,26 @@ def _checked_columns(path: str, fields: tuple, width: int | None, rows: list) ->
         else:
             n = len(rows)
         columns, lengths = _columns(rows[:n], fields)
-    # Each fault across records lies before record n, and record 0 before any.
+    # Each fault across records lies before record n; the earliest one wins.
+    faults = []
     if lengths is not None:
         d = width if width is not None else int(lengths[0]) if n else 0
         if width is None and n and not d:
             raise DataError(f"{path}: record 0 has no {fields[0]}")
         for i in np.flatnonzero(lengths != d)[:1].tolist():
             than = "record 0 has" if width is None else "the model takes"
-            raise (DataError if width is None else NumericError)(
-                f"{path}: record {i} has {lengths[i]} {fields[0]}; {than} {d}")
-        columns[0] = columns[0].reshape(n, d)
-    elif fields[0] == "image_id":
-        _, first, inverse = np.unique(columns[0], return_index=True, return_inverse=True)
+            faults.append((i, (DataError if width is None else NumericError)(
+                f"{path}: record {i} has {lengths[i]} {fields[0]}; {than} {d}")))
+    if "image_id" in fields:
+        ids = columns[fields.index("image_id")]
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
         for i in np.flatnonzero(first[inverse] != np.arange(n))[:1].tolist():
-            raise DataError(f"{path}: record {i}: image_id {columns[0][i]} "
-                            f"repeats record {first[inverse[i]]}")
+            faults.append((i, DataError(f"{path}: record {i}: image_id {ids[i]} "
+                                        f"repeats record {first[inverse[i]]}")))
+    if faults:
+        raise min(faults, key=lambda fault: fault[0])[1]
+    if lengths is not None:
+        columns[0] = columns[0].reshape(n, d)
     if own is not None:
         what = f"no {own} field" if isinstance(own, KeyError) else own
         raise DataError(f"{path}: record {n}: {what}") from own

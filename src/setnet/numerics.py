@@ -1,16 +1,16 @@
 """Special functions and count-distribution primitives.
 
-Every kernel here works elementwise on numpy arrays, and the same body
-serves scalar callers (a scalar in, a float out); all of it is pure and
-log-space stable.  The log-gamma and digamma routines
-are self-contained (Lanczos approximation and a Bernoulli-series
-asymptotic expansion with recurrence shift) so that the whole cardinality
-model depends on one well-tested evaluation path.
+Every kernel here works elementwise on numpy arrays and serves scalar callers
+too (a scalar in, a float out); all of it is pure and log-space stable.  The
+log-gamma and digamma routines are self-contained (Lanczos approximation and a
+Bernoulli-series asymptotic expansion with recurrence shift), so the whole
+cardinality model depends on one well-tested evaluation path.
 
-Each call checks its input once and then pays numpy's per-operation cost,
-which at the sizes of a training batch outweighs the arithmetic.  So a
-caller with several arguments for one kernel stacks them into one call; the
-values are those of separate calls, bit for bit.
+Each call checks its input once and pays numpy's per-operation cost, which at
+batch sizes outweighs the arithmetic.  The rule is "stacked calls, same
+per-element order": one call per kernel on stacked arguments, and the terms or
+steps of a small array's series or recurrence as rows summed row by row (``sum``
+may pair them); so the values are those of separate calls and loops, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ _LANCZOS_COEF = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+_LANCZOS_ROWS = np.array([range(1, 9), _LANCZOS_COEF[1:]])  # i and _LANCZOS_COEF[i]
+_STACK_MAX = 4096  # larger arguments keep the loops: their rows would only cost memory
 
 
 def _check_positive(x, name: str):
@@ -60,7 +62,7 @@ def _check_positive(x, name: str):
     for a scalar; NumericError names its first entry that is not > 0 and finite."""
     x = np.asarray(x, dtype=float)[()]
     ok = (x > 0.0) & (x < np.inf)  # False for nan
-    if not ok.all():
+    if not (ok.all() if x.ndim else ok):  # a numpy bool's all() costs 2 us
         raise NumericError(
             f"{name} must be finite and > 0, got {float(np.extract(~ok, x)[0])!r}")
     return x
@@ -84,8 +86,8 @@ def _check_count(m, name: str = "m"):
     if isinstance(m, (int, float, np.number, np.ndarray)):
         arr = np.asarray(m)
         kind = arr.dtype.kind  # as a float, 2**63 - 1 is 2**63: integers compare as integers
-        if kind in "iu" and np.all((arr >= 0) & (arr <= 2**63 - 1)) or kind == "f" and np.all(
-                np.isfinite(arr) & (arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))):
+        if kind == "i" and arr.min(initial=0) >= 0 or kind == "u" and arr.max(initial=0) < 2**63 \
+                or kind == "f" and np.all((arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))):
             return int(arr) if arr.ndim == 0 else arr.astype(np.int64, copy=False)
     raise NumericError(f"{name} must be a non-negative integer below 2**63, got {m!r}")
 
@@ -117,8 +119,13 @@ def log_gamma(x):
     # Adding a bool adds exactly 1.0 where it is set and 0.0 elsewhere.
     z = (x + small) - 1.0
     s = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        s = s + _LANCZOS_COEF[i] / (z + i)
+    if 0 < x.ndim and x.size <= _STACK_MAX:  # the 8 terms as the rows of one array
+        i, c = _LANCZOS_ROWS.reshape((2, 8) + (1,) * x.ndim)
+        for term in c / (z + i):
+            s = s + term
+    else:
+        for i in range(1, 9):
+            s = s + _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     out = _HALF_LOG_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(s)
     return out - small * np.log(x)
@@ -133,10 +140,17 @@ def digamma(x):
     """
     x = _check_positive(x, "x")
     acc = 0.0
-    for _ in range(6):
-        step = x < 6.0
-        acc = acc - step / x
-        x = x + step
+    if 0 < x.ndim and x.size <= _STACK_MAX:  # x, x + 1, (x + 1) + 1, ... as rows
+        shifted = np.add.accumulate(np.concatenate((x[None], np.ones((6, *x.shape)))), axis=0)
+        below = shifted < 6.0
+        for step in below[:6] / shifted[:6]:
+            acc = acc - step
+        x = np.where(below, np.inf, shifted).min(axis=0)  # the first shifted x >= 6
+    else:
+        for _ in range(6):
+            step = x < 6.0
+            acc = acc - step / x
+            x = x + step
     inv2 = 1.0 / (x * x)
     series = _DIGAMMA_SERIES[0]
     for c in _DIGAMMA_SERIES[1:]:
@@ -171,13 +185,13 @@ def nb_mode_batch(a, b) -> np.ndarray:
     arithmetic (a=5, b=0.5 ties m=3 against m=4), the winner in floating
     point depends on the last ulp of the log-gamma.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     # Where a <= 1 the answer is 0; k = 0 there only keeps the candidates valid.
     k = np.floor(np.maximum(a - 1.0, 0.0) * b / (1.0 - b))
-    candidates = np.stack([np.maximum(k - 1.0, 0.0), k, k + 1.0], axis=-1)
+    candidates = np.maximum(k[..., None] + (-1.0, 0.0, 1.0), 0.0)
     values = _nb_log_pmf(candidates, a[..., None], b[..., None])
-    best = np.take_along_axis(candidates, values.argmax(axis=-1)[..., None], axis=-1)
-    return np.where(a <= 1.0, 0, best[..., 0]).astype(np.int64)
+    best = np.maximum(k + (values.argmax(axis=-1) - 1.0), 0.0)  # the winning candidate
+    return np.where(a <= 1.0, 0, best).astype(np.int64)
 
 
 def nb_mode(p: NegBinParams) -> int:

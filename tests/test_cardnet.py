@@ -178,6 +178,19 @@ class TestTrain:
         out = train(model, data, cfg)
         assert model_to_json(out) == model_to_json(model)
 
+    def test_zero_learning_rate_returns_the_input_bits_unaliased(self):
+        model = init_model([4, 8, 2], seed=11)
+        before = [p.copy() for p in model.weights + model.biases]
+        for data in (make_batch(32, 4, seed=12), make_batch(5, 4, seed=13)):
+            out = train(model, data, TrainConfig(learning_rate=0.0, epochs=2, batch_size=8))
+            for got, arr, want in zip(out.weights + out.biases, model.weights + model.biases,
+                                      before):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not np.shares_memory(got, arr)
+                got += 1.0  # the trained copy is the caller's to change
+            assert all(p.tobytes() == q.tobytes()
+                       for p, q in zip(model.weights + model.biases, before))
+
     def test_deterministic(self):
         data = make_batch(64, 4, seed=13)
         cfg = TrainConfig(learning_rate=0.05, epochs=4, batch_size=16, seed=2)

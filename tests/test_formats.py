@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from setnet import BoxDetection, DataError, ParamMap, SynthConfig, cli, formats, gen_boxes
+from setnet import (BoxDetection, DataError, NumericError, ParamMap, SynthConfig, cli, formats,
+                    gen_boxes)
 from setnet.detect import box_table
 from setnet.formats import (
     canonical_json,
@@ -105,6 +106,32 @@ def test_earliest_bad_record_wins(tmp_path):
     path.write_text(path.read_text().replace('[0.5], "truth": []', '[0.5, 0.1], "truth": []'))
     with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: record 3: could not convert"):
         read_records(str(path), "scores", "truth")
+
+
+def test_repeated_image_id_after_a_vector_field(tmp_path):
+    # The id rule holds wherever image_id sits; of a vector that does not
+    # fit and a repeated id, the earlier record's fault wins.
+    path = tmp_path / "features.jsonl"
+
+    def write(*records):
+        path.write_text("".join(json.dumps({"features": f, "image_id": i}) + "\n"
+                                for f, i in records))
+
+    write(([1.0], 3), ([2.0], 3))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: record 1: image_id 3 "
+                                        r"repeats record 0$"):
+        read_records(str(path), "features", "image_id")
+    write(([1.0], 3), ([2.0], 4), ([3.0], 3), ([4.0, 5.0], 5))
+    with pytest.raises(DataError, match=r": record 2: image_id 3 repeats record 0$"):
+        read_records(str(path), "features", "image_id")
+    write(([1.0], 3), ([2.0, 0.0], 4), ([3.0], 3))
+    with pytest.raises(DataError, match=r": record 1 has 2 features; record 0 has 1$"):
+        read_records(str(path), "features", "image_id")
+    with pytest.raises(NumericError, match=r": record 1 has 2 features; the model takes 1$"):
+        read_records(str(path), "features", "image_id", width=1)
+    write(([1.0], 3), ([2.0], 4))
+    X, ids = read_records(str(path), "features", "image_id")
+    assert X.tolist() == [[1.0], [2.0]] and ids.tolist() == [3, 4]
 
 
 @pytest.mark.parametrize("row", [

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 import scipy.special as sps
 import scipy.stats as sstats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from setnet import (
     AlphaBeta,
@@ -18,14 +21,23 @@ from setnet import (
     TrainingSample,
     card_grad,
     card_nll,
+    card_nll_grad,
     digamma,
     log_gamma,
     nb_log_pmf,
     nb_mode,
+    nb_mode_batch,
     nb_pmf_truncated,
     regression_loss,
 )
-from setnet.numerics import _check_count, _nb_log_pmf
+from setnet.numerics import (
+    _DIGAMMA_SERIES,
+    _HALF_LOG_TWO_PI,
+    _LANCZOS_COEF,
+    _LANCZOS_G,
+    _check_count,
+    _nb_log_pmf,
+)
 
 # ln Gamma(0.5) = 0.5 * ln(pi), 50-digit reference rounded to double.
 LGAMMA_HALF = 0.5723649429247001
@@ -248,3 +260,122 @@ class TestCountValidator:
         with pytest.raises(NumericError) as err:
             _check_count(over)
         assert str(err.value) == f"m must be a non-negative integer below 2**63, got {over!r}"
+
+
+# The loop forms the kernels had before their terms and steps were stacked
+# into arrays.  The stacked kernels must give these bits on every input.
+def loop_log_gamma(x):
+    x = np.asarray(x, dtype=float)[()]
+    small = x < 0.5
+    z = (x + small) - 1.0
+    s = _LANCZOS_COEF[0]
+    for i in range(1, 9):
+        s = s + _LANCZOS_COEF[i] / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    out = _HALF_LOG_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(s)
+    return out - small * np.log(x)
+
+
+def loop_digamma(x):
+    x = np.asarray(x, dtype=float)[()]
+    acc = 0.0
+    for _ in range(6):
+        step = x < 6.0
+        acc = acc - step / x
+        x = x + step
+    inv2 = 1.0 / (x * x)
+    series = _DIGAMMA_SERIES[0]
+    for c in _DIGAMMA_SERIES[1:]:
+        series = c - inv2 * series
+    series = inv2 * series
+    return acc + np.log(x) - 0.5 / x - series
+
+
+def loop_card_nll_grad(m, a, b):
+    log_b, log1p_b = np.log(b), np.log1p(b)
+    nll = -(loop_log_gamma(m + a) - loop_log_gamma(m + 1.0) - loop_log_gamma(a)
+            + a * log_b - (a + m) * log1p_b)
+    d_alpha = -(loop_digamma(m + a) - loop_digamma(a) + log_b - log1p_b)
+    d_beta = -(a - m * b) / (b * (1.0 + b))
+    return nll, d_alpha, d_beta
+
+
+def loop_nb_mode_batch(a, b):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    k = np.floor(np.maximum(a - 1.0, 0.0) * b / (1.0 - b))
+    candidates = np.stack([np.maximum(k - 1.0, 0.0), k, k + 1.0], axis=-1)
+    values = _nb_log_pmf(candidates, a[..., None], b[..., None])
+    best = np.take_along_axis(candidates, values.argmax(axis=-1)[..., None], axis=-1)
+    return np.where(a <= 1.0, 0, best[..., 0]).astype(np.int64)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+STACKED = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+EDGES = [0.5, np.nextafter(0.5, 0.0), 6.0, np.nextafter(6.0, 0.0), 5.0, 1.0,
+         np.nextafter(1.0, 0.0), 1e-300, 1e300]
+# Floats with every mantissa bit drawn, in [2**-30, 8): the shift steps of
+# digamma round where they cross a power of two, which simple floats do not show.
+MANTISSAS = st.builds(lambda m, e: math.ldexp(1.0 + m / 2**52, e),
+                      st.integers(0, 2**52 - 1), st.integers(-30, 2))
+POSITIVE = st.floats(1e-300, 1e300) | st.sampled_from(EDGES) | st.floats(1e-3, 8.0) | MANTISSAS
+SHAPES = st.integers(1, 20).flatmap(
+    lambda n: st.sampled_from([(), (1,), (2,), (3, n), (n, 3)]))
+
+
+def positive_arrays(shape):
+    return hnp.arrays(float, shape, elements=POSITIVE)
+
+
+class TestStackedKernels:
+    @STACKED
+    @given(SHAPES.flatmap(positive_arrays))
+    @example(np.array(EDGES))
+    @example(np.float64(6.0))
+    def test_kernels_equal_their_loop_forms(self, x):
+        with np.errstate(over="ignore"):  # x * x overflows past 1e154
+            for kernel, loop in ((log_gamma, loop_log_gamma), (digamma, loop_digamma)):
+                got = kernel(x)
+                assert same_bits(got, loop(x))
+                assert type(got) is type(loop(x))  # a numpy float for a 0-d input
+                if np.ndim(x) == 2:
+                    assert same_bits(kernel(x.T), loop(x.T))  # strided rows
+
+    def test_large_arrays_keep_the_loop_forms_bits(self):
+        rng = np.random.default_rng(23)
+        x = np.concatenate([np.ldexp(1.0 + rng.integers(0, 2**52, 6000) / 2**52,
+                                     rng.integers(-30, 3, 6000)),
+                            np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 3000)), EDGES])
+        with np.errstate(over="ignore"):
+            for shape in [(x.size,), (3, x.size // 3)]:
+                v = x[: np.prod(shape)].reshape(shape)
+                assert same_bits(log_gamma(v), loop_log_gamma(v))
+                assert same_bits(digamma(v), loop_digamma(v))
+
+    @STACKED
+    @given(SHAPES.flatmap(lambda shape: st.tuples(
+        hnp.arrays(np.int64, shape, elements=st.integers(0, 10**6)),
+        positive_arrays(shape), positive_arrays(shape))))
+    def test_card_nll_grad_equals_its_loop_form(self, args):
+        m, a, b = args
+        with np.errstate(all="ignore"):
+            want = loop_card_nll_grad(m, a, b)
+            if not (np.isfinite(want[1]).all() and np.isfinite(want[2]).all()):
+                with pytest.raises(NumericError, match="^gradients must be finite$"):
+                    card_nll_grad(m, a, b)
+                return
+            got = card_nll_grad(m, a, b)
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+
+    @STACKED
+    @given(SHAPES.flatmap(lambda shape: st.tuples(
+        hnp.arrays(float, shape, elements=st.floats(1e-3, 1e3) | st.sampled_from([1.0, 5.0])),
+        hnp.arrays(float, shape, elements=st.floats(1e-3, 0.999) | st.just(0.5)))))
+    def test_nb_mode_batch_equals_its_candidate_table_form(self, args):
+        a, b = args
+        assert same_bits(nb_mode_batch(a, b), loop_nb_mode_batch(a, b))
+        assert same_bits(nb_mode_batch(a, 0.5), loop_nb_mode_batch(a, 0.5))  # broadcast
