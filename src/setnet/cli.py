@@ -578,10 +578,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # one parser per process
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         if e.code not in (0, None):
             print(json.dumps({"code": "config",

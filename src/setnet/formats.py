@@ -7,13 +7,18 @@ config hash and seed, so runs are self-describing and diffable:
   ({"features": [...], "count": m} / {"scores": [...], "truth": [...]}).
 * Box files: whitespace-separated "image_id x1 y1 x2 y2 [score]" records,
   header carried in a leading "# {...}" comment line.
+
+``read_records`` runs with the cyclic collector paused until its rows are
+dropped: decoded JSON is trees, and a collector pass over trees frees nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import warnings
+from contextlib import contextmanager
 from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator
@@ -212,10 +217,22 @@ def read_records(path: str, *fields: str, width: int | None = None) -> list:
     JSON or not UTF-8, is a DataError, or a NumericError if the record's
     vector does not fit ``width``."""
     check = partial(_checked_columns, path, fields, width)
-    columns = check(read_jsonl(path, check)[1])
+    with _gc_paused():
+        columns = check(read_jsonl(path, check)[1])
     if "truth" in fields:
         columns[1] = _mask(*columns[1], columns[0].shape)
     return columns
+
+
+@contextmanager
+def _gc_paused():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _checked_columns(path: str, fields: tuple, width: int | None, rows: list) -> list:

@@ -44,6 +44,7 @@ from setnet import (
 from setnet.cardloss import sigmoid
 from setnet.cardnet import model_from_json, model_to_json
 from setnet.numerics import _HALF_LOG_TWO_PI, _LANCZOS_COEF, _LANCZOS_G, _nb_log_pmf
+from test_numerics import MANTISSAS
 
 
 def make_batch(n, d, seed, count_rate=4.0):
@@ -408,11 +409,17 @@ ONE_PATH = settings(max_examples=200, deadline=None, derandomize=True, database=
 HEADS = st.sampled_from([HeadWeights(), HeadWeights(alpha_max=12.0, beta_max=4.0),
                          HeadWeights(alpha_max=3.0, beta_max=0.5, floor=1e-3)])
 # Saturated pre-activations: beyond |z| ~ 745 the sigmoid underflows to 0 (or
-# rounds to 1) and the floor is all that keeps alpha and beta positive.
+# rounds to 1) and the floor is all that keeps alpha and beta positive.  Like
+# MANTISSAS (floats with every mantissa bit drawn), the last branch shows
+# rounding that simple floats do not; it spans 2**-30 <= |z| < 1024.
 PRE_ACTIVATIONS = (st.floats(-800.0, 800.0)
-                   | st.sampled_from([-800.0, -745.5, -40.0, 0.0, 40.0, 745.5, 800.0]))
+                   | st.sampled_from([-800.0, -745.5, -40.0, 0.0, 40.0, 745.5, 800.0])
+                   | st.builds(lambda s, m, e: math.copysign(math.ldexp(1.0 + m / 2**52, e), s),
+                               st.sampled_from([-1.0, 1.0]), st.integers(0, 2**52 - 1),
+                               st.integers(-30, 9)))
 COUNTS = st.integers(0, 200)
-POSITIVE = st.floats(1e-300, 1e12) | st.sampled_from([1e-3, 0.5, 1.0, 5.9999999, 6.0])
+POSITIVE = (st.floats(1e-300, 1e12) | st.sampled_from([1e-3, 0.5, 1.0, 5.9999999, 6.0])
+            | MANTISSAS)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, error codes, reproducibility of artifacts."""
 
+import gc
 import hashlib
 import json
 import math
@@ -219,6 +220,40 @@ def test_log_env_controls_stderr(workdir):
     assert "counting samples" in proc.stderr
     # stdout stays machine-readable JSON.
     assert json.loads(proc.stdout.strip())["command"] == "synth"
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path):
+    # main parses with one parser per process: after a bad command line, and
+    # from one subcommand to another, each call prints what a fresh process does.
+    from setnet import cli
+    synth = write_config(tmp_path, "synth.json", {"task": "counting", "n": 20, "d": 4, "seed": 1})
+    sample = write_config(tmp_path, "sample.json", {
+        "card": "pmf", "pmf": [0.0, 0.0, 1.0], "element": "categorical",
+        "probs": [0.6, 0.4], "n": 50, "seed": 3,
+    })
+    for argv in (["synth", "--config", synth, "--bogus"],
+                 ["synth", "--config", synth, "--out", str(tmp_path / "a")],
+                 ["sample", "--config", sample, "--out", str(tmp_path / "b")],
+                 ["synth", "--config", synth, "--seed", "4", "--out", str(tmp_path / "c")]):
+        fresh = subprocess.run([sys.executable, "-m", "setnet.cli", *argv],
+                               capture_output=True, text=True)
+        code = cli.main(argv)
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout)
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: setnet")
+
+
+def test_a_call_leaves_no_cyclic_garbage(capsys, tmp_path):
+    # The parser outlives the call, so the collector finds nothing after it.
+    from setnet import cli
+    argv = ["sample", "--config", write_config(tmp_path, "sample.json", {
+        "card": "pmf", "pmf": [0.0, 0.0, 1.0], "element": "categorical",
+        "probs": [0.6, 0.4], "n": 50, "seed": 3,
+    }), "--out", str(tmp_path / "s")]
+    assert cli.main(argv) == 0  # a first call may fill caches
+    gc.collect()
+    assert cli.main(argv) == 0
+    assert gc.collect() == 0
 
 
 def test_sample_command(workdir):

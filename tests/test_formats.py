@@ -6,6 +6,7 @@ the same line.  The box writer is checked against a reference writer
 that formats ``BoxDetection`` fields one by one.
 """
 
+import gc
 import json
 import math
 import re
@@ -395,6 +396,52 @@ def test_ordinary_box_files_skip_the_line_loop(tmp_path):
         assert loop.call_count == 0
         assert list(read_boxes(str(odd), with_score=True)) == [10]
         assert loop.call_count == 1
+
+
+def test_read_records_puts_the_collector_back(tmp_path):
+    # read_records pauses the cyclic collector; each way out restores the
+    # caller's state, so a caller's own pause outlives the read.
+    good, bad, not_json = tmp_path / "good.jsonl", tmp_path / "bad.jsonl", tmp_path / "nj.jsonl"
+    write_jsonl(str(good), make_header({}, 0), [{"features": [1.0, 2.0], "count": 1}])
+    write_jsonl(str(bad), make_header({}, 0), [{"features": [1.0, 2.0], "count": -1}])
+    not_json.write_text('{"features": [1.0], "count": 1}\n{"features": [\n')
+    cases = [(good, None, None), (bad, None, DataError), (not_json, None, DataError),
+             (tmp_path / "missing.jsonl", None, DataError), (good, 3, NumericError)]
+    try:
+        for enabled in (True, False):
+            for path, width, error in cases:
+                gc.enable() if enabled else gc.disable()
+                if error is None:
+                    X, counts = read_records(str(path), "features", "count", width=width)
+                    assert X.tolist() == [[1.0, 2.0]] and counts.tolist() == [1]
+                else:
+                    with pytest.raises(error):
+                        read_records(str(path), "features", "count", width=width)
+                assert gc.isenabled() is enabled, (path.name, width, enabled)
+    finally:
+        gc.enable()
+
+
+def test_read_records_runs_no_collector_pass(tmp_path):
+    # Decoded rows are trees, which hold no reference cycle: a 6k-record
+    # multi-label read runs with no collector pass, not one per 700 objects.
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"task": "multilabel", "n": 6000, "d": 8, "C": 16, "seed": 7}))
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ml")]) == 0
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        scores, truth = read_records(str(tmp_path / "ml" / "records.jsonl"), "scores", "truth")
+    finally:
+        gc.callbacks.remove(count)
+    assert scores.shape == truth.shape == (6000, 16)
+    assert passes == []
 
 
 # The JSONL reader is checked against the reader it replaced, which called
