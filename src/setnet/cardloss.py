@@ -13,13 +13,20 @@ which equals -ln NB(m; a=alpha, b=1/(1+beta)).  Its partial derivatives
     d nll / d alpha = -( Psi(m+alpha) - Psi(alpha) + ln(beta/(1+beta)) )
     d nll / d beta  = -( alpha - m beta ) / ( beta (1+beta) )
 
-A pair of weighted sigmoids maps unconstrained pre-activations onto
-strictly positive (alpha, beta); the weights bound the reachable range.
+The head is a map of (..., 2) tables, one (z_alpha, z_beta) row of
+unconstrained pre-activations per sample: with s = sigmoid(z), a pair of
+weighted sigmoids gives the strictly positive
 
-The loss, the sigmoid and the heads work elementwise on arrays (one entry
-per sample); ``card_nll`` and ``card_grad`` wrap the loss for one sample.
-``AlphaBeta`` and the heads reject an alpha or beta that is not finite and
-> 0 with the positivity check of ``numerics``.
+    (alpha, beta) = floor + ((alpha_max, beta_max) - floor) * s,
+
+so the weights bound the reachable range.  ``head_forward`` returns s with
+(alpha, beta), and ``head_backward`` takes that s, not z, to chain
+(d_alpha, d_beta) back onto the table.
+
+The loss and the sigmoid work elementwise on arrays (one entry per sample);
+``card_nll`` and ``card_grad`` wrap the loss for one sample.  ``AlphaBeta``
+and ``head_forward`` reject an alpha or beta that is not finite and > 0
+with the positivity check of ``numerics``.
 """
 
 from __future__ import annotations
@@ -139,17 +146,13 @@ def _scales(w: HeadWeights) -> np.ndarray:
     return np.array([w.alpha_max - w.floor, w.beta_max - w.floor])
 
 
-def head_forward(z_alpha, z_beta, w: HeadWeights, s=None) -> tuple[np.ndarray, np.ndarray]:
-    """Map pre-activation arrays to strictly positive (alpha, beta) arrays.
+def head_forward(z, w: HeadWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, beta, s) of the pre-activation table z, as the module states.
 
-    alpha = floor + (alpha_max - floor) * sigmoid(z_alpha), same for beta.
-    ``s``, when given, is ``sigmoid`` of (z_alpha, z_beta) stacked on a last
-    axis of 2, which the caller has already computed; z_alpha and z_beta are
-    then not read.  NumericError names the first alpha, else the first beta,
-    that is not finite and > 0.
+    NumericError names the first alpha, else the first beta, that is not
+    finite and > 0.
     """
-    if s is None:
-        s = sigmoid(_pair(z_alpha, z_beta))
+    s = sigmoid(z)
     ab = w.floor + _scales(w) * s
     # Saturation towards the scale is representable; towards the floor the
     # sigmoid may underflow to exactly 0, which a positive floor absorbs.
@@ -157,19 +160,13 @@ def head_forward(z_alpha, z_beta, w: HeadWeights, s=None) -> tuple[np.ndarray, n
         _check_positive(ab, "alpha and beta")
     except NumericError:  # name the column at fault
         _check_positive(ab[..., 0], "alpha"), _check_positive(ab[..., 1], "beta")
-    return ab[..., 0][()], ab[..., 1][()]
+    return ab[..., 0][()], ab[..., 1][()], s
 
 
-def head_backward(
-    z_alpha, z_beta, w: HeadWeights, d_alpha, d_beta, s=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chain (d_alpha, d_beta) through the weighted sigmoids; gradients
-    w.r.t. (z_alpha, z_beta), elementwise.  ``s`` is as in ``head_forward``:
-    passing the forward pass's sigmoids saves computing them again."""
-    if s is None:
-        s = sigmoid(_pair(z_alpha, z_beta))
-    g = _pair(d_alpha, d_beta) * _scales(w) * s * (1.0 - s)
-    return g[..., 0][()], g[..., 1][()]
+def head_backward(s, w: HeadWeights, d_alpha, d_beta) -> np.ndarray:
+    """The gradient table w.r.t. z of (d_alpha, d_beta), from the sigmoids s
+    that ``head_forward`` returned."""
+    return _pair(d_alpha, d_beta) * _scales(w) * s * (1.0 - s)
 
 
 def regression_loss(m, m_hat) -> tuple[np.ndarray, np.ndarray]:

@@ -21,15 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cardloss import (
-    HeadWeights,
-    _pair,
-    card_nll_grad,
-    head_backward,
-    head_forward,
-    regression_loss,
-    sigmoid,
-)
+from .cardloss import HeadWeights, card_nll_grad, head_backward, head_forward, regression_loss
 from .errors import DataError, NumericError
 from .formats import SCHEMA_VERSION
 from .numerics import _check_count, _check_finite, nb_mode_batch
@@ -166,28 +158,29 @@ def _forward_batch(model: MLPModel, X: np.ndarray) -> tuple[list[np.ndarray], np
     return acts, acts[-1] @ model.weights[-1].T + model.biases[-1]
 
 
-def _stack(samples: list[TrainingSample]) -> tuple[np.ndarray, np.ndarray]:
-    """The (X, counts) arrays of a list of samples."""
-    X = np.asarray([s.features for s in samples], dtype=float)
-    return X, np.asarray([s.count for s in samples], dtype=np.int64)
+def _stack(
+    data: list[TrainingSample] | tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (X, counts) arrays of a list of samples; an (X, counts) tuple as it is."""
+    if isinstance(data, tuple):
+        return data
+    X = np.asarray([s.features for s in data], dtype=float)
+    return X, np.asarray([s.count for s in data], dtype=np.int64)
 
 
 def loss_and_grads(
     model: MLPModel, X: np.ndarray, counts: np.ndarray
 ) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
     """Mean loss over the rows of X with their counts, and its exact
-    gradients (no weight decay here).  The head's sigmoids are computed once,
-    on the (n, 2) output matrix, and serve both the forward and the backward
-    pass."""
+    gradients (no weight decay here)."""
     n = len(counts)
     if n == 0:
         raise NumericError("batch must be non-empty")
     acts, z_out = _forward_batch(model, X)
-    if model.kind == "negbin":  # the heads read the sigmoids, not z_alpha and z_beta
-        s = sigmoid(z_out)
-        alpha, beta = head_forward(None, None, model.head, s)
+    if model.kind == "negbin":
+        alpha, beta, s = head_forward(z_out, model.head)
         loss, d_alpha, d_beta = card_nll_grad(counts, alpha, beta)
-        delta = _pair(*head_backward(None, None, model.head, d_alpha, d_beta, s))
+        delta = head_backward(s, model.head, d_alpha, d_beta)
     else:
         loss, d_m_hat = regression_loss(counts, z_out[:, 0])
         delta = d_m_hat[:, None]
@@ -223,7 +216,7 @@ def train(
     Returns a trained copy; the input model is not modified.  When given,
     ``epoch_callback(epoch, mean_batch_loss)`` runs after every epoch.
     """
-    X, counts = data if isinstance(data, tuple) else _stack(data)
+    X, counts = _stack(data)
     if not len(counts):
         raise DataError("training data must be non-empty")
     # One flat parameter vector, weights first; the trained model holds views of it.
@@ -265,7 +258,7 @@ def predict_batch(
         if not (np.abs(z) < 2.0**53).all():  # False for nan
             raise NumericError("regression output must be finite and below 2**53")
         return None, None, np.maximum(np.floor(z[:, 0] + 0.5), 0.0).astype(np.int64)
-    alpha, beta = head_forward(z[:, 0], z[:, 1], model.head)
+    alpha, beta, _ = head_forward(z, model.head)
     return alpha, beta, nb_mode_batch(alpha, 1.0 / (1.0 + beta))
 
 
@@ -274,8 +267,13 @@ def predict_count(model: MLPModel, x) -> int:
     return int(predict_batch(model, np.reshape(x, (1, -1)))[2][0])
 
 
-def gradient_check(model: MLPModel, batch: list[TrainingSample], h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def gradient_check(
+    model: MLPModel,
+    batch: list[TrainingSample] | tuple[np.ndarray, np.ndarray],
+    h: float = 1e-5,
+) -> float:
+    """Max relative error between analytic and central-difference gradients
+    on a batch of samples or of (X, counts) arrays.
 
     Steps are scaled per parameter: h_i = h * max(1, |theta_i|).
     """

@@ -538,14 +538,9 @@ def cmd_gradcheck(cfg: dict, header: dict, out_dir: str) -> dict:
     kind = cfg["loss"]
     dims = [d, *cfg["hidden"], 2 if kind == "negbin" else 1]
     model = cardnet.init_model(dims, seed=cfg["seed"], kind=kind)
-    batch = [
-        cardnet.TrainingSample(
-            features=tuple(rng.uniform(-1.0, 1.0, size=d)),
-            count=int(rng.poisson(4.0)),
-        )
-        for _ in range(cfg["batch"])
-    ]
-    err = cardnet.gradient_check(model, batch, h=cfg["h"])
+    draws = [(rng.uniform(-1.0, 1.0, size=d), rng.poisson(4.0)) for _ in range(cfg["batch"])]
+    X, counts = map(np.array, zip(*draws))
+    err = cardnet.gradient_check(model, (X, counts), h=cfg["h"])
     path = _write_json(out_dir, "gradcheck.json", {**header, "max_rel_error": err})
     return {"files": {"report": path}, "max_rel_error": err}
 

@@ -22,7 +22,6 @@ from setnet import (
     nb_log_pmf,
     regression_loss,
 )
-from setnet.cardloss import sigmoid
 
 # d_alpha at (m=3, alpha=2, beta=1): -(Psi(5) - Psi(2) + ln(1/2))
 #   = -(1/2 + 1/3 + 1/4 - ln 2) = -(13/12 - ln 2).
@@ -115,52 +114,52 @@ class TestCardGrad:
 class TestHead:
     def test_midpoint(self):
         w = HeadWeights(alpha_max=160.0, beta_max=20.0, floor=0.0)
-        alpha, beta = head_forward(0.0, 0.0, w)
+        alpha, beta, _ = head_forward(np.zeros(2), w)
         assert alpha == pytest.approx(80.0)
         assert beta == pytest.approx(10.0)
 
     def test_monotone_saturation(self):
         w = HeadWeights(alpha_max=160.0, beta_max=20.0)
-        prev = 0.0
-        for z in (-5.0, 0.0, 5.0, 20.0, 40.0):
-            alpha, _ = head_forward(z, z, w)
-            assert alpha > prev
-            prev = alpha
-        alpha, beta = head_forward(60.0, 60.0, w)
+        z = np.array([-5.0, 0.0, 5.0, 20.0, 40.0])
+        alpha, _, _ = head_forward(np.stack([z, z], axis=-1), w)
+        assert alpha[0] > 0.0 and (np.diff(alpha) > 0.0).all()
+        alpha, beta, _ = head_forward(np.array([60.0, 60.0]), w)
         assert alpha == pytest.approx(160.0, rel=1e-12)
         assert beta == pytest.approx(20.0, rel=1e-12)
 
     def test_outputs_always_valid(self):
         w = HeadWeights()
-        for z in (-1e6, -745.0, -50.0, 0.0, 50.0, 745.0, 1e6):
-            alpha, beta = head_forward(z, z, w)
-            assert 0.0 < alpha <= w.alpha_max
-            assert 0.0 < beta <= w.beta_max
+        z = np.array([-1e6, -745.0, -50.0, 0.0, 50.0, 745.0, 1e6])
+        alpha, beta, _ = head_forward(np.stack([z, z], axis=-1), w)
+        assert ((0.0 < alpha) & (alpha <= w.alpha_max)).all()
+        assert ((0.0 < beta) & (beta <= w.beta_max)).all()
 
     def test_forward_derivative(self):
         w = HeadWeights(alpha_max=160.0, beta_max=20.0, floor=1e-6)
         h = 1e-7
         for z in (-2.0, 0.0, 1.3):
-            fd = (head_forward(z + h, 0.0, w)[0]
-                  - head_forward(z - h, 0.0, w)[0]) / (2 * h)
+            fd = (head_forward(np.array([z + h, 0.0]), w)[0]
+                  - head_forward(np.array([z - h, 0.0]), w)[0]) / (2 * h)
             s = 1.0 / (1.0 + math.exp(-z))
             analytic = (w.alpha_max - w.floor) * s * (1.0 - s)
             assert analytic == pytest.approx(fd, rel=1e-6)
 
     def test_backward_zero(self):
         w = HeadWeights()
-        assert head_backward(0.3, -0.7, w, 0.0, 0.0) == (0.0, 0.0)
+        _, _, s = head_forward(np.array([0.3, -0.7]), w)
+        assert head_backward(s, w, 0.0, 0.0).tolist() == [0.0, 0.0]
 
     def test_backward_matches_composed_finite_differences(self):
         w = HeadWeights(alpha_max=12.0, beta_max=4.0)
         m = 3
         for za, zb in [(-1.0, 0.5), (0.2, -2.0), (1.5, 1.5)]:
-            g = card_grad(m, AlphaBeta(*head_forward(za, zb, w)))
-            gza, gzb = head_backward(za, zb, w, g.d_alpha, g.d_beta)
+            alpha, beta, s = head_forward(np.array([za, zb]), w)
+            g = card_grad(m, AlphaBeta(alpha, beta))
+            gza, gzb = head_backward(s, w, g.d_alpha, g.d_beta)
             h = 1e-5
 
             def loss(za_, zb_):
-                return card_nll(m, AlphaBeta(*head_forward(za_, zb_, w)))
+                return card_nll(m, AlphaBeta(*head_forward(np.array([za_, zb_]), w)[:2]))
 
             fza = (loss(za + h, zb) - loss(za - h, zb)) / (2 * h)
             fzb = (loss(za, zb + h) - loss(za, zb - h)) / (2 * h)
@@ -172,7 +171,8 @@ class TestHead:
     def test_saturation_underflow(self):
         w = HeadWeights()
         for z in (50.0, -50.0):
-            gya, gyb = head_backward(z, z, w, 1.0, 1.0)
+            _, _, s = head_forward(np.array([z, z]), w)
+            gya, gyb = head_backward(s, w, 1.0, 1.0)
             assert abs(gya) < 1e-18
             assert abs(gyb) < 1e-18
 
@@ -265,12 +265,12 @@ class TestFusedLoss:
                              (-1e6, 0.0, "alpha must be finite and > 0, got 0.0"),
                              (0.0, -1e6, "beta must be finite and > 0, got 0.0")]:
             with pytest.raises(NumericError, match=f"^{says}$"):
-                head_forward(za, zb, w)
+                head_forward(np.array([za, zb]), w)
             with pytest.raises(NumericError, match=f"^{says}$"):
-                head_forward(np.array([0.0, za, za]), np.array([0.0, zb, 0.0]), w)
+                head_forward(np.array([[0.0, 0.0], [za, zb], [za, 0.0]]), w)
         # The first bad alpha wins over an earlier bad beta.
         with pytest.raises(NumericError, match="^alpha must be finite and > 0, got 0.0$"):
-            head_forward(np.array([0.0, -1e6]), np.array([nan, 0.0]), w)
+            head_forward(np.array([[0.0, nan], [-1e6, 0.0]]), w)
 
     def test_loss_and_grads_names_a_bad_head_output(self):
         model = init_model([3, 2], head=HeadWeights(floor=0.0), seed=0)
@@ -279,19 +279,18 @@ class TestFusedLoss:
             loss_and_grads(model, np.zeros((2, 3)), np.array([1, 2]))
 
     def test_backward_with_forward_sigmoids_is_the_same(self):
+        # One row through head_forward and head_backward gives row i of the
+        # calls on the whole table.
         rng = np.random.default_rng(22)
         for w in (HeadWeights(), HeadWeights(alpha_max=3.0, beta_max=0.5, floor=1e-3)):
-            za, zb = rng.normal(0.0, 8.0, (2, 500))
+            z = np.stack(rng.normal(0.0, 8.0, (2, 500)), axis=-1)
             da, db = rng.normal(0.0, 3.0, (2, 500))
-            s = sigmoid(np.stack([za, zb], axis=-1))
-            assert_same(head_backward(za, zb, w, da, db, s), head_backward(za, zb, w, da, db))
-            assert_same(head_forward(za, zb, w, s), head_forward(za, zb, w))
+            alpha, beta, s = head_forward(z, w)
+            g = head_backward(s, w, da, db)
             for i in range(0, 500, 50):
-                one = float(za[i]), float(zb[i]), w, float(da[i]), float(db[i])
-                s1 = sigmoid(np.array(one[:2]))
-                assert_same(head_backward(*one, s1), head_backward(*one))
-                assert_same(head_backward(*one), (head_backward(za, zb, w, da, db)[0][i],
-                                                  head_backward(za, zb, w, da, db)[1][i]))
+                one = head_forward(z[i], w)
+                assert_same(one, (alpha[i], beta[i], s[i]))
+                assert_same([head_backward(one[2], w, float(da[i]), float(db[i]))], [g[i]])
 
 
 class TestRegressionLoss:

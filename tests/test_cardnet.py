@@ -41,6 +41,7 @@ from setnet import (
     predict_count,
     train,
 )
+from setnet import cardloss
 from setnet.cardloss import sigmoid
 from setnet.cardnet import model_from_json, model_to_json
 from setnet.numerics import _HALF_LOG_TWO_PI, _LANCZOS_COEF, _LANCZOS_G, _nb_log_pmf
@@ -83,7 +84,7 @@ class TestForward:
     def test_zero_network_equals_head_midpoint(self):
         head = HeadWeights(alpha_max=160.0, beta_max=20.0, floor=0.0)
         model = single_layer_model(head=head)
-        assert alpha_beta(model, [0.4, -1.2, 3.3]) == head_forward(0.0, 0.0, head)
+        assert alpha_beta(model, [0.4, -1.2, 3.3]) == head_forward(np.zeros(2), head)[:2]
 
     def test_hand_computed_fixture(self):
         head = HeadWeights(alpha_max=10.0, beta_max=4.0, floor=0.0)
@@ -121,8 +122,9 @@ class TestLossAndGrads:
         model = single_layer_model(d=3, head=head)
         model.biases[0][:] = [0.4, -0.3]
         _, (gw, gb) = loss_and_grads(model, np.zeros((1, 3)), np.array([2]))
-        g = card_grad(2, AlphaBeta(*head_forward(0.4, -0.3, head)))
-        expected = head_backward(0.4, -0.3, head, g.d_alpha, g.d_beta)
+        alpha, beta, s = head_forward(np.array([0.4, -0.3]), head)
+        g = card_grad(2, AlphaBeta(alpha, beta))
+        expected = head_backward(s, head, g.d_alpha, g.d_beta)
         assert gb[0][0] == pytest.approx(expected[0], rel=1e-12)
         assert gb[0][1] == pytest.approx(expected[1], rel=1e-12)
 
@@ -169,6 +171,38 @@ class TestGradientCheck:
         model = single_layer_model()
         with pytest.raises(NumericError):
             gradient_check(model, make_batch(2, 3, seed=0), h=0.0)
+
+    def test_arrays_give_the_error_of_their_samples(self):
+        model = init_model([4, 8, 2], head=HeadWeights(alpha_max=12.0, beta_max=4.0),
+                           seed=9)
+        batch = make_batch(8, 4, seed=10)
+        assert gradient_check(model, as_arrays(batch)) == gradient_check(model, batch)
+
+
+class TestOneSigmoidCall:
+    """The head's sigmoids are computed once per batch, on the (n, 2) table,
+    and the backward pass takes the forward pass's."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        shapes = []
+
+        def counted(z):
+            shapes.append(np.shape(z))
+            return sigmoid(z)
+
+        monkeypatch.setattr(cardloss, "sigmoid", counted)
+        return shapes
+
+    def test_loss_and_grads(self, calls):
+        model = init_model([4, 8, 2], seed=3)
+        loss_and_grads(model, *as_arrays(make_batch(16, 4, seed=4)))
+        assert calls == [(16, 2)]
+
+    def test_predict_batch(self, calls):
+        model = init_model([4, 8, 2], seed=3)
+        predict_batch(model, as_arrays(make_batch(16, 4, seed=4))[0])
+        assert calls == [(16, 2)]
 
 
 class TestTrain:
@@ -486,23 +520,19 @@ class TestOnePath:
     @given(pre_activation_batches(), HEADS)
     def test_loss_and_head_arrays_equal_scalar_bits(self, batch, head):
         z, counts = batch
-        za, zb = z[:, 0], z[:, 1]
-        alpha, beta = head_forward(za, zb, head)
-        assert same_bits(sigmoid(za), [sigmoid(v) for v in za])
-        pairs = [head_forward(a, b, head) for a, b in zip(za, zb)]
-        assert same_bits(alpha, [p[0] for p in pairs])
-        assert same_bits(beta, [p[1] for p in pairs])
+        alpha, beta, s = head_forward(z, head)
+        assert same_bits(s, [sigmoid(v) for v in z.ravel()])
+        rows = [head_forward(row, head) for row in z]
+        assert same_bits(alpha, [r[0] for r in rows])
+        assert same_bits(beta, [r[1] for r in rows])
         nll, d_alpha, d_beta = card_nll_grad(counts, alpha, beta)
         ab_rows = [AlphaBeta(float(a), float(b)) for a, b in zip(alpha, beta)]
         assert same_bits(nll, [card_nll(int(m), ab) for m, ab in zip(counts, ab_rows)])
         grads = [card_grad(int(m), ab) for m, ab in zip(counts, ab_rows)]
         assert same_bits(d_alpha, [g.d_alpha for g in grads])
         assert same_bits(d_beta, [g.d_beta for g in grads])
-        g_za, g_zb = head_backward(za, zb, head, d_alpha, d_beta)
-        back = [head_backward(a, b, head, g.d_alpha, g.d_beta)
-                for a, b, g in zip(za, zb, grads)]
-        assert same_bits(g_za, [g[0] for g in back])
-        assert same_bits(g_zb, [g[1] for g in back])
+        back = [head_backward(r[2], head, g.d_alpha, g.d_beta) for r, g in zip(rows, grads)]
+        assert same_bits(head_backward(s, head, d_alpha, d_beta), back)
         b_nb = 1.0 / (1.0 + beta)
         assert same_bits(nb_mode_batch(alpha, b_nb),
                          [nb_mode(NegBinParams(float(a), float(b)))

@@ -274,6 +274,17 @@ def test_gradcheck_defaults(workdir):
     assert out["max_rel_error"] < 1e-4
 
 
+@pytest.mark.parametrize("cfg,err", [
+    ({}, 4.806018783416036e-07),
+    ({"seed": 5, "batch": 20, "d": 6, "hidden": [5, 3]}, 1.1120197564023567e-06),
+    ({"loss": "regression", "seed": 2}, 3.063679522414723e-08),
+])
+def test_gradcheck_reports_the_pinned_error(capsys, tmp_path, cfg, err):
+    code, lines, _ = run_main(capsys, tmp_path, "gradcheck", cfg)
+    assert code == 0
+    assert json.loads(lines[-1])["max_rel_error"] == err
+
+
 def test_seed_flag_overrides_config(workdir):
     cfg = write_config(workdir, "seedtest.json",
                        {"task": "counting", "n": 50, "d": 4, "seed": 1})
