@@ -27,6 +27,10 @@ The loss and the sigmoid work elementwise on arrays (one entry per sample);
 ``card_nll`` and ``card_grad`` wrap the loss for one sample.  ``AlphaBeta``
 and ``head_forward`` reject an alpha or beta that is not finite and > 0
 with the positivity check of ``numerics``.
+
+The loss has two halves: ``_nll``, the value, from one ``log_gamma`` call,
+and ``_nll_grad``, the gradient, from one ``digamma`` call.  ``card_nll_grad``
+is both; training takes the gradient per batch and the value once per epoch.
 """
 
 from __future__ import annotations
@@ -100,22 +104,35 @@ def card_nll_grad(m, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nll, d nll/d alpha, d nll/d beta) of counts m under valid alpha=a,
     beta=b, elementwise; NumericError if a gradient is not finite.
 
-    A batch makes one ``log_gamma`` call on the stacked (m+a, m+1, a) and one
-    ``digamma`` call on its rows m+a and a, by the rule of ``numerics``.
+    The count check comes first, then ``_nll``'s check, then ``_nll_grad``'s.
     """
     m = _check_count(m)
-    log_b, log1p_b = np.log(b), np.log1p(b)
+    return (_nll(m, a, b), *_nll_grad(m, a, b))
+
+
+def _nll(m, a, b):
+    """The nll of checked counts m under valid (a, b), elementwise, from one
+    ``log_gamma`` call on the stacked (m+a, m+1, a)."""
     m_a = m + a
     x = np.empty((3, *np.shape(m_a)))
     x[0], x[1], x[2] = m_a, m + 1.0, a
     lg_m_a, lg_m_1, lg_a = log_gamma(x)
-    dg_m_a, dg_a = digamma(x[::2])
-    nll = -(lg_m_a - lg_m_1 - lg_a + a * log_b - (a + m) * log1p_b)
-    d_alpha = -(dg_m_a - dg_a + log_b - log1p_b)
+    return -(lg_m_a - lg_m_1 - lg_a + a * np.log(b) - (a + m) * np.log1p(b))
+
+
+def _nll_grad(m, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(d nll/d alpha, d nll/d beta) of checked counts m under valid (a, b),
+    elementwise, from one ``digamma`` call on the stacked (m+a, a);
+    NumericError if a gradient is not finite."""
+    m_a = m + a
+    x = np.empty((2, *np.shape(m_a)))
+    x[0], x[1] = m_a, a
+    dg_m_a, dg_a = digamma(x)
+    d_alpha = -(dg_m_a - dg_a + np.log(b) - np.log1p(b))
     d_beta = -(a - m * b) / (b * (1.0 + b))
     if not (np.isfinite(d_alpha).all() and np.isfinite(d_beta).all()):
         raise NumericError("gradients must be finite")
-    return nll, d_alpha, d_beta
+    return d_alpha, d_beta
 
 
 def card_nll(m: int, ab: AlphaBeta) -> float:

@@ -10,7 +10,11 @@ hidden units) onto either
 
 Training is plain mini-batch SGD with momentum and decoupled weight decay,
 fully deterministic under a fixed seed: the same (seed, config, data)
-always yields a byte-identical serialised model.
+always yields a byte-identical serialised model.  A batch computes only
+what its update needs, the gradient.  The epoch's losses, which only
+``epoch_callback`` reads, are evaluated after its last batch from the head
+outputs each batch left, in row chunks small enough for ``log_gamma``'s
+stacked path; each batch's mean keeps the bits of a per-batch evaluation.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .cardloss import HeadWeights, card_nll_grad, head_backward, head_forward, regression_loss
+from .cardloss import (HeadWeights, _nll, _nll_grad, head_backward, head_forward,
+                       regression_loss)
 from .errors import DataError, NumericError
 from .formats import SCHEMA_VERSION
-from .numerics import _check_count, _check_finite, nb_mode_batch
+from .numerics import _STACK_MAX, _check_count, _check_finite, nb_mode_batch
 
 __all__ = [
     "TrainingSample",
@@ -168,23 +173,22 @@ def _stack(
     return X, np.asarray([s.count for s in data], dtype=np.int64)
 
 
-def loss_and_grads(
+def _backward(
     model: MLPModel, X: np.ndarray, counts: np.ndarray
-) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
-    """Mean loss over the rows of X with their counts, and its exact
-    gradients (no weight decay here)."""
-    n = len(counts)
-    if n == 0:
-        raise NumericError("batch must be non-empty")
+) -> tuple[tuple[list[np.ndarray], list[np.ndarray]], tuple[np.ndarray, ...]]:
+    """The exact gradients (no weight decay here) of the mean loss over the
+    rows of X with their checked counts, and the head's outputs: (alpha, beta)
+    of a negbin model, (m_hat,) of a regression model."""
     acts, z_out = _forward_batch(model, X)
     if model.kind == "negbin":
         alpha, beta, s = head_forward(z_out, model.head)
-        loss, d_alpha, d_beta = card_nll_grad(counts, alpha, beta)
-        delta = head_backward(s, model.head, d_alpha, d_beta)
+        delta = head_backward(s, model.head, *_nll_grad(counts, alpha, beta))
+        heads = alpha, beta
     else:
-        loss, d_m_hat = regression_loss(counts, z_out[:, 0])
-        delta = d_m_hat[:, None]
-    delta = delta / n
+        m_hat = z_out[:, 0]
+        heads = (m_hat,)
+        delta = (m_hat - counts)[:, None]  # regression_loss's gradient
+    delta = delta / len(counts)
 
     grads_w, grads_b = [None] * len(model.weights), [None] * len(model.biases)
     for li in range(len(model.weights) - 1, -1, -1):
@@ -198,7 +202,28 @@ def loss_and_grads(
                 delta = upstream * (1.0 - acts[li] * acts[li])
             else:
                 delta = upstream * (acts[li] > 0.0)
-    return float(loss.sum() / n), (grads_w, grads_b)  # loss.mean(), without its wrapper
+    return (grads_w, grads_b), heads
+
+
+def _losses(model: MLPModel, counts: np.ndarray, heads) -> np.ndarray:
+    """The per-row losses of checked counts under the head outputs that
+    ``_backward`` returned."""
+    if model.kind == "negbin":
+        return _nll(counts, *heads)
+    return regression_loss(counts, *heads)[0]
+
+
+def loss_and_grads(
+    model: MLPModel, X: np.ndarray, counts: np.ndarray
+) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Mean loss over the rows of X with their counts, and its exact
+    gradients (no weight decay here)."""
+    n = len(counts)
+    if n == 0:
+        raise NumericError("batch must be non-empty")
+    counts = _check_count(counts)
+    grads, heads = _backward(model, X, counts)
+    return float(_losses(model, counts, heads).sum() / n), grads  # the mean, without its wrapper
 
 
 @_overflow_raises
@@ -215,10 +240,17 @@ def train(
     the parameters, so learning_rate=0 leaves the model untouched.
     Returns a trained copy; the input model is not modified.  When given,
     ``epoch_callback(epoch, mean_batch_loss)`` runs after every epoch.
+
+    The counts are checked once, before any update.  A batch computes only
+    the gradient; the epoch's losses are evaluated after its last batch, from
+    the head outputs each batch left.  So a non-finite batch loss, or an
+    overflow in the loss, raises after the epoch's last batch, not at its batch.
     """
     X, counts = _stack(data)
-    if not len(counts):
+    n = len(counts)
+    if not n:
         raise DataError("training data must be non-empty")
+    counts = _check_count(counts)
     # One flat parameter vector, weights first; the trained model holds views of it.
     params = model.weights + model.biases
     theta = np.concatenate([p.ravel() for p in params])
@@ -228,21 +260,30 @@ def train(
     out = replace(model, weights=views[:n_layers], biases=views[n_layers:])
     vel = np.zeros_like(theta)
     rng = np.random.default_rng(cfg.seed)
-    starts = range(cfg.batch_size, len(counts), cfg.batch_size)  # of each batch but the first
+    batches = [(s, min(s + cfg.batch_size, n)) for s in range(0, n, cfg.batch_size)]
+    heads = np.empty((2 if model.kind == "negbin" else 1, n))  # by position in perm
+    chunk = _STACK_MAX // 3  # rows whose (3, rows) log_gamma argument stays stacked
     for epoch in range(cfg.epochs):
-        epoch_loss = 0.0
-        for idx in np.split(rng.permutation(len(counts)), starts):
-            loss, (gw, gb) = loss_and_grads(out, X[idx], counts[idx])
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite training loss {loss!r}")
-            epoch_loss += loss
+        perm = rng.permutation(n)
+        for s, e in batches:
+            idx = perm[s:e]
+            (gw, gb), heads[:, s:e] = _backward(out, X[idx], counts[idx])
             vel *= cfg.momentum
             vel -= cfg.learning_rate * np.concatenate([g.ravel() for g in gw + gb])
             decay = cfg.learning_rate * cfg.weight_decay * theta[:n_weights]
             theta += vel
             theta[:n_weights] -= decay
+        m = counts[perm]
+        rows = np.concatenate([_losses(out, m[c:c + chunk], heads[:, c:c + chunk])
+                               for c in range(0, n, chunk)])
+        epoch_loss = 0.0
+        for s, e in batches:
+            loss = float(rows[s:e].sum() / (e - s))
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite training loss {loss!r}")
+            epoch_loss += loss
         if epoch_callback is not None:
-            epoch_callback(epoch, epoch_loss / (len(starts) + 1))
+            epoch_callback(epoch, epoch_loss / len(batches))
     return out
 
 

@@ -306,23 +306,29 @@ def _timings(marks: list[float], stage: str, rate: str, items: int) -> dict:
             rate: round(items / times[1], 1)}
 
 
+def _prediction_lines(alpha, beta, mode) -> list[str]:
+    """The predictions.jsonl rows of ``predict_batch``'s arrays, each spelled as
+    ``canonical_json`` spells {"alpha", "beta", "mode"} (regression: {"mode"}):
+    keys sorted, numbers by repr.  Unlike row dicts, strings never start a
+    collector pass."""
+    if alpha is None:
+        return [f'{{"mode":{m!r}}}\n' for m in mode.tolist()]
+    return [f'{{"alpha":{a!r},"beta":{b!r},"mode":{m!r}}}\n'
+            for a, b, m in zip(alpha.tolist(), beta.tolist(), mode.tolist())]
+
+
 def cmd_predict(cfg: dict, header: dict, out_dir: str) -> dict:
     marks = [time.perf_counter()]
     model = cardnet.load_model(cfg["model"])
     (X,) = formats.read_records(cfg["features"], "features", width=model.dims[0])
     marks.append(time.perf_counter())
-    alpha, beta, mode = cardnet.predict_batch(model, X)
-    if model.kind == "negbin":
-        rows = [{"alpha": a, "beta": b, "mode": m}
-                for a, b, m in zip(alpha.tolist(), beta.tolist(), mode.tolist())]
-    else:
-        rows = [{"mode": m} for m in mode.tolist()]
+    predicted = cardnet.predict_batch(model, X)
     marks.append(time.perf_counter())
     path = _outpath(out_dir, "predictions.jsonl")
-    formats.write_jsonl(path, header, rows)
+    formats.write_lines(path, header, _prediction_lines(*predicted))
     marks.append(time.perf_counter())
-    return {"files": {"predictions": path}, "n": len(rows),
-            **_timings(marks, "predict", "rows_per_s", len(rows))}
+    return {"files": {"predictions": path}, "n": len(X),
+            **_timings(marks, "predict", "rows_per_s", len(X))}
 
 
 def _write_json(out_dir: str, name: str, doc: dict) -> str:

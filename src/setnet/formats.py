@@ -36,6 +36,7 @@ __all__ = [
     "config_hash",
     "make_header",
     "write_jsonl",
+    "write_lines",
     "read_jsonl",
     "write_boxes",
     "read_boxes",
@@ -67,12 +68,16 @@ def make_header(config: dict, seed: int) -> dict:
 
 
 def write_jsonl(path: str, header: dict, rows: Iterable[dict]) -> None:
+    write_lines(path, header, (canonical_json(row) + "\n" for row in rows))
+
+
+def write_lines(path: str, header: dict, lines: Iterable[str]) -> None:
+    """The header's canonical JSON line, then ``lines`` as they are: rows that
+    a template spelled as ``canonical_json`` does, each with its newline."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(header))
         fh.write("\n")
-        for row in rows:
-            fh.write(canonical_json(row))
-            fh.write("\n")
+        fh.writelines(lines)
 
 
 def _lines(path: str) -> Iterator[str]:

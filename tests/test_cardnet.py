@@ -11,10 +11,11 @@ argmax on exact ties.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setnet import (
@@ -41,7 +42,7 @@ from setnet import (
     predict_count,
     train,
 )
-from setnet import cardloss
+from setnet import cardloss, cardnet
 from setnet.cardloss import sigmoid
 from setnet.cardnet import model_from_json, model_to_json
 from setnet.numerics import _HALF_LOG_TWO_PI, _LANCZOS_COEF, _LANCZOS_G, _nb_log_pmf
@@ -270,6 +271,112 @@ class TestTrain:
                       data, cfg)
         alpha, beta, _ = predict_batch(model, [s.features for s in data])
         assert (alpha > 0.0).all() and (beta > 0.0).all()
+
+
+class TestEpochLosses:
+    """A batch computes only the gradient, one digamma call; the epoch's
+    losses are evaluated after its last batch, one log_gamma call per chunk
+    of _STACK_MAX // 3 = 1365 rows."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        shapes = {"digamma": [], "log_gamma": []}
+        for name, shape_list in shapes.items():
+            def counted(x, kernel=getattr(cardloss, name), shape_list=shape_list):
+                shape_list.append(np.shape(x))
+                return kernel(x)
+            monkeypatch.setattr(cardloss, name, counted)
+        return shapes
+
+    @pytest.mark.parametrize("n", [1, 100, 1365, 1366, 3000])
+    def test_one_epoch(self, calls, n):
+        data = as_arrays(make_batch(n, 4, seed=30))
+        train(init_model([4, 8, 2], seed=31), data, TrainConfig(epochs=1, batch_size=64))
+        sizes = [min(64, n - s) for s in range(0, n, 64)]
+        assert calls["digamma"] == [(2, k) for k in sizes]
+        assert calls["log_gamma"] == [(3, min(1365, n - c)) for c in range(0, n, 1365)]
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5])
+def test_train_checks_the_counts_before_any_update(monkeypatch, bad):
+    model = init_model([4, 8, 2], seed=32)
+    before = model_to_json(model)
+    X, counts = as_arrays(make_batch(200, 4, seed=33))
+    counts = counts.astype(float)
+    counts[-1] = bad
+    monkeypatch.setattr(cardnet, "_backward", lambda *args: pytest.fail("a batch ran"))
+    with pytest.raises(NumericError,
+                       match=r"^m must be a non-negative integer below 2\*\*63, got "):
+        train(model, (X, counts), TrainConfig(batch_size=16))
+    assert model_to_json(model) == before
+
+
+# -- the per-batch loop that train replaced ------------------------------------
+#
+# Each batch evaluated its loss with its gradient; train now defers the losses
+# to the epoch's end.  The trained bytes and every epoch loss must be the same.
+
+
+def ref_train(model, data, cfg):
+    """(trained model, epoch losses) of the per-batch loop."""
+    X, counts = data
+    params = model.weights + model.biases
+    theta = np.concatenate([p.ravel() for p in params])
+    ends = np.cumsum([p.size for p in params])
+    views = [v.reshape(p.shape) for v, p in zip(np.split(theta, ends[:-1]), params)]
+    n_layers, n_weights = len(model.weights), ends[len(model.weights) - 1]
+    out = replace(model, weights=views[:n_layers], biases=views[n_layers:])
+    vel = np.zeros_like(theta)
+    rng = np.random.default_rng(cfg.seed)
+    starts = range(cfg.batch_size, len(counts), cfg.batch_size)
+    losses = []
+    for _ in range(cfg.epochs):
+        epoch_loss = 0.0
+        for idx in np.split(rng.permutation(len(counts)), starts):
+            loss, (gw, gb) = loss_and_grads(out, X[idx], counts[idx])
+            assert np.isfinite(loss)
+            epoch_loss += loss
+            vel *= cfg.momentum
+            vel -= cfg.learning_rate * np.concatenate([g.ravel() for g in gw + gb])
+            decay = cfg.learning_rate * cfg.weight_decay * theta[:n_weights]
+            theta += vel
+            theta[:n_weights] -= decay
+        losses.append(epoch_loss / (len(starts) + 1))
+    return out, losses
+
+
+@st.composite
+def training_runs(draw):
+    """(n, batch size, kind, activation, seed): n past two 1365-row chunks,
+    batch sizes 1, n and ones that leave a short last batch."""
+    n = draw(st.integers(1, 70) | st.integers(1300, 2800))
+    # One-row batches over a long epoch take seconds: an example covers them.
+    size = draw(st.sampled_from([1, n] if n <= 70 else [n]) | st.integers(2, n + 3))
+    return (n, size, draw(st.sampled_from(["negbin", "regression"])),
+            draw(st.sampled_from(["tanh", "relu"])), draw(st.integers(0, 2**16)))
+
+
+class TestTrainEqualsPerBatchLoop:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(training_runs())
+    @example((2731, 1, "negbin", "tanh", 1))
+    @example((2731, 2731, "regression", "relu", 2))
+    @example((1366, 64, "negbin", "relu", 3))
+    def test_same_model_bytes_and_epoch_losses(self, run):
+        n, size, kind, activation, seed = run
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(n, 3))
+        counts = rng.integers(0, 20, size=n)
+        model = init_model([3, 4, 2 if kind == "negbin" else 1], activation=activation,
+                           head=HeadWeights(alpha_max=12.0, beta_max=4.0), seed=seed,
+                           kind=kind)
+        cfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=size, seed=seed)
+        losses = []
+        got = train(model, (X, counts), cfg, epoch_callback=lambda e, l: losses.append(l))
+        want, want_losses = ref_train(model, (X, counts), cfg)
+        assert np.asarray(losses).tobytes() == np.asarray(want_losses).tobytes()
+        for g, w in zip(got.weights + got.biases, want.weights + want.biases):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestPredictCount:

@@ -1207,6 +1207,58 @@ def test_predict_and_eval_ml_write_the_pinned_bytes(capsys, tmp_path, monkeypatc
     assert got == ML_GOLDEN
 
 
+# Floats whose repr json spells the same way: subnormals down to 5e-324,
+# 1e16 and above (exponent form), every mantissa bit drawn; modes up to 2**63 - 1.
+TEMPLATE_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+                   | st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-310, 1e16,
+                                      1.2345678901234567e16, 1e17, 2.0**63, 1.7976931348623157e308,
+                                      0.1, -0.0, 160.0])
+                   | st.builds(lambda m, e: math.ldexp(1.0 + m / 2**52, e),
+                               st.integers(0, 2**52 - 1), st.integers(-1074, 1023)))
+TEMPLATE_MODES = st.integers(0, 2**63 - 1) | st.integers(2**63 - 2**12, 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(TEMPLATE_FLOATS, TEMPLATE_FLOATS, TEMPLATE_MODES)
+@example(5e-324, 1e16, 2**63 - 1)
+def test_prediction_template_spells_rows_as_canonical_json(a, b, m):
+    from setnet.cli import _prediction_lines
+    from setnet.formats import canonical_json
+    alpha, beta, mode = np.array([a]), np.array([b]), np.array([m], dtype=np.int64)
+    assert _prediction_lines(alpha, beta, mode) == [
+        canonical_json({"alpha": a, "beta": b, "mode": m}) + "\n"]
+    assert _prediction_lines(None, None, mode) == [canonical_json({"mode": m}) + "\n"]
+
+
+@pytest.mark.parametrize("kind", ["negbin", "regression"])
+def test_predict_on_10k_rows_runs_no_collector_pass(capsys, tmp_path, kind):
+    # Row strings are not tracked by the collector; 10k row dicts started 14 passes.
+    from setnet import cli
+    from setnet.cardnet import init_model, save_model
+    synth = write_config(tmp_path, "synth.json",
+                         {"task": "multilabel", "n": 10000, "d": 8, "C": 16, "seed": 7})
+    assert cli.main(["synth", "--config", synth, "--out", str(tmp_path / "ml")]) == 0
+    model = str(tmp_path / "model.json")
+    save_model(init_model([8, 16, 2 if kind == "negbin" else 1], seed=1, kind=kind), model)
+    argv = ["predict", "--config", write_config(tmp_path, "predict.json", {
+        "model": model, "features": str(tmp_path / "ml" / "features.jsonl")}),
+        "--out", str(tmp_path / "pred")]
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        gc.callbacks.remove(count)
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["n"] == 10000
+    assert passes == []
+
+
 def test_predict_and_eval_ml_report_their_stage_times_on_stdout_only(capsys, tmp_path,
                                                                      monkeypatch):
     payloads = run_ml_chain(capsys, tmp_path, monkeypatch)[2:]
