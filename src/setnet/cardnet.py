@@ -28,7 +28,7 @@ import numpy as np
 from .cardloss import (HeadWeights, _nll, _nll_grad, head_backward, head_forward,
                        regression_loss)
 from .errors import DataError, NumericError
-from .formats import SCHEMA_VERSION
+from . import formats
 from .numerics import _STACK_MAX, _check_count, _check_finite, nb_mode_batch
 
 __all__ = [
@@ -113,11 +113,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:
             raise NumericError("learning_rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise NumericError("momentum must lie in [0,1)")
-        if self.weight_decay < 0.0:
+        if not self.weight_decay >= 0.0:
             raise NumericError("weight_decay must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise NumericError("epochs and batch_size must be positive")
@@ -343,7 +343,7 @@ def gradient_check(
 def model_to_json(model: MLPModel, meta: dict | None = None) -> str:
     """Serialise to a canonical JSON document (sorted keys, repr floats)."""
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": formats.SCHEMA_VERSION,
         "kind": model.kind,
         "activation": model.activation,
         "dims": model.dims,
@@ -367,7 +367,7 @@ def model_from_json(text: str) -> MLPModel:
         raise DataError(f"model file is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise DataError("model document is not a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if doc.get("schema_version") != formats.SCHEMA_VERSION:
         raise DataError(f"unsupported model schema_version {doc.get('schema_version')!r}")
     try:
         head = HeadWeights(**doc["head"])
@@ -387,9 +387,7 @@ def model_from_json(text: str) -> MLPModel:
 
 
 def save_model(model: MLPModel, path: str, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model, meta))
-        fh.write("\n")
+    formats.write_lines(path, model_to_json(model, meta))
 
 
 def load_model(path: str) -> MLPModel:

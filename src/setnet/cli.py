@@ -325,7 +325,7 @@ def cmd_predict(cfg: dict, header: dict, out_dir: str) -> dict:
     predicted = cardnet.predict_batch(model, X)
     marks.append(time.perf_counter())
     path = _outpath(out_dir, "predictions.jsonl")
-    formats.write_lines(path, header, _prediction_lines(*predicted))
+    formats.write_lines(path, formats.canonical_json(header), _prediction_lines(*predicted))
     marks.append(time.perf_counter())
     return {"files": {"predictions": path}, "n": len(X),
             **_timings(marks, "predict", "rows_per_s", len(X))}
@@ -334,23 +334,8 @@ def cmd_predict(cfg: dict, header: dict, out_dir: str) -> dict:
 def _write_json(out_dir: str, name: str, doc: dict) -> str:
     """Write ``doc`` as one canonical JSON line to ``name`` in ``out_dir``."""
     path = _outpath(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(formats.canonical_json(doc) + "\n")
+    formats.write_lines(path, formats.canonical_json(doc))
     return path
-
-
-def _write_curve_csv(path: str, header: dict, columns: list[str],
-                     rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# ")
-        fh.write(formats.canonical_json(header))
-        fh.write("\n")
-        fh.write(",".join(columns))
-        fh.write("\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
-            fh.write("\n")
 
 
 def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
@@ -373,12 +358,10 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
         sweep = mlmetrics.topk_sweep((scores, truth), k_values)
         marks.append(time.perf_counter())
         curve_path = _outpath(out_dir, "curve.csv")
-        _write_curve_csv(
-            curve_path, header,
-            ["k", "O-P", "O-R", "C-P", "C-R", "O-F1", "C-F1"],
-            [[k, s.o_precision, s.o_recall, s.c_precision, s.c_recall,
-              s.o_f1, s.c_f1] for k, s in sweep],
-        )
+        formats.write_lines(
+            curve_path, f"# {formats.canonical_json(header)}\nk,O-P,O-R,C-P,C-R,O-F1,C-F1",
+            (f"{k!r},{s.o_precision!r},{s.o_recall!r},{s.c_precision!r},"
+             f"{s.c_recall!r},{s.o_f1!r},{s.c_f1!r}\n" for k, s in sweep))
         best_k, best = max(sweep, key=lambda ks: ks[1].o_f1)
         result = {
             "mode": mode,
@@ -425,8 +408,8 @@ def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
     miss, fppi = detect.miss_rate_curve(matches, n_images)
     marks.append(time.perf_counter())
     curve_path = _outpath(out_dir, "curve.csv")
-    _write_curve_csv(curve_path, header, ["fppi", "miss_rate"],
-                     [[float(f), float(m)] for f, m in zip(fppi, miss)])
+    formats.write_lines(curve_path, f"# {formats.canonical_json(header)}\nfppi,miss_rate",
+                        (f"{f!r},{m!r}\n" for f, m in zip(fppi.tolist(), miss.tolist())))
     result = {"f1": f1, "best_f1": best_f1, "mr": mr, "n_images": n_images}
     metrics_path = _write_json(out_dir, "metrics.json", {**header, **result})
     marks.append(time.perf_counter())

@@ -107,7 +107,7 @@ class NMSConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.t0 <= self.t_max < 1.0:
             raise NumericError(f"need 0 <= t0 <= t_max < 1, got {self.t0!r}, {self.t_max!r}")
-        if self.step <= 0.0:
+        if not self.step > 0.0:
             raise NumericError(f"step must be > 0, got {self.step!r}")
 
 
@@ -358,9 +358,8 @@ def _operating_points(matches: list[MatchResult]) -> tuple[np.ndarray, np.ndarra
     """Cumulative TP and FP counts at each distinct score, highest first (the
     point at score s keeps every detection scored >= s), and the GT total."""
     total_gt = sum(m.n_gt for m in matches)
-    all_flags = sorted((fl for m in matches for fl in m.flags), key=lambda f: -f[0])
-    scores = np.asarray([f[0] for f in all_flags], dtype=float)
-    is_tp = np.asarray([f[1] for f in all_flags], dtype=float)
+    flags = np.array([fl for m in matches for fl in m.flags], dtype=float).reshape(-1, 2)
+    scores, is_tp = flags[np.argsort(-flags[:, 0], kind="stable")].T  # ties keep their order
     last = np.flatnonzero(np.diff(scores, append=-np.inf) != 0.0)
     return np.cumsum(is_tp)[last], np.cumsum(1.0 - is_tp)[last], total_gt
 
@@ -409,8 +408,7 @@ def best_f1_over_thresholds(matches: list[MatchResult]) -> float:
     point), which is the strictest comparison for the adaptive variant.
     """
     tps, fps, total_gt = _operating_points(matches)
-    best = f1_score(1.0, 1.0 if total_gt == 0 else 0.0)  # empty-output point
-    for tp, fp in zip(tps.tolist(), fps.tolist()):
-        recall = 1.0 if total_gt == 0 else tp / total_gt
-        best = max(best, f1_score(tp / (tp + fp), recall))
-    return best
+    p, r = tps / (tps + fps), tps / total_gt if total_gt else np.ones_like(tps)
+    with np.errstate(invalid="ignore"):  # f1_score's 0 where p + r == 0
+        f1 = np.where(p + r == 0.0, 0.0, 2.0 * p * r / (p + r))
+    return max([f1_score(1.0, 1.0 if total_gt == 0 else 0.0), *f1.tolist()])  # empty output first

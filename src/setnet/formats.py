@@ -1,12 +1,15 @@
 """Line-oriented file formats shared by the CLI and the generators.
 
-Every artifact starts with a metadata header embedding schema version,
-config hash and seed, so runs are self-describing and diffable:
+``write_lines`` writes every artifact: a first line, then its rows.  Every
+artifact carries a metadata header embedding schema version, config hash and
+seed, so runs are self-describing and diffable:
 
 * JSONL files: first line is the header object, then one record per line
   ({"features": [...], "count": m} / {"scores": [...], "truth": [...]}).
 * Box files: whitespace-separated "image_id x1 y1 x2 y2 [score]" records,
   header carried in a leading "# {...}" comment line.
+* Curve CSVs: the "# {...}" header line, the column line, one row per point.
+* JSON documents (metrics, gradcheck, model): one line, the whole document.
 
 ``read_records`` runs with the cyclic collector paused until its rows are
 dropped: decoded JSON is trees, and a collector pass over trees frees nothing.
@@ -68,14 +71,14 @@ def make_header(config: dict, seed: int) -> dict:
 
 
 def write_jsonl(path: str, header: dict, rows: Iterable[dict]) -> None:
-    write_lines(path, header, (canonical_json(row) + "\n" for row in rows))
+    write_lines(path, canonical_json(header), (canonical_json(row) + "\n" for row in rows))
 
 
-def write_lines(path: str, header: dict, lines: Iterable[str]) -> None:
-    """The header's canonical JSON line, then ``lines`` as they are: rows that
-    a template spelled as ``canonical_json`` does, each with its newline."""
+def write_lines(path: str, first: str, lines: Iterable[str] = ()) -> None:
+    """The one writer of every artifact: ``first`` and a newline, then
+    ``lines`` as they are, each with its newline, as UTF-8."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(header))
+        fh.write(first)
         fh.write("\n")
         fh.writelines(lines)
 
@@ -131,11 +134,9 @@ def write_boxes(
 ) -> None:
     """One line per box; each image's boxes are a box table or its rows."""
     cols = 5 if with_score else 4
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {canonical_json(header)}\n")
-        for image_id, boxes in images:
-            rows = np.asarray(boxes, dtype=float).reshape(-1, 5)[:, :cols].tolist()
-            fh.writelines(f"{image_id} {' '.join(map(repr, row))}\n" for row in rows)
+    write_lines(path, f"# {canonical_json(header)}", (
+        f"{image_id} {' '.join(map(repr, row))}\n" for image_id, boxes in images
+        for row in np.asarray(boxes, dtype=float).reshape(-1, 5)[:, :cols].tolist()))
 
 
 def read_boxes(path: str, with_score: bool) -> dict[int, np.ndarray]:

@@ -52,6 +52,9 @@ class ParamMap:
         if not (math.isfinite(self.lo) and self.lo > 0.0 and self.hi >= self.lo):
             raise NumericError(f"need 0 < lo <= hi, got {self.lo!r}, {self.hi!r}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if not all(map(math.isfinite, (*self.weights, self.bias))):
+            raise NumericError(
+                f"need finite weights and bias, got {self.weights!r}, {self.bias!r}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         w = np.zeros(x.shape[-1])

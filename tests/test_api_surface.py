@@ -8,6 +8,9 @@ Uses are matched by identifier: a bare name or an attribute such as
 
 Every ``layer.name`` that a docstring in ``src/setnet`` names, its layer a
 module of the package, must exist.
+
+One function writes files: ``formats.write_lines`` holds the only ``open``
+call in ``src/setnet`` whose mode writes.
 """
 
 import ast
@@ -77,3 +80,22 @@ def test_docstring_references_name_what_exists():
              if not hasattr(importlib.import_module(f"setnet.{ref.split('.')[0]}"),
                             ref.split(".")[1])]
     assert not stale, f"docstrings name attributes that do not exist: {stale}"
+
+
+def writing_opens():
+    """(file, top-level name) of each ``open`` call in src/setnet whose mode
+    may write: any mode but a constant without "w", "a" and "x"."""
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "open"):
+                    continue
+                mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                            node.args[1] if len(node.args) > 1 else ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and not set("wax") & set(mode.value)):
+                    yield path.name, getattr(top, "name", None)
+
+
+def test_only_write_lines_opens_a_file_for_writing():
+    assert list(writing_opens()) == [("formats.py", "write_lines")]

@@ -527,6 +527,12 @@ OUT_OF_RANGE = [
     ("synth", {"task": "multilabel", "d": 1}),
     ("synth", {"alpha_map": {"weights": [1, 2, 3, 4, 5, 6, 7, 8, 9],
                              "bias": 0.0, "lo": 0.1, "hi": 1.0}}),
+    # NaN reads as JSON; each range test is written so that NaN fails it.
+    ("nms", {"step": float("nan")}),
+    ("train", {"learning_rate": float("nan")}),
+    ("train", {"weight_decay": float("nan")}),
+    ("synth", {"alpha_map": {"weights": [float("nan")], "bias": 0.0, "lo": 0.1, "hi": 1.0}}),
+    ("synth", {"alpha_map": {"weights": [1.0], "bias": float("nan"), "lo": 0.1, "hi": 1.0}}),
     ("sample", {"a": -1.0}),
     ("sample", {"a": 0.0}),
     ("sample", {"b": 0.0}),
@@ -1397,3 +1403,39 @@ def test_integer_past_the_digit_limit_is_a_data_error_naming_its_line(capsys, tm
         "message": f"{records}:2: invalid JSON: Exceeds the limit (4300 digits) for "
                    "integer string conversion: value has 5000 digits; use "
                    "sys.set_int_max_str_digits() to increase the limit"})]
+
+
+# One run of every command, each file it writes in its own out directory:
+# (command, config, out).  Paths are relative to the run directory.
+EVERY_COMMAND = [
+    ("synth", {"task": "counting", "n": 40, "d": 4, "seed": 1}, "counting"),
+    ("synth", {"task": "multilabel", "n": 40, "d": 4, "C": 5, "seed": 2}, "multilabel"),
+    ("synth", {"task": "boxes", "n": 4, "seed": 3}, "boxes"),
+    ("train", {"data": "counting/data.jsonl", "hidden": [4], "epochs": 1}, "model"),
+    ("predict", {"model": "model/model.json", "features": "counting/data.jsonl"}, "pred"),
+    ("eval-ml", {"records": "multilabel/records.jsonl"}, "fixed"),
+    ("eval-ml", {"records": "multilabel/records.jsonl", "mode": "predicted-k",
+                 "pred": "pred/predictions.jsonl"}, "predicted"),
+    ("nms", {"proposals": "boxes/proposals.txt", "mstar_file": "boxes/counts.jsonl"}, "kept"),
+    ("eval-det", {"dets": "kept/kept.txt", "gts": "boxes/gt.txt"}, "eval"),
+    ("sample", {"n": 10}, "samples"),
+    ("gradcheck", {}, "gradcheck"),
+]
+
+
+def test_every_file_is_written_by_write_lines(capsys, tmp_path, monkeypatch):
+    from setnet import cli, formats
+    monkeypatch.chdir(tmp_path)
+    written, write_lines = [], formats.write_lines
+
+    def counted(path, *args):
+        written.append(path)
+        write_lines(path, *args)
+
+    monkeypatch.setattr(formats, "write_lines", counted)
+    for i, (command, cfg, out) in enumerate(EVERY_COMMAND):
+        path = write_config(tmp_path, f"{i}.json", cfg)
+        written.clear()
+        assert cli.main([command, "--config", path, "--out", out]) == 0, command
+        files = json.loads(capsys.readouterr().out)["files"]
+        assert sorted(written) == sorted(files.values()), command

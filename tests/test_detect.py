@@ -34,6 +34,7 @@ from setnet import (
 )
 from setnet import detect
 from setnet.detect import best_f1_over_thresholds
+from setnet.mlmetrics import f1_score
 
 
 def box(x1, y1, x2, y2, score=1.0):
@@ -323,8 +324,33 @@ class TestDetectionF1:
         assert best_f1_over_thresholds(ms) == pytest.approx(1.0)
         assert detection_f1(ms) == pytest.approx(2 / 3)
 
+    def test_best_threshold_sweep_without_detections(self):
+        # Only the empty-output point: F1 0 with ground truth, 1 without.
+        assert best_f1_over_thresholds([MatchResult(0, 0, 3)]) == 0.0
+        assert best_f1_over_thresholds([MatchResult(0, 0, 0)]) == 1.0
+
 
 # -- scalar reference --------------------------------------------------------
+
+
+# The loop forms of detect._operating_points and best_f1_over_thresholds:
+# one Python sort of the flag tuples, one f1_score call per point.
+def ref_operating_points(matches):
+    total_gt = sum(m.n_gt for m in matches)
+    all_flags = sorted((fl for m in matches for fl in m.flags), key=lambda f: -f[0])
+    scores = np.asarray([f[0] for f in all_flags], dtype=float)
+    is_tp = np.asarray([f[1] for f in all_flags], dtype=float)
+    last = np.flatnonzero(np.diff(scores, append=-np.inf) != 0.0)
+    return np.cumsum(is_tp)[last], np.cumsum(1.0 - is_tp)[last], total_gt
+
+
+def ref_best_f1_over_thresholds(matches):
+    tps, fps, total_gt = ref_operating_points(matches)
+    best = f1_score(1.0, 1.0 if total_gt == 0 else 0.0)  # empty-output point
+    for tp, fp in zip(tps.tolist(), fps.tolist()):
+        recall = 1.0 if total_gt == 0 else tp / total_gt
+        best = max(best, f1_score(tp / (tp + fp), recall))
+    return best
 
 
 def ref_iou(a, b):
@@ -448,6 +474,21 @@ def edge_configs(draw, cloud):
                      t_max=draw(st.floats(t0, max(t0, 0.95))))
 
 
+@st.composite
+def match_lists(draw):
+    """Per-image match results: flags of tied, signed-zero or drawn scores,
+    images without detections, and sometimes no ground truth at all."""
+    no_gt = draw(st.booleans())
+    out = []
+    for flags in draw(st.lists(st.lists(st.tuples(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), st.booleans()),
+            max_size=6), max_size=5)):
+        tp = 0 if no_gt else sum(hit for _, hit in flags)
+        out.append(MatchResult(tp, len(flags) - tp, 0 if no_gt else draw(st.integers(0, 3)),
+                               tuple((score, hit and not no_gt) for score, hit in flags)))
+    return out
+
+
 FOUR_BOX = four_box_fixture()
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
@@ -548,3 +589,16 @@ class TestAgainstScalarReference:
     def test_match_detections(self, dets, gts, iou_thresh):
         assert match_detections(dets, gts, iou_thresh) == ref_match_detections(
             dets, gts, iou_thresh)
+
+    @PROPERTY
+    @given(match_lists())
+    @example([MatchResult(1, 1, 0, ((0.0, True), (-0.0, False)))])
+    @example([MatchResult(0, 2, 0, ((-0.0, False), (0.0, False)))])
+    @example([MatchResult(0, 0, 3)])
+    @example([])
+    def test_operating_points_keep_the_loop_forms_bits(self, matches):
+        got, want = detect._operating_points(matches), ref_operating_points(matches)
+        assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+        assert got[2] == want[2]
+        best = best_f1_over_thresholds(matches)
+        assert type(best) is float and repr(best) == repr(ref_best_f1_over_thresholds(matches))
