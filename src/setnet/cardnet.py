@@ -113,12 +113,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.learning_rate >= 0.0:
-            raise NumericError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < np.inf:  # False for nan
+            raise NumericError("learning_rate must be finite and >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise NumericError("momentum must lie in [0,1)")
-        if not self.weight_decay >= 0.0:
-            raise NumericError("weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise NumericError("weight_decay must be finite and >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise NumericError("epochs and batch_size must be positive")
 

@@ -6,10 +6,11 @@ artifact directory).  Runs print one machine-readable JSON line to stdout
 that echoes the resolved config, its hash and the seed; all artifacts
 embed the same triple.  Each config value is type-checked against the
 command's schema before the command runs; a wrongly typed or unknown key is
-a "config" error.  ``train``, ``predict``, ``eval-ml``, ``eval-det`` and
-``nms`` also print their stage wall times and throughput, which stay out of
-the artifacts.  Failures print {"code", "message"} and exit 1, with code
-"config", "data" or "numeric".
+a "config" error.  Each command runs with one ``cli._Run``, the one place
+that records the files it writes and its stage wall times; ``main`` adds
+them to the result line as ``files``, ``timings_ms`` and a rate, which stay
+out of the artifacts.  Failures print {"code", "message"} and exit 1, with
+code "config", "data" or "numeric".
 The SETNET_LOG environment variable (error|info|debug) controls stderr
 verbosity.
 """
@@ -207,9 +208,44 @@ def _check(cfg: dict, key: str, ok: bool, want: str) -> None:
         raise ConfigError(f"{key} must be {want}, got {cfg[key]!r}")
 
 
-def _outpath(out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+class _Run:
+    """One command's run, built by ``main`` from the header and ``--out``: the
+    header every artifact embeds, and the one record of what the result line
+    says of the run itself, the files written (``files``) and the stage wall
+    times (``timings_ms`` and a rate, on stdout only, as the artifacts are
+    byte-deterministic)."""
+
+    def __init__(self, header: dict, out_dir: str):
+        self.header, self._out_dir = header, out_dir
+        self._files: dict[str, str] = {}
+        self._stages: list[tuple] = []  # (name, rate, items, perf_counter at start)
+
+    def file(self, key: str, name: str) -> str:
+        """The path of artifact ``name`` in the out directory, made if missing;
+        the result line reports it as ``files[key]``."""
+        os.makedirs(self._out_dir, exist_ok=True)
+        path = self._files[key] = os.path.join(self._out_dir, name)
+        return path
+
+    def write_json(self, key: str, name: str, doc: dict) -> None:
+        """Write the header and ``doc`` to ``file(key, name)`` as one canonical JSON line."""
+        formats.write_lines(self.file(key, name), formats.canonical_json(self.header | doc))
+
+    def stage(self, name: str, rate: str | None = None, items: int = 0) -> None:
+        """End the running stage, if any, and start ``name``; ``rate`` names
+        the result key of ``items`` per second of it."""
+        self._stages.append((name, rate, items, time.perf_counter()))
+
+    def report(self) -> dict:
+        """``files``, and ``timings_ms`` and the rate of a staged run, whose
+        last stage ends here."""
+        report = {"files": self._files}
+        ends = [*(t for *_, t in self._stages[1:]), time.perf_counter()]
+        for (name, rate, items, start), end in zip(self._stages, ends):
+            report.setdefault("timings_ms", {})[name] = round(1e3 * (end - start), 3)
+            if rate:
+                report[rate] = round(items / (end - start), 1)
+        return report
 
 
 def _synth_config(cfg: dict) -> synth.SynthConfig:
@@ -229,52 +265,45 @@ def _synth_config(cfg: dict) -> synth.SynthConfig:
     return _build(synth.SynthConfig, cfg, alpha_map=alpha_map, beta_map=beta_map)
 
 
-def cmd_synth(cfg: dict, header: dict, out_dir: str) -> dict:
+def cmd_synth(cfg: dict, run: _Run) -> dict:
     scfg = _synth_config(cfg)
     task = cfg["task"]
     n_clamped = 0  # the drawn cardinalities above what the task can hold
     if task == "counting":
         x, counts = synth.counting_arrays(scfg)
-        path = _outpath(out_dir, "data.jsonl")
-        formats.write_jsonl(path, header, (
+        path = run.file("data", "data.jsonl")
+        formats.write_jsonl(path, run.header, (
             {"features": f, "count": c} for f, c in zip(x.tolist(), counts.tolist())
         ))
-        files = {"data": path}
         log.info("wrote %d counting samples to %s", len(counts), path)
     elif task == "multilabel":
         x, scores, labels, n_clamped = synth.multilabel_arrays(scfg)
-        rec_path = _outpath(out_dir, "records.jsonl")
-        formats.write_jsonl(rec_path, header, (
+        formats.write_jsonl(run.file("records", "records.jsonl"), run.header, (
             {"scores": s, "truth": t} for s, t in zip(scores.tolist(), labels)
         ))
-        feat_path = _outpath(out_dir, "features.jsonl")
-        formats.write_jsonl(feat_path, header, (
+        formats.write_jsonl(run.file("features", "features.jsonl"), run.header, (
             {"features": f, "count": len(t)} for f, t in zip(x.tolist(), labels)
         ))
-        files = {"records": rec_path, "features": feat_path}
     else:
         proposals, gts, n_clamped = synth.box_tables(scfg)
-        prop_path = _outpath(out_dir, "proposals.txt")
-        formats.write_boxes(prop_path, header, enumerate(proposals), with_score=True)
-        gt_path = _outpath(out_dir, "gt.txt")
-        formats.write_boxes(gt_path, header, enumerate(gts), with_score=False)
-        counts_path = _outpath(out_dir, "counts.jsonl")
-        formats.write_jsonl(counts_path, header, (
+        formats.write_boxes(run.file("proposals", "proposals.txt"), run.header,
+                            enumerate(proposals), with_score=True)
+        formats.write_boxes(run.file("gt", "gt.txt"), run.header, enumerate(gts), with_score=False)
+        formats.write_jsonl(run.file("counts", "counts.jsonl"), run.header, (
             {"image_id": i, "count": len(gt)} for i, gt in enumerate(gts)
         ))
-        files = {"proposals": prop_path, "gt": gt_path, "counts": counts_path}
-    return {"files": files, "n": cfg["n"], "n_clamped": n_clamped}
+    return {"n": cfg["n"], "n_clamped": n_clamped}
 
 
-def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
+def cmd_train(cfg: dict, run: _Run) -> dict:
     _check(cfg, "hidden", min(cfg["hidden"], default=1) >= 1, "widths >= 1")
     head = _build(HeadWeights, cfg)
     tcfg = _build(cardnet.TrainConfig, cfg)
-    marks = [time.perf_counter()]
+    run.stage("read")
     X, counts = formats.read_records(cfg["data"], "features", "count")
     if not len(counts):
         raise DataError(f"no training records in {cfg['data']}")
-    marks.append(time.perf_counter())
+    run.stage("train", "samples_per_s", tcfg.epochs * len(counts))
     kind = cfg["loss"]
     dims = [X.shape[1], *cfg["hidden"], 2 if kind == "negbin" else 1]
     model = cardnet.init_model(dims, activation=cfg["activation"], head=head,
@@ -283,27 +312,11 @@ def cmd_train(cfg: dict, header: dict, out_dir: str) -> dict:
     trained = cardnet.train(model, (X, counts), tcfg,
                             epoch_callback=lambda e, l: losses.append(
                                 {"epoch": e, "loss": l}))
-    marks.append(time.perf_counter())
-    model_path = _outpath(out_dir, "model.json")
-    cardnet.save_model(trained, model_path,
-                       meta={"config_hash": header["config_hash"]})
-    log_path = _outpath(out_dir, "train_log.jsonl")
-    formats.write_jsonl(log_path, header, losses)
-    marks.append(time.perf_counter())
-    return {
-        "files": {"model": model_path, "train_log": log_path},
-        "final_loss": losses[-1]["loss"],
-        "n_samples": len(counts),
-        **_timings(marks, "train", "samples_per_s", tcfg.epochs * len(counts)),
-    }
-
-
-def _timings(marks: list[float], stage: str, rate: str, items: int) -> dict:
-    """The ms of read, ``stage`` and write between ``perf_counter`` ``marks``, and ``items``
-    per second of ``stage``: for stdout only, as the artifacts are byte-deterministic."""
-    times = np.diff(marks).tolist()
-    return {"timings_ms": {k: round(1e3 * t, 3) for k, t in zip(("read", stage, "write"), times)},
-            rate: round(items / times[1], 1)}
+    run.stage("write")
+    cardnet.save_model(trained, run.file("model", "model.json"),
+                       meta={"config_hash": run.header["config_hash"]})
+    formats.write_jsonl(run.file("train_log", "train_log.jsonl"), run.header, losses)
+    return {"final_loss": losses[-1]["loss"], "n_samples": len(counts)}
 
 
 def _prediction_lines(alpha, beta, mode) -> list[str]:
@@ -317,33 +330,24 @@ def _prediction_lines(alpha, beta, mode) -> list[str]:
             for a, b, m in zip(alpha.tolist(), beta.tolist(), mode.tolist())]
 
 
-def cmd_predict(cfg: dict, header: dict, out_dir: str) -> dict:
-    marks = [time.perf_counter()]
+def cmd_predict(cfg: dict, run: _Run) -> dict:
+    run.stage("read")
     model = cardnet.load_model(cfg["model"])
     (X,) = formats.read_records(cfg["features"], "features", width=model.dims[0])
-    marks.append(time.perf_counter())
+    run.stage("predict", "rows_per_s", len(X))
     predicted = cardnet.predict_batch(model, X)
-    marks.append(time.perf_counter())
-    path = _outpath(out_dir, "predictions.jsonl")
-    formats.write_lines(path, formats.canonical_json(header), _prediction_lines(*predicted))
-    marks.append(time.perf_counter())
-    return {"files": {"predictions": path}, "n": len(X),
-            **_timings(marks, "predict", "rows_per_s", len(X))}
+    run.stage("write")
+    formats.write_lines(run.file("predictions", "predictions.jsonl"),
+                        formats.canonical_json(run.header), _prediction_lines(*predicted))
+    return {"n": len(X)}
 
 
-def _write_json(out_dir: str, name: str, doc: dict) -> str:
-    """Write ``doc`` as one canonical JSON line to ``name`` in ``out_dir``."""
-    path = _outpath(out_dir, name)
-    formats.write_lines(path, formats.canonical_json(doc))
-    return path
-
-
-def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
+def cmd_eval_ml(cfg: dict, run: _Run) -> dict:
     mode = cfg["mode"]
     _check(cfg, "k_values", mode != "fixed-k" or cfg["k_values"] != [], "null or non-empty")
     if mode == "predicted-k" and not cfg["pred"]:
         raise ConfigError("predicted-k evaluation needs a 'pred' file")
-    marks = [time.perf_counter()]
+    run.stage("read")
     scores, truth = formats.read_records(cfg["records"], "scores", "truth")
     if not len(scores):
         raise DataError(f"no records in {cfg['records']}")
@@ -354,12 +358,12 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
         bad = [k for k in k_values if not 0 <= k <= n_classes]
         if bad:
             raise ConfigError(f"k_values must lie in [0, C={n_classes}], got {bad[0]!r}")
-        marks.append(time.perf_counter())
+        run.stage("eval", "records_per_s", len(scores))
         sweep = mlmetrics.topk_sweep((scores, truth), k_values)
-        marks.append(time.perf_counter())
-        curve_path = _outpath(out_dir, "curve.csv")
+        run.stage("write")
         formats.write_lines(
-            curve_path, f"# {formats.canonical_json(header)}\nk,O-P,O-R,C-P,C-R,O-F1,C-F1",
+            run.file("curve", "curve.csv"),
+            f"# {formats.canonical_json(run.header)}\nk,O-P,O-R,C-P,C-R,O-F1,C-F1",
             (f"{k!r},{s.o_precision!r},{s.o_recall!r},{s.c_precision!r},"
              f"{s.c_recall!r},{s.o_f1!r},{s.c_f1!r}\n" for k, s in sweep))
         best_k, best = max(sweep, key=lambda ks: ks[1].o_f1)
@@ -369,25 +373,22 @@ def cmd_eval_ml(cfg: dict, header: dict, out_dir: str) -> dict:
             "best_k": best_k,
             "best": best.as_dict(),
         }
-        files = {"curve": curve_path}
     else:
         (m_stars,) = formats.read_records(cfg["pred"], "mode")
         if len(m_stars) != len(scores):
             raise DataError(f"{len(m_stars)} predictions for {len(scores)} records")
-        marks.append(time.perf_counter())
+        run.stage("eval", "records_per_s", len(scores))
         summary = mlmetrics.predicted_k_eval((scores, truth), m_stars)
-        marks.append(time.perf_counter())
+        run.stage("write")
         result = {"mode": mode, "metrics": summary.as_dict()}
-        files = {}
-    files["metrics"] = _write_json(out_dir, "metrics.json", {**header, **result})
-    marks.append(time.perf_counter())
-    return {"files": files, **result, **_timings(marks, "eval", "records_per_s", len(scores))}
+    run.write_json("metrics", "metrics.json", result)
+    return result
 
 
-def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
+def cmd_eval_det(cfg: dict, run: _Run) -> dict:
     _check(cfg, "iou_thresh", 0.0 < cfg["iou_thresh"] < 1.0, "in (0, 1)")
     _check(cfg, "n_images", cfg["n_images"] is None or cfg["n_images"] >= 1, "null or >= 1")
-    marks = [time.perf_counter()]
+    run.stage("read")
     dets = formats.read_boxes(cfg["dets"], with_score=True)
     gts = formats.read_boxes(cfg["gts"], with_score=False)
     image_ids = sorted(set(dets) | set(gts))
@@ -395,7 +396,7 @@ def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
         raise DataError("no images found in detection/ground-truth files")
     _check(cfg, "n_images", cfg["n_images"] is None or cfg["n_images"] >= len(image_ids),
            f"null or at least the {len(image_ids)} images in the dets and gts files")
-    marks.append(time.perf_counter())
+    run.stage("eval", "images_per_s", len(image_ids))
     empty = np.zeros((0, 5))
     matches = [
         detect.match_tables(dets.get(i, empty), gts.get(i, empty), cfg["iou_thresh"])
@@ -406,16 +407,13 @@ def cmd_eval_det(cfg: dict, header: dict, out_dir: str) -> dict:
     best_f1 = detect.best_f1_over_thresholds(matches)
     mr = detect.log_avg_miss_rate(matches, n_images)
     miss, fppi = detect.miss_rate_curve(matches, n_images)
-    marks.append(time.perf_counter())
-    curve_path = _outpath(out_dir, "curve.csv")
-    formats.write_lines(curve_path, f"# {formats.canonical_json(header)}\nfppi,miss_rate",
+    run.stage("write")
+    formats.write_lines(run.file("curve", "curve.csv"),
+                        f"# {formats.canonical_json(run.header)}\nfppi,miss_rate",
                         (f"{f!r},{m!r}\n" for f, m in zip(fppi.tolist(), miss.tolist())))
     result = {"f1": f1, "best_f1": best_f1, "mr": mr, "n_images": n_images}
-    metrics_path = _write_json(out_dir, "metrics.json", {**header, **result})
-    marks.append(time.perf_counter())
-    return {"files": {"curve": curve_path, "metrics": metrics_path}, **result,
-            "n_matched": sum(m.tp for m in matches),
-            **_timings(marks, "eval", "images_per_s", len(image_ids))}
+    run.write_json("metrics", "metrics.json", result)
+    return {**result, "n_matched": sum(m.tp for m in matches)}
 
 
 def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
@@ -447,14 +445,14 @@ def _mstar_lookup(cfg: dict, image_ids: list[int]) -> dict[int, int]:
     return dict(zip(image_ids, cardnet.predict_batch(model, X)[2].tolist()))
 
 
-def cmd_nms(cfg: dict, header: dict, out_dir: str) -> dict:
+def cmd_nms(cfg: dict, run: _Run) -> dict:
     nms_cfg = _build(detect.NMSConfig, cfg)
-    marks = [time.perf_counter()]
+    run.stage("read")
     proposals = formats.read_boxes(cfg["proposals"], with_score=True)
     mstar = _mstar_lookup(cfg, sorted(proposals))
     # An m* file may name images without proposals: they keep no boxes.
     image_ids = sorted(set(proposals) | set(mstar))
-    marks.append(time.perf_counter())
+    run.stage("nms", "images_per_s", len(image_ids))
     empty = np.zeros((0, 5))
     kept, steps = {}, {}
     for i in image_ids:
@@ -462,17 +460,13 @@ def cmd_nms(cfg: dict, header: dict, out_dir: str) -> dict:
         rows, k = detect.adaptive_nms_rows(table, mstar[i], nms_cfg)
         kept[i] = table[rows]
         steps[k] = steps.get(k, 0) + 1
-    marks.append(time.perf_counter())
-    path = _outpath(out_dir, "kept.txt")
-    formats.write_boxes(path, header, kept.items(), with_score=True)
-    marks.append(time.perf_counter())
+    run.stage("write")
+    formats.write_boxes(run.file("kept", "kept.txt"), run.header, kept.items(), with_score=True)
     # n_short: the images where no threshold of the sweep kept m* boxes;
     # sweep_steps: how many images stopped at each threshold index k.
-    return {"files": {"kept": path}, "n_images": len(image_ids),
-            "n_kept": sum(map(len, kept.values())),
+    return {"n_images": len(image_ids), "n_kept": sum(map(len, kept.values())),
             "n_short": sum(len(kept[i]) < mstar[i] for i in image_ids),
-            "sweep_steps": steps,
-            **_timings(marks, "nms", "images_per_s", len(image_ids))}
+            "sweep_steps": steps}
 
 
 def _normalised(values: list[float], key: str) -> np.ndarray:
@@ -486,7 +480,7 @@ def _normalised(values: list[float], key: str) -> np.ndarray:
     return w / total
 
 
-def cmd_sample(cfg: dict, header: dict, out_dir: str) -> dict:
+def cmd_sample(cfg: dict, run: _Run) -> dict:
     _check(cfg, "n", cfg["n"] >= 0, ">= 0")
     if cfg["card"] == "negbin":
         pmf = nb_pmf_truncated(_build(NegBinParams, cfg))
@@ -502,22 +496,20 @@ def cmd_sample(cfg: dict, header: dict, out_dir: str) -> dict:
             return int(rng.choice(len(probs), p=probs))
     else:
         lo, hi = cfg["lo"], cfg["hi"]
-        if not hi > lo:
-            raise ConfigError("uniform element law needs hi > lo")
+        if not 0.0 < hi - lo < np.inf:  # False for nan, an inf bound or an overflow
+            raise ConfigError("uniform element law needs hi > lo, a finite distance apart")
 
         def sampler(rng: np.random.Generator):
             return float(rng.uniform(lo, hi))
     rng = np.random.default_rng(cfg["seed"])
     rows = [{"set": setinfer.sample_rfs_with(card, sampler, rng)}
             for _ in range(cfg["n"])]
-    path = _outpath(out_dir, "samples.jsonl")
-    formats.write_jsonl(path, header, rows)
+    formats.write_jsonl(run.file("samples", "samples.jsonl"), run.header, rows)
     sizes = [len(r["set"]) for r in rows]
-    return {"files": {"samples": path}, "n": len(rows),
-            "mean_cardinality": float(np.mean(sizes)) if sizes else 0.0}
+    return {"n": len(rows), "mean_cardinality": float(np.mean(sizes)) if sizes else 0.0}
 
 
-def cmd_gradcheck(cfg: dict, header: dict, out_dir: str) -> dict:
+def cmd_gradcheck(cfg: dict, run: _Run) -> dict:
     for key in ("d", "batch"):
         _check(cfg, key, cfg[key] >= 1, ">= 1")
     _check(cfg, "hidden", min(cfg["hidden"], default=1) >= 1, "widths >= 1")
@@ -530,8 +522,8 @@ def cmd_gradcheck(cfg: dict, header: dict, out_dir: str) -> dict:
     draws = [(rng.uniform(-1.0, 1.0, size=d), rng.poisson(4.0)) for _ in range(cfg["batch"])]
     X, counts = map(np.array, zip(*draws))
     err = cardnet.gradient_check(model, (X, counts), h=cfg["h"])
-    path = _write_json(out_dir, "gradcheck.json", {**header, "max_rel_error": err})
-    return {"files": {"report": path}, "max_rel_error": err}
+    run.write_json("report", "gradcheck.json", {"max_rel_error": err})
+    return {"max_rel_error": err}
 
 
 COMMANDS = {
@@ -577,16 +569,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         given, config = _resolve_config(args.command, args.config, args.seed)
-        header = formats.make_header(given, config["seed"])
-        result = COMMANDS[args.command](config, header, args.out)
-        payload = {
-            "command": args.command,
-            "seed": config["seed"],
-            "config_hash": header["config_hash"],
-            "config": given,
-            **result,
-        }
-        print(json.dumps(payload, sort_keys=True))
+        run = _Run(formats.make_header(given, config["seed"]), args.out)
+        result = COMMANDS[args.command](config, run)
+        print(json.dumps({"command": args.command, "seed": config["seed"],
+                          "config_hash": run.header["config_hash"], "config": given,
+                          **result, **run.report()}, sort_keys=True))
         return 0
     except ConfigError as e:
         print(json.dumps({"code": "config", "message": str(e)}))

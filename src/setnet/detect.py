@@ -107,8 +107,8 @@ class NMSConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.t0 <= self.t_max < 1.0:
             raise NumericError(f"need 0 <= t0 <= t_max < 1, got {self.t0!r}, {self.t_max!r}")
-        if not self.step > 0.0:
-            raise NumericError(f"step must be > 0, got {self.step!r}")
+        if not 0.0 < self.step < math.inf:  # False for nan
+            raise NumericError(f"step must be finite and > 0, got {self.step!r}")
 
 
 @dataclass(frozen=True)

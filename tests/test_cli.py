@@ -527,10 +527,16 @@ OUT_OF_RANGE = [
     ("synth", {"task": "multilabel", "d": 1}),
     ("synth", {"alpha_map": {"weights": [1, 2, 3, 4, 5, 6, 7, 8, 9],
                              "bias": 0.0, "lo": 0.1, "hi": 1.0}}),
-    # NaN reads as JSON; each range test is written so that NaN fails it.
+    # NaN and Infinity read as JSON; each range test is written so that both fail it.
     ("nms", {"step": float("nan")}),
+    ("nms", {"step": float("inf")}),
     ("train", {"learning_rate": float("nan")}),
+    ("train", {"learning_rate": float("inf")}),
     ("train", {"weight_decay": float("nan")}),
+    ("train", {"weight_decay": float("inf")}),
+    ("sample", {"element": "uniform", "hi": float("inf")}),
+    ("sample", {"element": "uniform", "lo": float("-inf")}),
+    ("sample", {"element": "uniform", "lo": -1e308, "hi": 1e308}),  # hi - lo overflows
     ("synth", {"alpha_map": {"weights": [float("nan")], "bias": 0.0, "lo": 0.1, "hi": 1.0}}),
     ("synth", {"alpha_map": {"weights": [1.0], "bias": float("nan"), "lo": 0.1, "hi": 1.0}}),
     ("sample", {"a": -1.0}),
@@ -1439,3 +1445,36 @@ def test_every_file_is_written_by_write_lines(capsys, tmp_path, monkeypatch):
         assert cli.main([command, "--config", path, "--out", out]) == 0, command
         files = json.loads(capsys.readouterr().out)["files"]
         assert sorted(written) == sorted(files.values()), command
+
+
+# Each EVERY_COMMAND run's result-line keys past the five every line has, and
+# its files keys, by out directory.
+EVERY_LINE = ["command", "config", "config_hash", "files", "seed"]
+RESULT_KEYS = {
+    "counting": (["n", "n_clamped"], ["data"]),
+    "multilabel": (["n", "n_clamped"], ["features", "records"]),
+    "boxes": (["n", "n_clamped"], ["counts", "gt", "proposals"]),
+    "model": (["final_loss", "n_samples", "samples_per_s", "timings_ms"], ["model", "train_log"]),
+    "pred": (["n", "rows_per_s", "timings_ms"], ["predictions"]),
+    "fixed": (["best", "best_k", "mode", "records_per_s", "sweep", "timings_ms"],
+              ["curve", "metrics"]),
+    "predicted": (["metrics", "mode", "records_per_s", "timings_ms"], ["metrics"]),
+    "kept": (["images_per_s", "n_images", "n_kept", "n_short", "sweep_steps", "timings_ms"],
+             ["kept"]),
+    "eval": (["best_f1", "f1", "images_per_s", "mr", "n_images", "n_matched", "timings_ms"],
+             ["curve", "metrics"]),
+    "samples": (["mean_cardinality", "n"], ["samples"]),
+    "gradcheck": (["max_rel_error"], ["report"]),
+}
+
+
+def test_every_command_prints_its_pinned_result_keys(capsys, tmp_path, monkeypatch):
+    from setnet import cli
+    monkeypatch.chdir(tmp_path)
+    for i, (command, cfg, out) in enumerate(EVERY_COMMAND):
+        path = write_config(tmp_path, f"{i}.json", cfg)
+        assert cli.main([command, "--config", path, "--out", out]) == 0, command
+        payload = json.loads(capsys.readouterr().out)
+        keys, files = RESULT_KEYS[out]
+        assert sorted(payload) == sorted(EVERY_LINE + keys), out
+        assert sorted(payload["files"]) == files, out
