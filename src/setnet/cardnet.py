@@ -13,8 +13,8 @@ fully deterministic under a fixed seed: the same (seed, config, data)
 always yields a byte-identical serialised model.  A batch computes only
 what its update needs, the gradient.  The epoch's losses, which only
 ``epoch_callback`` reads, are evaluated after its last batch from the head
-outputs each batch left, in row chunks small enough for ``log_gamma``'s
-stacked path; each batch's mean keeps the bits of a per-batch evaluation.
+outputs each batch left, in one loss call; each batch's mean keeps the bits
+of a per-batch evaluation.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .cardloss import (HeadWeights, _nll, _nll_grad, head_backward, head_forward
                        regression_loss)
 from .errors import DataError, NumericError
 from . import formats
-from .numerics import _STACK_MAX, _check_count, _check_finite, nb_mode_batch
+from .numerics import _check_count, _check_finite, nb_mode_batch
 
 __all__ = [
     "TrainingSample",
@@ -242,7 +242,7 @@ def train(
     ``epoch_callback(epoch, mean_batch_loss)`` runs after every epoch.
 
     The counts are checked once, before any update.  A batch computes only
-    the gradient; the epoch's losses are evaluated after its last batch, from
+    the gradient; the epoch's losses are one call after its last batch, on
     the head outputs each batch left.  So a non-finite batch loss, or an
     overflow in the loss, raises after the epoch's last batch, not at its batch.
     """
@@ -262,7 +262,6 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     batches = [(s, min(s + cfg.batch_size, n)) for s in range(0, n, cfg.batch_size)]
     heads = np.empty((2 if model.kind == "negbin" else 1, n))  # by position in perm
-    chunk = _STACK_MAX // 3  # rows whose (3, rows) log_gamma argument stays stacked
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         for s, e in batches:
@@ -273,9 +272,7 @@ def train(
             decay = cfg.learning_rate * cfg.weight_decay * theta[:n_weights]
             theta += vel
             theta[:n_weights] -= decay
-        m = counts[perm]
-        rows = np.concatenate([_losses(out, m[c:c + chunk], heads[:, c:c + chunk])
-                               for c in range(0, n, chunk)])
+        rows = _losses(out, counts[perm], heads)
         epoch_loss = 0.0
         for s, e in batches:
             loss = float(rows[s:e].sum() / (e - s))

@@ -581,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OSError) as e:
         print(json.dumps({"code": "data", "message": str(e)}))
         return 1
-    except (SetnetError, ValueError, ArithmeticError) as e:
+    except (SetnetError, ValueError, ArithmeticError, MemoryError) as e:
         print(json.dumps({"code": "numeric", "message": str(e)}))
         return 1
 

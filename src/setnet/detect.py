@@ -54,6 +54,7 @@ MISS_RATE_FLOOR = 1e-10
 FPPI_REFERENCES = tuple(10.0 ** e for e in np.linspace(-2.0, 0.0, 9))
 _BLOCK = 1 << 16  # IoU values per block of overlap rows: bounds its temporaries
 _WIDTH = 63  # thresholds one walk carries: the bits of a mask that an int64 holds
+_MAX_THRESHOLDS = 10_000  # the longest sweep NMSConfig accepts; the default has 56
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,10 @@ class NMSConfig:
             raise NumericError(f"need 0 <= t0 <= t_max < 1, got {self.t0!r}, {self.t_max!r}")
         if not 0.0 < self.step < math.inf:  # False for nan
             raise NumericError(f"step must be finite and > 0, got {self.step!r}")
+        # adaptive_nms_rows sweeps floor(this) + 1 thresholds.
+        if (self.t_max - self.t0) / self.step + 1e-9 >= _MAX_THRESHOLDS:
+            raise NumericError(f"step {self.step!r} sweeps more than {_MAX_THRESHOLDS} "
+                               "thresholds from t0 to t_max")
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ Bernoulli-series asymptotic expansion with recurrence shift), so the whole
 cardinality model depends on one well-tested evaluation path.
 
 Each call checks its input once and pays numpy's per-operation cost, which at
-batch sizes outweighs the arithmetic.  The rule is "stacked calls, same
-per-element order": one call per kernel on stacked arguments, and the terms or
-steps of a small array's series or recurrence as rows summed row by row (``sum``
-may pair them); so the values are those of separate calls and loops, bit for bit.
+batch sizes outweighs the arithmetic.  So callers stack their arguments into one
+call per kernel, and each kernel runs its series or recurrence as a loop over
+whole arrays, in the same per-element order for every shape: the values are
+those of separate calls, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ _LANCZOS_COEF = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-_LANCZOS_ROWS = np.array([range(1, 9), _LANCZOS_COEF[1:]])  # i and _LANCZOS_COEF[i]
-_STACK_MAX = 4096  # larger arguments keep the loops: their rows would only cost memory
 
 
 def _check_positive(x, name: str):
@@ -119,13 +117,8 @@ def log_gamma(x):
     # Adding a bool adds exactly 1.0 where it is set and 0.0 elsewhere.
     z = (x + small) - 1.0
     s = _LANCZOS_COEF[0]
-    if 0 < x.ndim and x.size <= _STACK_MAX:  # the 8 terms as the rows of one array
-        i, c = _LANCZOS_ROWS.reshape((2, 8) + (1,) * x.ndim)
-        for term in c / (z + i):
-            s = s + term
-    else:
-        for i in range(1, 9):
-            s = s + _LANCZOS_COEF[i] / (z + i)
+    for i in range(1, 9):
+        s = s + _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     out = _HALF_LOG_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(s)
     return out - small * np.log(x)
@@ -140,17 +133,10 @@ def digamma(x):
     """
     x = _check_positive(x, "x")
     acc = 0.0
-    if 0 < x.ndim and x.size <= _STACK_MAX:  # x, x + 1, (x + 1) + 1, ... as rows
-        shifted = np.add.accumulate(np.concatenate((x[None], np.ones((6, *x.shape)))), axis=0)
-        below = shifted < 6.0
-        for step in below[:6] / shifted[:6]:
-            acc = acc - step
-        x = np.where(below, np.inf, shifted).min(axis=0)  # the first shifted x >= 6
-    else:
-        for _ in range(6):
-            step = x < 6.0
-            acc = acc - step / x
-            x = x + step
+    for _ in range(6):
+        step = x < 6.0
+        acc = acc - step / x
+        x = x + step
     inv2 = 1.0 / (x * x)
     series = _DIGAMMA_SERIES[0]
     for c in _DIGAMMA_SERIES[1:]:

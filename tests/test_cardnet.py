@@ -275,8 +275,8 @@ class TestTrain:
 
 class TestEpochLosses:
     """A batch computes only the gradient, one digamma call; the epoch's
-    losses are evaluated after its last batch, one log_gamma call per chunk
-    of _STACK_MAX // 3 = 1365 rows."""
+    losses are evaluated after its last batch, in one log_gamma call on all
+    its rows, whatever their number."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -294,7 +294,7 @@ class TestEpochLosses:
         train(init_model([4, 8, 2], seed=31), data, TrainConfig(epochs=1, batch_size=64))
         sizes = [min(64, n - s) for s in range(0, n, 64)]
         assert calls["digamma"] == [(2, k) for k in sizes]
-        assert calls["log_gamma"] == [(3, min(1365, n - c)) for c in range(0, n, 1365)]
+        assert calls["log_gamma"] == [(3, n)]
 
 
 @pytest.mark.parametrize("bad", [-1, 2.5])
@@ -347,7 +347,7 @@ def ref_train(model, data, cfg):
 
 @st.composite
 def training_runs(draw):
-    """(n, batch size, kind, activation, seed): n past two 1365-row chunks,
+    """(n, batch size, kind, activation, seed): epochs of 1-70 rows or of 1,300-2,800,
     batch sizes 1, n and ones that leave a short last batch."""
     n = draw(st.integers(1, 70) | st.integers(1300, 2800))
     # One-row batches over a long epoch take seconds: an example covers them.

@@ -530,6 +530,7 @@ OUT_OF_RANGE = [
     # NaN and Infinity read as JSON; each range test is written so that both fail it.
     ("nms", {"step": float("nan")}),
     ("nms", {"step": float("inf")}),
+    ("nms", {"step": 1e-6}),  # 550,001 thresholds: the sweep's length is bounded
     ("train", {"learning_rate": float("nan")}),
     ("train", {"learning_rate": float("inf")}),
     ("train", {"weight_decay": float("nan")}),
@@ -577,6 +578,17 @@ def test_out_of_range_value_is_config_error(capsys, tmp_path, command, cfg):
     assert code == 1
     assert len(lines) == 1 and json.loads(lines[0])["code"] == "config", lines
     assert err == ""
+
+
+# 56.8 PiB, more than any address space holds: numpy refuses it at once.
+@pytest.mark.parametrize("command,cfg", [("synth", {"task": "counting", "n": 1e15}),
+                                         ("gradcheck", {"d": 1e15})], ids=["synth", "gradcheck"])
+def test_failed_allocation_is_one_numeric_line(capsys, tmp_path, command, cfg):
+    code, lines, err = run_main(capsys, tmp_path, command, cfg)
+    assert (code, err) == (1, "")
+    (doc,) = map(json.loads, lines)
+    assert set(doc) == {"code", "message"} and doc["code"] == "numeric"
+    assert doc["message"].startswith("Unable to allocate 56.8 PiB")
 
 
 # eval-ml inputs the reader or the command rejects: (id, records' score

@@ -173,6 +173,17 @@ class TestAdaptiveNms:
     def test_zero_target(self):
         assert adaptive_nms(four_box_fixture(), 0) == []
 
+    def test_sweep_length_is_bounded(self):
+        # The longest sweep NMSConfig accepts has 10,000 thresholds; one box
+        # under an unreachable m* walks all of them.
+        table = np.array([[0.0, 0.0, 5.0, 5.0, 0.5]])
+        for step in [0.99 / 9999, 9.900001e-5]:
+            cfg = NMSConfig(t0=0.0, step=step, t_max=0.99)
+            assert detect.adaptive_nms_rows(table, 2, cfg)[1] + 1 == 10_000
+        for step in [0.99 / 10_000, 1e-6, 5e-324]:
+            with pytest.raises(NumericError, match=r"sweeps more than 10000 thresholds"):
+                NMSConfig(t0=0.0, step=step, t_max=0.99)
+
     def test_unbounded_sentinel_equals_greedy(self):
         rng = np.random.default_rng(42)
         for _ in range(20):

@@ -262,8 +262,8 @@ class TestCountValidator:
         assert str(err.value) == f"m must be a non-negative integer below 2**63, got {over!r}"
 
 
-# The loop forms the kernels had before their terms and steps were stacked
-# into arrays.  The stacked kernels must give these bits on every input.
+# The kernels' own loop forms, kept here as references: a kernel must give
+# these bits on every input, whatever its shape.
 def loop_log_gamma(x):
     x = np.asarray(x, dtype=float)[()]
     small = x < 0.5
