@@ -483,7 +483,10 @@ def _normalised(values: list[float], key: str) -> np.ndarray:
 def cmd_sample(cfg: dict, run: _Run) -> dict:
     _check(cfg, "n", cfg["n"] >= 0, ">= 0")
     if cfg["card"] == "negbin":
-        pmf = nb_pmf_truncated(_build(NegBinParams, cfg))
+        try:
+            pmf = nb_pmf_truncated(_build(NegBinParams, cfg))
+        except NumericError as e:  # a law the pmf cap would truncate
+            raise ConfigError(str(e)) from e
     elif not cfg["pmf"]:
         raise ConfigError("card=pmf needs an explicit 'pmf' list")
     else:

@@ -32,7 +32,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import NumericError
-from .mlmetrics import f1_score
+from .mlmetrics import _rate, f1_score
 
 __all__ = [
     "BoxDetection",
@@ -360,13 +360,16 @@ def match_tables(dets: np.ndarray, gts: np.ndarray, iou_thresh: float) -> MatchR
 
 
 def _operating_points(matches: list[MatchResult]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cumulative TP and FP counts at each distinct score, highest first (the
-    point at score s keeps every detection scored >= s), and the GT total."""
+    """TP and FP counts at each operating point, and the GT total.  A point keeps
+    the first j of the n detections by score: j = 0 (the empty output), j = n
+    and each j whose j-th and (j+1)-th scores differ, so it keeps all scored >= s."""
     total_gt = sum(m.n_gt for m in matches)
     flags = np.array([fl for m in matches for fl in m.flags], dtype=float).reshape(-1, 2)
     scores, is_tp = flags[np.argsort(-flags[:, 0], kind="stable")].T  # ties keep their order
-    last = np.flatnonzero(np.diff(scores, append=-np.inf) != 0.0)
-    return np.cumsum(is_tp)[last], np.cumsum(1.0 - is_tp)[last], total_gt
+    kept = np.flatnonzero(np.diff(scores, prepend=np.inf, append=-np.inf) != 0.0)
+    tp = np.zeros(len(scores) + 1)  # tp[j]: the TPs among the first j detections
+    np.cumsum(is_tp, out=tp[1:])
+    return tp[kept], kept - tp[kept], total_gt
 
 
 def miss_rate_curve(
@@ -374,9 +377,7 @@ def miss_rate_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Miss rate and FPPI at every score threshold, descending by threshold."""
     tp, fp, total_gt = _operating_points(matches)
-    # Prepend the empty operating point (threshold above every score).
-    return (np.concatenate([[1.0], 1.0 - tp / total_gt]),
-            np.concatenate([[0.0], fp / n_images]))
+    return 1.0 - _rate(tp, total_gt), fp / n_images
 
 
 def log_avg_miss_rate(matches: list[MatchResult], n_images: int) -> float:
@@ -391,29 +392,25 @@ def log_avg_miss_rate(matches: list[MatchResult], n_images: int) -> float:
     if sum(m.n_gt for m in matches) == 0:
         raise NumericError("log-average miss rate is undefined without ground truth")
     miss, fppi = miss_rate_curve(matches, n_images)
-    # fppi is non-decreasing along the curve; the last point at or below a
-    # reference has both the nearest FPPI and the lowest miss rate.
+    # fppi is non-decreasing along the curve from the empty output's 0; the last
+    # point at or below a reference has both the nearest FPPI and the lowest miss rate.
     idx = np.searchsorted(fppi, FPPI_REFERENCES, side="right") - 1
-    sampled = np.maximum(np.where(idx < 0, 1.0, miss[idx]), MISS_RATE_FLOOR)
+    sampled = np.maximum(miss[idx], MISS_RATE_FLOOR)
     return float(math.exp(np.mean(np.log(sampled))))
 
 
 def detection_f1(matches: list[MatchResult]) -> float:
     """F1 from aggregated counts; empty denominators count as 100%."""
     tp, fp, fn = (sum(getattr(m, k) for m in matches) for k in ("tp", "fp", "fn"))
-    precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
-    recall = 1.0 if tp + fn == 0 else tp / (tp + fn)
-    return f1_score(precision, recall)
+    return f1_score(_rate(tp, tp + fp), _rate(tp, tp + fn))
 
 
 def best_f1_over_thresholds(matches: list[MatchResult]) -> float:
-    """Highest F1 along the score-threshold sweep of the matched detections.
+    """Highest F1 along the score-threshold sweep of the matched detections,
+    the empty output included.
 
     The fixed-threshold baseline is evaluated this way (its best operating
     point), which is the strictest comparison for the adaptive variant.
     """
-    tps, fps, total_gt = _operating_points(matches)
-    p, r = tps / (tps + fps), tps / total_gt if total_gt else np.ones_like(tps)
-    with np.errstate(invalid="ignore"):  # f1_score's 0 where p + r == 0
-        f1 = np.where(p + r == 0.0, 0.0, 2.0 * p * r / (p + r))
-    return max([f1_score(1.0, 1.0 if total_gt == 0 else 0.0), *f1.tolist()])  # empty output first
+    tp, fp, total_gt = _operating_points(matches)
+    return max(f1_score(_rate(tp, tp + fp), _rate(tp, total_gt)).tolist())

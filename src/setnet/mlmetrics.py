@@ -89,30 +89,30 @@ class MetricSummary:
         }
 
 
-def f1_score(precision: float, recall: float) -> float:
-    """Harmonic mean; 0 when both inputs are 0."""
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def _rate(hits, total):
+    """``hits / total`` elementwise, 1.0 where ``total`` is 0; a float for scalars."""
+    rate = np.where(total > 0, hits / np.maximum(total, 1), 1.0)
+    return rate if rate.ndim else float(rate)
+
+
+def f1_score(precision, recall):
+    """Harmonic mean, elementwise; 0 where both inputs are 0; a float for scalars."""
+    p, r = np.asarray(precision, dtype=float), np.asarray(recall, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the 0 where p + r == 0
+        f1 = np.where(p + r == 0.0, 0.0, 2.0 * p * r / (p + r))
+    return f1 if f1.ndim else float(f1)
 
 
 def precision_recall(pred: LabelSet, truth: LabelSet) -> tuple[float, float]:
     """Set-overlap precision and recall with the 100% rule for empty sets."""
     hits = len(set(pred.labels) & set(truth.labels))
-    precision = 1.0 if len(pred) == 0 else hits / len(pred)
-    recall = 1.0 if len(truth) == 0 else hits / len(truth)
-    return precision, recall
+    return _rate(hits, len(pred)), _rate(hits, len(truth))
 
 
 def _summary(tp_c: np.ndarray, pred_c: np.ndarray, gt_c: np.ndarray) -> MetricSummary:
     """The six metrics from per-class tp, predicted and ground-truth counts."""
-    prec_per_class = np.where(pred_c > 0, tp_c / np.maximum(pred_c, 1), 1.0)
-    rec_per_class = np.where(gt_c > 0, tp_c / np.maximum(gt_c, 1), 1.0)
-    c_p = float(prec_per_class.mean())
-    c_r = float(rec_per_class.mean())
-    tp, npred, ngt = tp_c.sum(), pred_c.sum(), gt_c.sum()
-    o_p = 1.0 if npred == 0 else float(tp / npred)
-    o_r = 1.0 if ngt == 0 else float(tp / ngt)
+    c_p, c_r = (float(_rate(tp_c, n).mean()) for n in (pred_c, gt_c))
+    o_p, o_r = (_rate(tp_c.sum(), n.sum()) for n in (pred_c, gt_c))
     return MetricSummary(c_p, c_r, f1_score(c_p, c_r), o_p, o_r, f1_score(o_p, o_r))
 
 

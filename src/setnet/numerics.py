@@ -186,10 +186,10 @@ def nb_mode(p: NegBinParams) -> int:
 
 
 def nb_pmf_truncated(p: NegBinParams) -> list[float]:
-    """pmf values over m = 0..M, M the smallest count with CDF >= ``_PMF_MASS``,
-    at most ``_PMF_CAP``.  The vector is not re-normalised; its deficit is at
-    most 1 - ``_PMF_MASS``.  The support is evaluated in chunks of counts; the
-    CDF still adds one term at a time.
+    """pmf values over m = 0..M, M the smallest count with CDF >= ``_PMF_MASS``.
+    The vector is not re-normalised; its deficit is at most 1 - ``_PMF_MASS``.
+    NumericError if M would exceed ``_PMF_CAP``.  The support is evaluated in
+    chunks of counts; the CDF still adds one term at a time.
     """
     pmf: list[float] = []
     total = 0.0
@@ -202,4 +202,5 @@ def nb_pmf_truncated(p: NegBinParams) -> list[float]:
             return pmf + q[: reached[0] + 1].tolist()
         pmf += q.tolist()
         total = cdf[-1]
-    return pmf
+    raise NumericError(f"NB law a={p.a!r}, b={p.b!r} has more than {1.0 - _PMF_MASS:.0e} "
+                       f"of its mass beyond the pmf cap of {_PMF_CAP} counts")

@@ -46,7 +46,7 @@ class ScoredElements:
 
 @dataclass(frozen=True)
 class PredictedSet:
-    """Strictly increasing element indices plus their count."""
+    """Strictly increasing element indices; the set's cardinality is ``len(indices)``."""
 
     indices: tuple[int, ...]
 
@@ -55,10 +55,6 @@ class PredictedSet:
         if any(i < 0 for i in idx) or any(b <= a for a, b in zip(idx, idx[1:])):
             raise NumericError(f"indices must be strictly increasing and >= 0: {idx!r}")
         object.__setattr__(self, "indices", idx)
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
-"""No public function exists that only its own tests use.
+"""No public function or method exists that only its own tests use.
 
-Every function listed in a layer's ``__all__`` must be named somewhere in
-``src/setnet`` outside its own body (its ``def``, its ``__all__`` string and
-the package re-export are not uses), or be imported by the acceptance suite.
-Uses are matched by identifier: a bare name or an attribute such as
-``detect.box_table``.
+Every function listed in a layer's ``__all__``, and every public method,
+property, staticmethod and classmethod of a class listed there, must be
+named somewhere in ``src/setnet`` outside its own body (its ``def``, its
+``__all__`` string and the package re-export are not uses), or be imported
+by the acceptance suite.  Uses are matched by identifier: a bare name or an
+attribute such as ``detect.box_table`` or ``self.area``.
 
 Every ``layer.name`` that a docstring in ``src/setnet`` names, its layer a
 module of the package, must exist.
@@ -28,15 +29,20 @@ ACCEPTANCE = pathlib.Path(__file__).with_name("test_acceptance.py")
 LAYERS = sorted(p.stem for p in SRC.glob("*.py") if not p.stem.startswith("_"))
 
 
+def loaded(node):
+    """The identifiers that ``node`` loads: bare names and attributes."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def names_used_in_src():
-    """Identifiers loaded in src/setnet, each top-level def's own name aside."""
+    """Identifiers loaded in src/setnet, each top-level def's own name aside,
+    and each class member's (a def one level down) within its own body."""
     used = set()
     for path in SRC.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            names = {node.id if isinstance(node, ast.Name) else node.attr
-                     for node in ast.walk(top)
-                     if isinstance(node, (ast.Name, ast.Attribute))}
-            used |= names - {getattr(top, "name", None)}
+            for node in ast.iter_child_nodes(top):
+                used |= loaded(node) - {getattr(top, "name", None), getattr(node, "name", None)}
     return used
 
 
@@ -53,6 +59,22 @@ def public_functions():
                 yield f"{layer}.{name}"
 
 
+def public_members():
+    """``layer.Class.name`` of each public method, property, staticmethod and
+    classmethod that a class in a layer's ``__all__`` defines itself."""
+    for layer in LAYERS:
+        module = importlib.import_module(f"setnet.{layer}")
+        for cls_name in getattr(module, "__all__", ()):
+            cls = getattr(module, cls_name)
+            if not inspect.isclass(cls):
+                continue
+            for name, value in vars(cls).items():
+                if not name.startswith("_") and (
+                        inspect.isfunction(value)
+                        or isinstance(value, (property, staticmethod, classmethod))):
+                    yield f"{layer}.{cls_name}.{name}"
+
+
 USED = names_used_in_src() | names_imported_by_acceptance()
 
 
@@ -60,6 +82,13 @@ USED = names_used_in_src() | names_imported_by_acceptance()
 def test_public_function_has_a_caller(qualname):
     assert qualname.split(".")[1] in USED, (
         f"{qualname} is public, but nothing in src/setnet calls it and the "
+        "acceptance suite does not import it")
+
+
+@pytest.mark.parametrize("qualname", list(public_members()))
+def test_public_member_has_a_caller(qualname):
+    assert qualname.split(".")[2] in USED, (
+        f"{qualname} is public, but nothing in src/setnet uses it and the "
         "acceptance suite does not import it")
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from setnet import DataError, NumericError
+from setnet import DataError, NegBinParams, NumericError, nb_pmf_truncated
 from setnet.detect import match_tables
 from setnet.formats import read_boxes
 
@@ -266,6 +266,28 @@ def test_sample_command(workdir):
     rows = [json.loads(l) for l in open(out["files"]["samples"])][1:]
     assert all(len(r["set"]) == 2 for r in rows)
     assert out["mean_cardinality"] == 2.0
+
+
+# NB laws whose pmf holds more than 1e-12 of their mass beyond its cap of
+# 10**6 counts: sampling them would draw from a truncated law.
+@pytest.mark.parametrize("a", [2000, 1e6])
+def test_sample_rejects_an_nb_law_the_pmf_cap_truncates(capsys, tmp_path, a):
+    code, lines, err = run_main(capsys, tmp_path, "sample",
+                                {"card": "negbin", "a": a, "b": 0.999, "n": 2})
+    assert (code, err) == (1, "")
+    assert json.loads(lines[0]) == {"code": "config", "message": (
+        f"NB law a={float(a)!r}, b=0.999 has more than 1e-12 of its mass beyond "
+        "the pmf cap of 1000000 counts")}
+
+
+def test_sample_draws_from_an_nb_law_near_the_pmf_cap(capsys, tmp_path):
+    # 276,971 counts hold all but 1e-12 of this law's mass.
+    assert len(nb_pmf_truncated(NegBinParams(a=1.0, b=0.9999))) == 276_971
+    code, lines, err = run_main(capsys, tmp_path, "sample",
+                                {"card": "negbin", "a": 1.0, "b": 0.9999, "n": 2})
+    assert (code, err) == (0, "")
+    rows = [json.loads(l) for l in open(json.loads(lines[0])["files"]["samples"])][1:]
+    assert len(rows) == 2
 
 
 def test_gradcheck_defaults(workdir):

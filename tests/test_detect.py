@@ -33,7 +33,7 @@ from setnet import (
     match_detections,
 )
 from setnet import detect
-from setnet.detect import best_f1_over_thresholds
+from setnet.detect import best_f1_over_thresholds, miss_rate_curve
 from setnet.mlmetrics import f1_score
 
 
@@ -308,9 +308,15 @@ class TestMissRate:
             assert better <= base + 1e-12
 
     def test_requires_ground_truth(self):
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="undefined without ground truth"):
             log_avg_miss_rate([MatchResult(tp=0, fp=1, fn=0,
                                            flags=((0.5, False),))], 1)
+
+    def test_curve_without_ground_truth_misses_nothing(self):
+        # No ground truth: recall is 100% at every point (the 100% rule), not 0/0.
+        ms = [MatchResult(0, 2, 0, ((0.5, False), (0.25, False)))]
+        miss, fppi = miss_rate_curve(ms, 2)
+        assert miss.tolist() == [0.0, 0.0, 0.0] and fppi.tolist() == [0.0, 0.5, 1.0]
 
 
 class TestDetectionF1:
@@ -609,7 +615,8 @@ class TestAgainstScalarReference:
     @example([])
     def test_operating_points_keep_the_loop_forms_bits(self, matches):
         got, want = detect._operating_points(matches), ref_operating_points(matches)
-        assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+        assert [a[0].tobytes() for a in got[:2]] == [np.float64(0.0).tobytes()] * 2
+        assert [a[1:].tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
         assert got[2] == want[2]
         best = best_f1_over_thresholds(matches)
         assert type(best) is float and repr(best) == repr(ref_best_f1_over_thresholds(matches))

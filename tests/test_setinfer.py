@@ -46,7 +46,7 @@ class TestMapSet:
     def test_simple_order_statistics(self):
         result = map_set(ScoredElements(probs=(0.9, 0.1, 0.7)), 2)
         assert result.indices == (0, 2)
-        assert result.cardinality == 2
+        assert len(result.indices) == 2
 
     def test_empty_selection(self):
         assert map_set(ScoredElements(probs=(0.4, 0.6)), 0).indices == ()
@@ -104,7 +104,7 @@ class TestSequentialMap:
         m_star = nb_mode_of(5.0, 1.0)
         assert m_star == nb_mode(NegBinParams(a=5.0, b=0.5)) == 4
         result = map_set(ScoredElements(probs=probs), m_star)
-        assert result.cardinality == 4
+        assert len(result.indices) == 4
         assert set(result.indices) == set(np.argsort(-np.asarray(probs))[:4])
 
     def test_clamped_to_available_elements(self):
@@ -185,4 +185,4 @@ class TestPredictedSet:
             PredictedSet(indices=(1, 1))
         with pytest.raises(NumericError):
             PredictedSet(indices=(-1, 2))
-        assert PredictedSet(indices=(0, 4, 9)).cardinality == 3
+        assert len(PredictedSet(indices=(0, 4, 9)).indices) == 3
