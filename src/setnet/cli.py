@@ -470,13 +470,16 @@ def cmd_nms(cfg: dict, run: _Run) -> dict:
 
 
 def _normalised(values: list[float], key: str) -> np.ndarray:
-    """``values`` divided by their sum; ConfigError unless every entry is
-    >= 0 and the sum is positive and finite (a nan or inf entry makes it not)."""
+    """``values`` divided by their sum; ConfigError naming the first entry
+    that is not finite and >= 0, else a sum that is not positive and finite."""
     w = np.asarray(values, dtype=float)
-    total = w.sum()
-    if not (0.0 < total < np.inf and (w >= 0.0).all()):
-        raise ConfigError(f"{key} entries must be finite and >= 0 with a positive "
-                          f"finite sum, got {values!r}")
+    for i in np.flatnonzero(~((0.0 <= w) & (w < np.inf)))[:1].tolist():
+        raise ConfigError(f"{key} entries must be finite and >= 0, "
+                          f"got {key}[{i}] = {float(w[i])!r}")
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if not 0.0 < total < np.inf:
+        raise ConfigError(f"{key} must have a positive finite sum, got {total!r}")
     return w / total
 
 

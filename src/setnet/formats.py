@@ -6,8 +6,10 @@ seed, so runs are self-describing and diffable:
 
 * JSONL files: first line is the header object, then one record per line
   ({"features": [...], "count": m} / {"scores": [...], "truth": [...]}).
-* Box files: whitespace-separated "image_id x1 y1 x2 y2 [score]" records,
-  header carried in a leading "# {...}" comment line.
+* Box files: ASCII lines "image_id x1 y1 x2 y2 [score]", an int64 id and
+  floats split by whitespace, as one ``np.loadtxt`` call reads them; "#"
+  starts a comment anywhere on a line, and the header is the leading
+  "# {...}" comment.
 * Curve CSVs: the "# {...}" header line, the column line, one row per point.
 * JSON documents (metrics, gradcheck, model): one line, the whole document.
 
@@ -24,7 +26,7 @@ import warnings
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -141,66 +143,54 @@ def write_boxes(
 
 def read_boxes(path: str, with_score: bool) -> dict[int, np.ndarray]:
     """Box tables by image id, in first-appearance order, rows in file order;
-    GT files (no score column) get score 1.0.  The earliest bad row is a
-    DataError naming its line.  One ``np.loadtxt`` call parses an ASCII file,
-    its rows grouped as slices of one table sorted by id; ``_read_box_lines``
-    reads a file that call cannot (``1_0``, an id beyond int64, a comment
-    after the first line, a bad line) or that holds a rejected row."""
+    GT files (no score column) get score 1.0.  The file is what one
+    ``np.loadtxt`` call reads: ASCII lines of an int64 id and floats split by
+    whitespace, ``#`` starting a comment.  Each image's table is a slice of
+    the rows sorted by id.  A file that call cannot read, or that holds a row
+    BoxDetection rejects, is the DataError of its earliest bad line."""
     width = 6 if with_score else 5
     try:
-        with open(path, "rb") as fh:
-            skip = fh.readline().lstrip().startswith(b"#")
-        # ASCII only: numpy's int64 parser takes some other code points for
-        # digits.  A warning ("input contained no data") also falls back.
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error")  # a row numpy reads with a warning is bad
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             rows = np.loadtxt(path, dtype=[("id", np.int64), ("v", float, (width - 1,))],
-                              comments=None, skiprows=int(skip), encoding="ascii", ndmin=1)
-    except (OSError, ValueError, Warning):
-        return _read_box_lines(path, width)
-    table = np.ones((len(rows), 5))
-    table[:, :width - 1] = rows["v"]
-    if BoxDetection.rejected_rows(table).size:
-        return _read_box_lines(path, width)
+                              comments="#", encoding="ascii", ndmin=1)
+        table = np.ones((len(rows), 5))
+        table[:, :width - 1] = rows["v"]
+        if BoxDetection.rejected_rows(table).size:
+            raise ValueError("a row BoxDetection rejects")
+    except (OSError, ValueError, Warning) as e:
+        _first_bad_line(path, width, e)
     return _by_image(rows["id"], table)
 
 
-def _read_box_lines(path: str, width: int) -> dict[int, np.ndarray]:
-    """``read_boxes`` line by line with ``int`` and ``float``; the earliest bad
-    line (field count, value or rejected row) is a DataError naming it."""
-    ids, vals, lines = [], [], []  # each row's image id, other fields and file line
+def _first_bad_line(path: str, width: int, error: Exception) -> NoReturn:
+    """Raise the DataError of the earliest bad line of a box file: not ASCII,
+    not ``width`` fields, a field ``int`` or ``float`` rejects or only they
+    read (a ``_``, an id outside int64), or a box BoxDetection rejects; else
+    ``error``, what numpy met.  It builds no table."""
     try:
         for ln, line in enumerate(_lines(path), 1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
             try:
+                if not line.isascii():
+                    raise ValueError("not an ASCII line")
+                text = line.split("#", 1)[0]
+                parts = text.split()
+                if not parts:
+                    continue
                 if len(parts) != width:
                     raise ValueError(f"expected {width} fields, got {len(parts)}")
-                image_id, row = int(parts[0]), list(map(float, parts[1:]))
+                image_id, values = int(parts[0]), list(map(float, parts[1:]))
+                if "_" in text:
+                    raise ValueError("'_' in a number")
+                if not -2**63 <= image_id < 2**63:
+                    raise ValueError("image id outside int64")
+                BoxDetection(*values)
             except ValueError as e:
-                _box_table(path, vals, lines, width)  # an earlier rejected row first
                 raise DataError(f"{path}:{ln}: {e}") from e
-            ids.append(image_id)
-            vals.append(row)
-            lines.append(ln)
     except (OSError, UnicodeDecodeError) as e:
-        _box_table(path, vals, lines, width)
         raise DataError(f"cannot read {path}: {e}") from e
-    return _by_image(np.array(ids, dtype=object), _box_table(path, vals, lines, width))
-
-
-def _box_table(path: str, vals: list, lines: list[int], width: int) -> np.ndarray:
-    """The rows ``vals`` as a box table, score 1.0 where a row has none; the
-    earliest row that BoxDetection rejects is a DataError naming its line."""
-    table = np.ones((len(vals), 5))
-    table[:, :width - 1] = np.array(vals, dtype=float).reshape(-1, width - 1)
-    for i in BoxDetection.rejected_rows(table):
-        try:
-            BoxDetection(*table[i].tolist())
-        except ValueError as e:
-            raise DataError(f"{path}:{lines[i]}: {e}") from e
-    return table
+    raise DataError(f"cannot read {path}: {error}") from error
 
 
 def _by_image(ids: np.ndarray, table: np.ndarray) -> dict[int, np.ndarray]:

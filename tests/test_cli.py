@@ -602,6 +602,23 @@ def test_out_of_range_value_is_config_error(capsys, tmp_path, command, cfg):
     assert err == ""
 
 
+# A rejected weight list is named by its key and its first bad entry, or its
+# sum, never spelled out: 100,000 entries still make one short config line.
+@pytest.mark.parametrize("key,values,message", [
+    ("pmf", [0.0] * 100_000, "pmf must have a positive finite sum, got 0.0"),
+    ("probs", [0.5] * 99_999 + [-1.0], "probs entries must be finite and >= 0, "
+                                       "got probs[99999] = -1.0"),
+    ("pmf", [1e308, 1e308], "pmf must have a positive finite sum, got inf"),  # no overflow warning
+], ids=["pmf-sum", "probs-entry", "pmf-overflow"])
+def test_rejected_weight_list_is_one_short_config_line(capsys, tmp_path, key, values, message):
+    code, lines, err = run_main(capsys, tmp_path, "sample", {"card": "pmf", "pmf": [1.0],
+                                                             key: values, "n": 1})
+    assert (code, err) == (1, "")
+    (line,) = lines
+    assert len(line.encode()) < 1024
+    assert json.loads(line) == {"code": "config", "message": message}
+
+
 # 56.8 PiB, more than any address space holds: numpy refuses it at once.
 @pytest.mark.parametrize("command,cfg", [("synth", {"task": "counting", "n": 1e15}),
                                          ("gradcheck", {"d": 1e15})], ids=["synth", "gradcheck"])

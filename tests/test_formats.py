@@ -188,12 +188,16 @@ def test_box_row_in_the_text_chunk_of_undecodable_bytes(tmp_path, row, want, sep
 
 
 def ref_read_boxes(path, with_score):
-    """One BoxDetection per row, checked as each line is read."""
+    """One BoxDetection per row, checked as each line is read: every line is
+    ASCII, ``#`` starts a comment anywhere on a line, an id lies in int64 and
+    no number holds a ``_``."""
     images = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            if not line.isascii():
+                raise DataError(f"{path}:{ln + 1}: not an ASCII line")
+            line = line.split("#", 1)[0].strip()
+            if not line:
                 continue
             parts = line.split()
             expected = 6 if with_score else 5
@@ -203,6 +207,10 @@ def ref_read_boxes(path, with_score):
             try:
                 image_id = int(parts[0])
                 vals = [float(v) for v in parts[1:]]
+                if "_" in line:
+                    raise ValueError("'_' in a number")
+                if not -2**63 <= image_id < 2**63:
+                    raise ValueError("image id outside int64")
                 score = vals[4] if with_score else 1.0
                 box = BoxDetection(x1=vals[0], y1=vals[1], x2=vals[2], y2=vals[3],
                                    score=score)
@@ -238,9 +246,11 @@ BAD_SCORE = st.sampled_from([1.0000000000000002, -5e-324, math.nan, math.inf, 1.
 
 
 # Tokens and separators on which numpy's C parser and Python's int/float
-# (the reference) may disagree: digits and forms only Python reads, ids
-# beyond int64, forms both reject, an unassigned code point that numpy's
-# int64 parser takes for a digit, and whitespace that only str.split splits.
+# may disagree: forms only Python reads (a `_` in a number, Unicode digits,
+# ids beyond int64), which the box format rejects; forms both read or both
+# reject; an unassigned code point that numpy's int64 parser takes for a
+# digit; and whitespace that only str.split splits.  Every non-ASCII token
+# or separator makes its line one the format rejects.
 ODD_ID = st.sampled_from(["1_0", "\u0661", "\u2fe51", "9223372036854775808",
                           "-9223372036854775809", "1.0", "1e2", "+7", "007"])
 ODD_VALUE = st.sampled_from(["1_0.5", "\u0661.\u0665", "0x1p3", "1d0", "1,5", "0.5#x",
@@ -310,10 +320,11 @@ def outcome(read, path, with_score):
 @example((True, ["1 0 0 5 5 0.5", "", "2 -0.0 5e-324 1e-200 1e200 1.0",
                  "# 1 0 0 0 5 0.5", "1 1 1 6 6 -0.0", "  ", "2 0 0 1 1 0.0"]))
 # What only Python reads, after a header: an id with an underscore, one in
-# Arabic-Indic digits, one beyond int64, a form-feed separator.
+# Arabic-Indic digits, one beyond int64, a form-feed separator.  The first
+# is a DataError naming line 2.
 @example((True, ["# {}", "1_0 0 0 5 5 0.5", "\u0661 1 1 6 6 0.25",
                  "9223372036854775808 0 0 1 1 1.0", "1\x0c0 0 5 5 0.5\r"]))
-# An id that numpy's int64 parser reads as 122131 and int() rejects.
+# An id that numpy's int64 parser would read as 122131: not an ASCII line.
 @example((True, ["# {}", "1 0 0 5 5 0.5", "\u2fe51 0 0 5 5 0.5"]))
 # A header and nothing else; a comment after the header.
 @example((False, ["# {}"]))
@@ -383,19 +394,54 @@ def test_crowd_scene_bytes_survive_read_and_write(tmp_path):
 
 def test_ordinary_box_files_skip_the_line_loop(tmp_path):
     # A synth scene's files are read by numpy's parser alone; the line loop
-    # runs for what only Python reads, such as the id 1_0.
+    # runs only to name a bad line, such as one with the id 1_0.
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps({"task": "boxes", "n": 40, "seed": 3,
                                "alpha_map": CROWD_MAP, **CROWD}))
     assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "scene")]) == 0
     odd = tmp_path / "odd.txt"
     odd.write_text("# {}\n1_0 0 0 5 5 0.5\n")
-    with mock.patch.object(formats, "_read_box_lines", wraps=formats._read_box_lines) as loop:
+    with mock.patch.object(formats, "_first_bad_line", wraps=formats._first_bad_line) as loop:
         for name, with_score in (("proposals.txt", True), ("gt.txt", False)):
             assert read_boxes(str(tmp_path / "scene" / name), with_score)
         assert loop.call_count == 0
-        assert list(read_boxes(str(odd), with_score=True)) == [10]
+        with pytest.raises(DataError, match=rf"^{re.escape(str(odd))}:2: "):
+            read_boxes(str(odd), with_score=True)
         assert loop.call_count == 1
+
+
+# The box format is what np.loadtxt reads: a line after "# {}" and one good
+# row, then a good row of image 2.  Forms only Python's int and float read
+# are DataErrors naming line 3; a "#" comment may end a row or fill a line.
+@pytest.mark.parametrize("line, want", [
+    ("1_0 0 0 5 5 0.5", "'_' in a number"),
+    ("1 1_0.5 0 5 5 0.5", "'_' in a number"),
+    ("9223372036854775808 0 0 5 5 0.5", "image id outside int64"),
+    ("\u0661 0 0 5 5 0.5", "not an ASCII line"),
+    ("# caf\u00e9", "not an ASCII line"),
+    ("1 0 0 5 5 0.5 # note", [[0.0, 0.0, 5.0, 5.0, 0.5]] * 2),
+    ("# note", [[0.0, 0.0, 5.0, 5.0, 0.5]]),
+])
+def test_box_file_is_what_loadtxt_reads(tmp_path, line, want):
+    path = tmp_path / "boxes.txt"
+    path.write_text(f"# {{}}\n1 0 0 5 5 0.5\n{line}\n2 0 0 5 5 0.5\n", encoding="utf-8")
+    if isinstance(want, list):
+        got = read_boxes(str(path), with_score=True)
+        assert {k: v.tolist() for k, v in got.items()} == {1: want, 2: [[0.0, 0.0, 5.0, 5.0, 0.5]]}
+        return
+    with pytest.raises(DataError) as info:
+        read_boxes(str(path), with_score=True)
+    assert str(info.value) == f"{path}:3: {want}"
+    assert len(str(info.value).encode()) < 1024
+
+
+def test_fault_no_line_shows_is_still_a_data_error(tmp_path):
+    # A numpy fault that the line walk cannot place never reads as tables.
+    path = tmp_path / "boxes.txt"
+    path.write_text("# {}\n1 0 0 5 5 0.5\n")
+    with mock.patch.object(formats.np, "loadtxt", side_effect=ValueError("no row 7")):
+        with pytest.raises(DataError, match=rf"^cannot read {re.escape(str(path))}: no row 7$"):
+            read_boxes(str(path), with_score=True)
 
 
 def test_read_records_puts_the_collector_back(tmp_path):
