@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("tanh", "relu")
-KINDS = ("negbin", "regression")
+OUTPUT_WIDTH = {"negbin": 2, "regression": 1}  # each model kind's output width
 # Finite features can still overflow the network: train and predict_batch
 # then raise FloatingPointError, an ArithmeticError, instead of warning.
 _overflow_raises = np.errstate(over="raise", invalid="raise")
@@ -80,7 +80,7 @@ class MLPModel:
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
             raise NumericError(f"unknown activation {self.activation!r}")
-        if self.kind not in KINDS:
+        if self.kind not in OUTPUT_WIDTH:
             raise NumericError(f"unknown model kind {self.kind!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise NumericError("weights and biases must be non-empty and aligned")
@@ -90,7 +90,7 @@ class MLPModel:
             if li > 0 and w.shape[1] != self.weights[li - 1].shape[0]:
                 raise NumericError(f"layer {li} does not chain: {w.shape}")
         n_out = self.weights[-1].shape[0]
-        expected = 2 if self.kind == "negbin" else 1
+        expected = OUTPUT_WIDTH[self.kind]
         if n_out != expected:
             raise NumericError(
                 f"{self.kind} model needs {expected} outputs, final layer has {n_out}"
@@ -261,7 +261,7 @@ def train(
     vel = np.zeros_like(theta)
     rng = np.random.default_rng(cfg.seed)
     batches = [(s, min(s + cfg.batch_size, n)) for s in range(0, n, cfg.batch_size)]
-    heads = np.empty((2 if model.kind == "negbin" else 1, n))  # by position in perm
+    heads = np.empty((OUTPUT_WIDTH[model.kind], n))  # by position in perm
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         for s, e in batches:

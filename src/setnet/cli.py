@@ -1,16 +1,17 @@
 """Command-line surface tying the library into reproducible experiments.
 
-Every subcommand takes exactly three flags: --config (a flat JSON file of
+Every subcommand takes exactly three flags: --config (a JSON object of
 command-specific keys), --seed (overrides the config seed) and --out (the
 artifact directory).  Runs print one machine-readable JSON line to stdout
 that echoes the resolved config, its hash and the seed; all artifacts
 embed the same triple.  Each config value is type-checked against the
-command's schema before the command runs; a wrongly typed or unknown key is
-a "config" error.  Each command runs with one ``cli._Run``, the one place
-that records the files it writes and its stage wall times; ``main`` adds
-them to the result line as ``files``, ``timings_ms`` and a rate, which stay
-out of the artifacts.  Failures print {"code", "message"} and exit 1, with
-code "config", "data" or "numeric".
+command's schema before the command runs, the fields of synth's alpha_map
+and beta_map included; a wrongly typed or unknown key is a "config" error.
+Each command runs with one ``cli._Run``, the one place that records the
+files it writes and its stage wall times; ``main`` adds them to the result
+line as ``files``, ``timings_ms`` and a rate, which stay out of the
+artifacts.  Failures print {"code", "message"} and exit 1, with code
+"config", "data" or "numeric".
 The SETNET_LOG environment variable (error|info|debug) controls stderr
 verbosity.
 """
@@ -22,6 +23,7 @@ import dataclasses
 import json
 import logging
 import os
+import reprlib
 import sys
 import time
 import types
@@ -58,20 +60,21 @@ def _build(cls, cfg: dict, **given):
 
 
 # Each command's known keys as (type, default); unknown keys are rejected.
-# A type is int, float, str, dict, list[int], list[float] or a tuple of the
-# allowed strings; null is a valid value only where the default is None.
+# A type is int, float, str, a tuple of the allowed strings, list[int],
+# list[float] or a dataclass (an object of its fields, each cast by its own
+# type); null is a valid value only where the default is None.
 _SEED = {"seed": (int, 0)}
 SCHEMAS: dict[str, dict[str, tuple]] = {
     "synth": {
         "task": (("counting", "multilabel", "boxes"), _REQUIRED),
         **_fields(synth.SynthConfig),
-        # null (or {}) selects the task's default map.
-        "alpha_map": (dict, None),
-        "beta_map": (dict, None),
+        # null selects the task's default map.
+        "alpha_map": (synth.ParamMap, None),
+        "beta_map": (synth.ParamMap, None),
     },
     "train": {
         "data": (str, _REQUIRED),
-        "loss": (cardnet.KINDS, "negbin"),
+        "loss": (tuple(cardnet.OUTPUT_WIDTH), "negbin"),
         "hidden": (list[int], [16]),
         "activation": (cardnet.ACTIVATIONS, "tanh"),
         **_fields(HeadWeights),
@@ -122,7 +125,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
         "hidden": (list[int], [8]),
         "batch": (int, 8),
         "h": (float, 1e-5),
-        "loss": (cardnet.KINDS, "negbin"),
+        "loss": (tuple(cardnet.OUTPUT_WIDTH), "negbin"),
         **_SEED,
     },
 }
@@ -141,12 +144,18 @@ def _cast(kind, value):
     """``value`` as schema type ``kind``; TypeError if it is not one.
 
     An int takes an integer or an integral float, a float any number; bools
-    are neither.
+    are neither.  A dataclass takes an object of exactly its fields, each
+    cast by its own type; its ``__post_init__`` may raise NumericError.
     """
-    if isinstance(kind, types.GenericAlias):
+    if dataclasses.is_dataclass(kind):
+        fields = _fields(kind)
+        if not isinstance(value, dict) or value.keys() != fields.keys():
+            raise TypeError(value)
+        return kind(**{k: _cast(t, value[k]) for k, (t, _) in fields.items()})
+    if isinstance(kind, types.GenericAlias):  # list[x] or tuple[x, ...]
         if not isinstance(value, list):
             raise TypeError(value)
-        return [_cast(kind.__args__[0], v) for v in value]
+        return kind.__origin__(_cast(kind.__args__[0], v) for v in value)
     if isinstance(kind, tuple):
         ok = isinstance(value, str) and value in kind
     elif kind is int:
@@ -178,7 +187,7 @@ def _resolve_config(command: str, config_path: str | None,
             raise ConfigError("config must be a JSON object")
         unknown = sorted(set(loaded) - set(schema))
         if unknown:
-            raise ConfigError(f"unknown config keys for {command}: {unknown}")
+            raise ConfigError(f"unknown config keys for {command}: {reprlib.repr(unknown)}")
         config.update(loaded)
     if seed is not None:
         config["seed"] = seed
@@ -195,17 +204,20 @@ def _resolve_config(command: str, config_path: str | None,
         except (TypeError, OverflowError):
             what = (f"one of {list(kind)}" if isinstance(kind, tuple)
                     else str(kind) if isinstance(kind, types.GenericAlias)
+                    else f"an object of {list(_fields(kind))}" if dataclasses.is_dataclass(kind)
                     else kind.__name__)
             null = " or null" if default is None else ""
             raise ConfigError(f"{command} config key {key!r} must be "
-                              f"{what}{null}, got {value!r}") from None
+                              f"{what}{null}, got {reprlib.repr(value)}") from None
+        except NumericError as e:
+            raise ConfigError(f"{command} config key {key!r}: {e}") from None
     return config, typed
 
 
 def _check(cfg: dict, key: str, ok: bool, want: str) -> None:
     """ConfigError unless ``ok``, the range check of config value ``key``."""
     if not ok:
-        raise ConfigError(f"{key} must be {want}, got {cfg[key]!r}")
+        raise ConfigError(f"{key} must be {want}, got {reprlib.repr(cfg[key])}")
 
 
 class _Run:
@@ -254,15 +266,9 @@ def _synth_config(cfg: dict) -> synth.SynthConfig:
         if cfg["task"] == "multilabel"
         else synth.counting_default_maps()
     )
-    try:
-        alpha_map, beta_map = (
-            synth.ParamMap.from_dict(doc) if doc else default
-            for doc, default in zip((cfg["alpha_map"], cfg["beta_map"]), defaults)
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(
-            f"alpha_map/beta_map need weights, bias, lo and hi: {e!r}") from e
-    return _build(synth.SynthConfig, cfg, alpha_map=alpha_map, beta_map=beta_map)
+    return _build(synth.SynthConfig, cfg, **{
+        key: default if cfg[key] is None else cfg[key]
+        for key, default in zip(("alpha_map", "beta_map"), defaults)})
 
 
 def cmd_synth(cfg: dict, run: _Run) -> dict:
@@ -295,8 +301,15 @@ def cmd_synth(cfg: dict, run: _Run) -> dict:
     return {"n": cfg["n"], "n_clamped": n_clamped}
 
 
-def cmd_train(cfg: dict, run: _Run) -> dict:
+def _layer_widths(cfg: dict) -> list[int]:
+    """The network's widths after its input: the checked ``hidden`` widths,
+    then the output width of the ``loss`` kind."""
     _check(cfg, "hidden", min(cfg["hidden"], default=1) >= 1, "widths >= 1")
+    return [*cfg["hidden"], cardnet.OUTPUT_WIDTH[cfg["loss"]]]
+
+
+def cmd_train(cfg: dict, run: _Run) -> dict:
+    widths = _layer_widths(cfg)
     head = _build(HeadWeights, cfg)
     tcfg = _build(cardnet.TrainConfig, cfg)
     run.stage("read")
@@ -304,10 +317,8 @@ def cmd_train(cfg: dict, run: _Run) -> dict:
     if not len(counts):
         raise DataError(f"no training records in {cfg['data']}")
     run.stage("train", "samples_per_s", tcfg.epochs * len(counts))
-    kind = cfg["loss"]
-    dims = [X.shape[1], *cfg["hidden"], 2 if kind == "negbin" else 1]
-    model = cardnet.init_model(dims, activation=cfg["activation"], head=head,
-                               seed=cfg["seed"], kind=kind)
+    model = cardnet.init_model([X.shape[1], *widths], activation=cfg["activation"],
+                               head=head, seed=cfg["seed"], kind=cfg["loss"])
     losses: list[dict] = []
     trained = cardnet.train(model, (X, counts), tcfg,
                             epoch_callback=lambda e, l: losses.append(
@@ -518,13 +529,11 @@ def cmd_sample(cfg: dict, run: _Run) -> dict:
 def cmd_gradcheck(cfg: dict, run: _Run) -> dict:
     for key in ("d", "batch"):
         _check(cfg, key, cfg[key] >= 1, ">= 1")
-    _check(cfg, "hidden", min(cfg["hidden"], default=1) >= 1, "widths >= 1")
+    widths = _layer_widths(cfg)
     _check(cfg, "h", 0.0 < cfg["h"] < np.inf, "finite and > 0")
     rng = np.random.default_rng(cfg["seed"])
     d = cfg["d"]
-    kind = cfg["loss"]
-    dims = [d, *cfg["hidden"], 2 if kind == "negbin" else 1]
-    model = cardnet.init_model(dims, seed=cfg["seed"], kind=kind)
+    model = cardnet.init_model([d, *widths], seed=cfg["seed"], kind=cfg["loss"])
     draws = [(rng.uniform(-1.0, 1.0, size=d), rng.poisson(4.0)) for _ in range(cfg["batch"])]
     X, counts = map(np.array, zip(*draws))
     err = cardnet.gradient_check(model, (X, counts), h=cfg["h"])
@@ -553,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat JSON config file")
+        p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config seed")
         p.add_argument("--out", default=".", help="artifact directory")

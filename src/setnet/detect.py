@@ -280,14 +280,13 @@ def greedy_nms(boxes: list[BoxDetection], t: float) -> list[BoxDetection]:
 
 
 def adaptive_nms(
-    boxes: list[BoxDetection], m_star: int | None, cfg: NMSConfig = NMSConfig()
+    boxes: list[BoxDetection], m_star: int, cfg: NMSConfig = NMSConfig()
 ) -> list[BoxDetection]:
     """Raise the NMS threshold until at least m_star boxes survive.
 
     Sweeps t = t0, t0+step, ... up to t_max and stops at the first
     threshold whose greedy pass keeps >= m_star boxes; the top-m_star by
-    score are returned.  ``m_star=None`` lifts the constraint and returns
-    the survivors of t0 unchanged.
+    score are returned.
 
     The result never holds more than m_star boxes, and holds exactly
     m_star whenever some threshold of the sweep keeps that many.  If none
@@ -298,12 +297,12 @@ def adaptive_nms(
     return [boxes[i] for i in adaptive_nms_rows(box_table(boxes), m_star, cfg)[0]]
 
 
-def adaptive_nms_rows(table: np.ndarray, m_star: int | None,
+def adaptive_nms_rows(table: np.ndarray, m_star: int,
                       cfg: NMSConfig = NMSConfig()) -> tuple[np.ndarray, int]:
     """``adaptive_nms`` on a box table: the kept rows' indices, in score order,
     and the index k of the threshold t0 + k*step whose pass they are (the
     first to keep m_star boxes, else the last)."""
-    if m_star is not None and m_star < 0:
+    if m_star < 0:
         raise NumericError(f"m_star must be >= 0, got {m_star!r}")
     if m_star == 0:
         return np.zeros(0, dtype=np.intp), 0
@@ -313,7 +312,7 @@ def adaptive_nms_rows(table: np.ndarray, m_star: int | None,
     k, width = 0, 1
     while True:
         kept = sweep.greedy(k, width, m_star)[:, None] >> np.arange(width) & 1 != 0
-        met = [0] if m_star is None else np.flatnonzero(kept.sum(axis=0) >= m_star)
+        met = np.flatnonzero(kept.sum(axis=0) >= m_star)
         if len(met):
             return sweep.order[np.flatnonzero(kept[:, met[0]])[:m_star]], k + int(met[0])
         if k == 0:  # the pass at t0 was complete: skip to where it can change

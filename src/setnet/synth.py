@@ -61,15 +61,6 @@ class ParamMap:
         w[: len(self.weights)] = self.weights
         return np.clip(x @ w + self.bias, self.lo, self.hi)
 
-    @staticmethod
-    def from_dict(doc: dict) -> "ParamMap":
-        return ParamMap(
-            weights=tuple(doc["weights"]),
-            bias=float(doc["bias"]),
-            lo=float(doc["lo"]),
-            hi=float(doc["hi"]),
-        )
-
 
 def counting_default_maps() -> tuple[ParamMap, ParamMap]:
     # Steep aligned ramps in x0 split the population into a zero-heavy

@@ -1,11 +1,13 @@
 """CLI surface: subcommands, error codes, reproducibility of artifacts."""
 
+import dataclasses
 import gc
 import hashlib
 import json
 import math
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -1106,6 +1108,95 @@ def test_malformed_model_file_is_data_error(capsys, tmp_path, case, says):
     assert code == 1 and err == "" and len(lines) == 1, (lines, err)
     out = json.loads(lines[0])
     assert out["code"] == "data" and out["message"].startswith(f"{model}: {says}"), out
+
+
+# A map is an object of exactly weights (a list of numbers), bias, lo and hi
+# (numbers), cast by the schema like any other value; whatever is wrong with
+# it, the error is one config line that names the map's key.
+GOOD_MAP = {"weights": [1.0, 2.0], "bias": 0.0, "lo": 0.1, "hi": 1.0}
+BAD_MAPS = [
+    ("alpha_map", {**GOOD_MAP, "weights": "12"}),
+    ("alpha_map", {**GOOD_MAP, "bias": True}),
+    ("alpha_map", {**GOOD_MAP, "lo": "0.1"}),
+    ("alpha_map", {**GOOD_MAP, "wieghts": [1.0]}),
+    ("alpha_map", {k: v for k, v in GOOD_MAP.items() if k != "hi"}),
+    ("alpha_map", {}),
+    ("alpha_map", {**GOOD_MAP, "weights": [[1.0]]}),
+    ("alpha_map", {**GOOD_MAP, "weights": [10**400]}),  # beyond the float range
+    ("beta_map", {**GOOD_MAP, "lo": 0}),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_MAPS, ids=[
+    "weights-string", "bias-bool", "lo-string", "unknown-field", "missing-field", "empty",
+    "weights-nested", "weights-huge-int", "beta-lo-zero"])
+def test_bad_map_is_one_config_line_naming_its_key(capsys, tmp_path, key, value):
+    cfg = {"task": "counting", "n": 200, "d": 3, "seed": 1, key: value}
+    code, lines, err = run_main(capsys, tmp_path, "synth", cfg)
+    assert (code, err) == (1, "")
+    (line,) = lines
+    assert len(line.encode()) < 1024
+    out = json.loads(line)
+    assert out["code"] == "config" and f"'{key}'" in out["message"], out
+
+
+def test_good_map_is_cast_like_its_numbers(capsys, tmp_path):
+    # Integers and an integral weight give the same map, rows and echo as floats.
+    cfg = {"task": "counting", "n": 20, "d": 3, "seed": 1}
+    rows = []
+    for given in (GOOD_MAP, {"weights": [1, 2], "bias": 0, "lo": 0.1, "hi": 1}):
+        code, lines, _ = run_main(capsys, tmp_path, "synth", {**cfg, "alpha_map": given})
+        assert code == 0
+        out = json.loads(lines[0])
+        assert out["config"]["alpha_map"] == given
+        rows.append(open(out["files"]["data"]).read().splitlines()[1:])
+    assert rows[0] == rows[1]
+
+
+# A config error spells a given value by reprlib: a long one is cut short.
+LONG_VALUES = [
+    ("sample", {"card": "pmf", "pmf": [True] * 100_000, "n": 1}),
+    ("train", {"data": "data.jsonl", "hidden": [0] * 100_000}),
+    ("synth", {"task": "y" * 100_000}),
+    ("synth", {"task": "counting", "alpha_map": {**GOOD_MAP, "weights": ["x"] * 100_000}}),
+    ("synth", {"task": "counting", **{f"key{i}": 0 for i in range(100_000)}}),
+]
+
+
+@pytest.mark.parametrize("command,cfg", LONG_VALUES,
+                         ids=["pmf-bools", "hidden-zeros", "task-long", "weights-strings",
+                              "unknown-keys"])
+def test_config_error_line_is_short(capsys, tmp_path, command, cfg):
+    code, lines, err = run_main(capsys, tmp_path, command, cfg)
+    assert (code, err) == (1, "")
+    (line,) = lines
+    assert len(line.encode()) < 1024
+    assert json.loads(line)["code"] == "config"
+
+
+def _one_cast(kind):
+    """Whether ``_cast`` has one rule for schema type ``kind``: int, float,
+    str, a tuple of choices, list[x] or tuple[x, ...] of one of the first
+    three, or a dataclass whose fields are all such types."""
+    from setnet import cli
+    if kind in (int, float, str):
+        return True
+    if isinstance(kind, tuple):
+        return all(isinstance(c, str) for c in kind)
+    if isinstance(kind, types.GenericAlias):
+        return ((kind.__origin__, kind.__args__[1:]) in ((list, ()), (tuple, (...,)))
+                and kind.__args__[0] in (int, float, str))
+    if isinstance(kind, type) and dataclasses.is_dataclass(kind):
+        return all(_one_cast(t) for t, _ in cli._fields(kind).values())
+    return False
+
+
+@pytest.mark.parametrize("command", sorted(KEY_TYPES))
+def test_schema_types_have_one_cast(command):
+    # No bare dict or list: every value, however nested, is cast by the schema.
+    from setnet import cli
+    assert {k: kind for k, (kind, _) in cli.SCHEMAS[command].items()
+            if not _one_cast(kind)} == {}
 
 
 def test_eval_det_n_images_covers_the_images_in_the_files(capsys, tmp_path):

@@ -184,13 +184,15 @@ class TestAdaptiveNms:
             with pytest.raises(NumericError, match=r"sweeps more than 10000 thresholds"):
                 NMSConfig(t0=0.0, step=step, t_max=0.99)
 
-    def test_unbounded_sentinel_equals_greedy(self):
+    def test_unreachable_mstar_equals_greedy(self):
+        # At a single threshold, an m* above the box count is never met:
+        # the sweep returns every survivor of that threshold's pass.
         rng = np.random.default_rng(42)
         for _ in range(20):
             cloud = random_cloud(rng)
             t = float(rng.uniform(0.2, 0.7))
             cfg = NMSConfig(t0=t, step=0.01, t_max=t)
-            assert adaptive_nms(cloud, None, cfg) == greedy_nms(cloud, t)
+            assert adaptive_nms(cloud, len(cloud) + 1, cfg) == greedy_nms(cloud, t)
 
     def test_count_contract_randomised(self):
         rng = np.random.default_rng(43)
@@ -399,11 +401,9 @@ def ref_adaptive_nms(boxes, m_star, cfg):
     for k in range(n_steps + 1):
         t = min(cfg.t0 + k * cfg.step, cfg.t_max)
         kept = ref_greedy_nms(boxes, t)
-        if m_star is not None and len(kept) >= m_star:
+        if len(kept) >= m_star:
             return kept[:m_star]
-        if m_star is None:
-            return kept
-    return kept if m_star is None else kept[:m_star]
+    return kept
 
 
 def ref_match_detections(dets, gts, iou_thresh):
@@ -550,9 +550,9 @@ class TestAgainstScalarReference:
     def test_adaptive_nms(self, data):
         cloud = data.draw(clouds(), label="cloud")
         cfg = data.draw(sweep_configs(cloud), label="cfg")
-        # Reachable, unreachable (more than the boxes) and unconstrained.
-        m_star = data.draw(st.integers(0, len(cloud)) | st.just(len(cloud) + 1)
-                           | st.none(), label="m_star")
+        # Reachable and unreachable (more than the boxes).
+        m_star = data.draw(st.integers(0, len(cloud)) | st.just(len(cloud) + 1),
+                           label="m_star")
         kept = adaptive_nms(cloud, m_star, cfg)
         assert ids(kept) == ids(ref_adaptive_nms(cloud, m_star, cfg))
         t_last = min(cfg.t0 + math.floor((cfg.t_max - cfg.t0) / cfg.step + 1e-9)
@@ -568,7 +568,7 @@ class TestAgainstScalarReference:
         # needs many blocks and walks.
         cloud = data.draw(clouds(max_size=30), label="cloud")
         cfg = data.draw(sweep_configs(cloud) | edge_configs(cloud), label="cfg")
-        m_star = data.draw(st.integers(0, len(cloud) + 1) | st.none(), label="m_star")
+        m_star = data.draw(st.integers(0, len(cloud) + 1), label="m_star")
         sizes = {"_BLOCK": data.draw(st.sampled_from([1, 5, 64]), label="block"),
                  "_WIDTH": data.draw(st.sampled_from([1, 2, 5]), label="width")}
         with mock.patch.multiple(detect, **sizes):
@@ -580,6 +580,9 @@ class TestAgainstScalarReference:
     @pytest.mark.parametrize("m_star", [None, 0, 1, 2, 3, 4, 5])
     @pytest.mark.parametrize("t0", [0.3, 0.379, 0.45, 64.0 / 130.0])
     def test_adaptive_nms_four_box_fixture(self, m_star, t0):
+        if m_star is None:  # no bound on the count: the greedy pass at t0
+            assert ids(greedy_nms(FOUR_BOX, t0)) == ids(ref_greedy_nms(FOUR_BOX, t0))
+            return
         for step in (0.01, 0.05, 0.2):
             cfg = NMSConfig(t0=t0, step=step, t_max=0.95)
             assert ids(adaptive_nms(FOUR_BOX, m_star, cfg)) == ids(

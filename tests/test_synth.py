@@ -300,8 +300,8 @@ def test_synth_reports_clamped_cardinalities(capsys, tmp_path, task, cap, extra)
     cfg = {"task": task, "n": 300, "d": 4, "seed": 76, **MEAN_3, **extra}
     out = run_synth(capsys, tmp_path, cfg)
     _, drawn = counting_arrays(SynthConfig(
-        n=300, d=4, seed=76, alpha_map=ParamMap.from_dict(MEAN_3["alpha_map"]),
-        beta_map=ParamMap.from_dict(MEAN_3["beta_map"])))
+        n=300, d=4, seed=76, alpha_map=ParamMap(**MEAN_3["alpha_map"]),
+        beta_map=ParamMap(**MEAN_3["beta_map"])))
     counts_file = {"counting": "data", "multilabel": "features", "boxes": "counts"}[task]
     with open(out["files"][counts_file]) as fh:
         written = [json.loads(line)["count"] for line in fh.readlines()[1:]]
