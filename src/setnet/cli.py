@@ -144,13 +144,16 @@ def _cast(kind, value):
     """``value`` as schema type ``kind``; TypeError if it is not one.
 
     An int takes an integer or an integral float, a float any number; bools
-    are neither.  A dataclass takes an object of exactly its fields, each
-    cast by its own type; its ``__post_init__`` may raise NumericError.
+    are neither.  A dataclass takes an object of exactly its fields, each cast
+    by its own type (else ValueError); ``__post_init__`` may raise NumericError.
     """
     if dataclasses.is_dataclass(kind):
         fields = _fields(kind)
-        if not isinstance(value, dict) or value.keys() != fields.keys():
+        if not isinstance(value, dict):
             raise TypeError(value)
+        if value.keys() != fields.keys():
+            raise ValueError(f"unknown fields {reprlib.repr(sorted(value.keys() - fields.keys()))}"
+                             f", missing fields {[f for f in fields if f not in value]}")
         return kind(**{k: _cast(t, value[k]) for k, (t, _) in fields.items()})
     if isinstance(kind, types.GenericAlias):  # list[x] or tuple[x, ...]
         if not isinstance(value, list):
@@ -209,7 +212,7 @@ def _resolve_config(command: str, config_path: str | None,
             null = " or null" if default is None else ""
             raise ConfigError(f"{command} config key {key!r} must be "
                               f"{what}{null}, got {reprlib.repr(value)}") from None
-        except NumericError as e:
+        except ValueError as e:  # NumericError included
             raise ConfigError(f"{command} config key {key!r}: {e}") from None
     return config, typed
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import NumericError
 from .mlmetrics import _rate, f1_score
+from .numerics import _check_count
 
 __all__ = [
     "BoxDetection",
@@ -110,19 +111,21 @@ class NMSConfig:
             raise NumericError(f"need 0 <= t0 <= t_max < 1, got {self.t0!r}, {self.t_max!r}")
         if not 0.0 < self.step < math.inf:  # False for nan
             raise NumericError(f"step must be finite and > 0, got {self.step!r}")
-        # adaptive_nms_rows sweeps floor(this) + 1 thresholds.
-        if (self.t_max - self.t0) / self.step + 1e-9 >= _MAX_THRESHOLDS:
+        if self._span >= _MAX_THRESHOLDS:
             raise NumericError(f"step {self.step!r} sweeps more than {_MAX_THRESHOLDS} "
                                "thresholds from t0 to t_max")
+
+    @property
+    def _span(self) -> float:  # inf for a subnormal step; the sweep has floor(it) + 1 thresholds
+        return (self.t_max - self.t0) / self.step + 1e-9
 
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Per-image matching outcome.
+    """Per-image matching outcome; ``tp``, ``fp`` and ``fn`` are counts by ``_check_count``.
 
     ``flags`` lists (score, is_true_positive) for every detection in
-    descending score order; curves are built from these.
-    """
+    descending score order; curves are built from these."""
 
     tp: int
     fp: int
@@ -130,8 +133,8 @@ class MatchResult:
     flags: tuple[tuple[float, bool], ...] = ()
 
     def __post_init__(self) -> None:
-        if min(self.tp, self.fp, self.fn) < 0:
-            raise NumericError("counts must be non-negative")
+        for name in ("tp", "fp", "fn"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name))
 
     @property
     def n_gt(self) -> int:
@@ -301,13 +304,11 @@ def adaptive_nms_rows(table: np.ndarray, m_star: int,
                       cfg: NMSConfig = NMSConfig()) -> tuple[np.ndarray, int]:
     """``adaptive_nms`` on a box table: the kept rows' indices, in score order,
     and the index k of the threshold t0 + k*step whose pass they are (the
-    first to keep m_star boxes, else the last)."""
-    if m_star < 0:
-        raise NumericError(f"m_star must be >= 0, got {m_star!r}")
+    first to keep m_star boxes, else the last); m_star is a count by ``_check_count``."""
+    m_star = _check_count(m_star, "m_star")
     if m_star == 0:
         return np.zeros(0, dtype=np.intp), 0
-    n_steps = int(math.floor((cfg.t_max - cfg.t0) / cfg.step + 1e-9))
-    ts = np.minimum(cfg.t0 + np.arange(n_steps + 1) * cfg.step, cfg.t_max)
+    ts = np.minimum(cfg.t0 + np.arange(math.floor(cfg._span) + 1) * cfg.step, cfg.t_max)
     sweep = _Sweep(table, ts)
     k, width = 0, 1
     while True:
@@ -320,7 +321,7 @@ def adaptive_nms_rows(table: np.ndarray, m_star: int,
         else:
             k += width
         if k >= len(ts):
-            return sweep.order[np.flatnonzero(kept[:, -1])], n_steps
+            return sweep.order[np.flatnonzero(kept[:, -1])], len(ts) - 1
         width = min(_WIDTH, len(ts) - k)
 
 
@@ -371,10 +372,12 @@ def _operating_points(matches: list[MatchResult]) -> tuple[np.ndarray, np.ndarra
     return tp[kept], kept - tp[kept], total_gt
 
 
-def miss_rate_curve(
-    matches: list[MatchResult], n_images: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Miss rate and FPPI at every score threshold, descending by threshold."""
+def miss_rate_curve(matches: list[MatchResult], n_images: int) -> tuple[np.ndarray, np.ndarray]:
+    """Miss rate and FPPI at every score threshold, descending by threshold;
+    ``n_images`` is a count by ``numerics._check_count``, and >= 1."""
+    n_images = _check_count(n_images, "n_images")
+    if n_images < 1:
+        raise NumericError("n_images must be >= 1")
     tp, fp, total_gt = _operating_points(matches)
     return 1.0 - _rate(tp, total_gt), fp / n_images
 
@@ -386,11 +389,9 @@ def log_avg_miss_rate(matches: list[MatchResult], n_images: int) -> float:
     largest FPPI not exceeding it is used; rates are floored at 1e-10
     before the log average.
     """
-    if n_images < 1:
-        raise NumericError("n_images must be >= 1")
+    miss, fppi = miss_rate_curve(matches, n_images)
     if sum(m.n_gt for m in matches) == 0:
         raise NumericError("log-average miss rate is undefined without ground truth")
-    miss, fppi = miss_rate_curve(matches, n_images)
     # fppi is non-decreasing along the curve from the empty output's 0; the last
     # point at or below a reference has both the nearest FPPI and the lowest miss rate.
     idx = np.searchsorted(fppi, FPPI_REFERENCES, side="right") - 1

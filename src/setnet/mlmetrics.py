@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError
-from .numerics import _check_count, _check_finite
+from .numerics import _check_count, _check_finite, _check_index_set
 
 __all__ = [
     "LabelSet",
@@ -32,17 +32,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Sorted unique category indices."""
+    """Strictly increasing category indices, each a count by ``_check_count``."""
 
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        labels = tuple(int(v) for v in self.labels)
-        if any(v < 0 for v in labels):
-            raise NumericError(f"labels must be >= 0: {labels!r}")
-        if any(b <= a for a, b in zip(labels, labels[1:])):
-            raise NumericError(f"labels must be strictly increasing: {labels!r}")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _check_index_set(self.labels, "labels"))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -129,10 +124,10 @@ def _ranks(scores: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(-scores, axis=1, kind="stable"), axis=1)
 
 
-def _check_k(k, n_classes: int):
-    """``k``, a count or a column of them, as ``_check_count`` returns it, each in [0, C]."""
+def _check_k(k, n_classes: int) -> int:
+    """``k`` as ``_check_count`` returns it; NumericError unless it is at most C."""
     checked = _check_count(k, "k")
-    if np.any(checked > n_classes):
+    if checked > n_classes:
         raise NumericError(f"k must lie in [0, {n_classes}], got {k!r}")
     return checked
 
@@ -179,14 +174,12 @@ def topk_sweep(
 def predicted_k_eval(
     data: Sequence[EvalRecord] | tuple[np.ndarray, np.ndarray], m_stars: Sequence[int]
 ) -> MetricSummary:
-    """Evaluation at per-record predicted cardinalities, each clipped to C."""
+    """Evaluation at per-record cardinalities, each by ``_check_count`` and clipped to C."""
     ranks, truth = _stack(data)
     if len(ranks) != len(m_stars):
-        raise NumericError(
-            f"got {len(m_stars)} cardinalities for {len(ranks)} records"
-        )
-    m = np.minimum(np.asarray(m_stars), ranks.shape[1])
-    pred = ranks < _check_k(m[:, None], ranks.shape[1])
+        raise NumericError(f"got {len(m_stars)} cardinalities for {len(ranks)} records")
+    m = m_stars if isinstance(m_stars, np.ndarray) else [_check_count(v, "m*") for v in m_stars]
+    pred = ranks < np.minimum(_check_count(np.asarray(m), "m*"), ranks.shape[1])[:, None]
     return _summary(*(x.sum(0, dtype=float) for x in (pred & truth, pred, truth)))
 
 

@@ -1,4 +1,4 @@
-"""Special functions and count-distribution primitives.
+"""Special functions, NB primitives and the one count validator, ``_check_count``.
 
 Every kernel here works elementwise on numpy arrays and serves scalar callers
 too (a scalar in, a float out); all of it is pure and log-space stable.  The
@@ -88,6 +88,14 @@ def _check_count(m, name: str = "m"):
                 or kind == "f" and np.all((arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))):
             return int(arr) if arr.ndim == 0 else arr.astype(np.int64, copy=False)
     raise NumericError(f"{name} must be a non-negative integer below 2**63, got {m!r}")
+
+
+def _check_index_set(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each by ``_check_count``, strictly increasing."""
+    values = tuple(_check_count(v, name) for v in values)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise NumericError(f"{name} must be strictly increasing: {values!r}")
+    return values
 
 
 @dataclass(frozen=True)

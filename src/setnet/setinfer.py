@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import NumericError
 from .mlmetrics import top_k_labels
+from .numerics import _check_index_set
 
 __all__ = [
     "ScoredElements",
@@ -46,15 +47,12 @@ class ScoredElements:
 
 @dataclass(frozen=True)
 class PredictedSet:
-    """Strictly increasing element indices; the set's cardinality is ``len(indices)``."""
+    """Strictly increasing element indices, counts by ``_check_count``; m = ``len(indices)``."""
 
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
-        if any(i < 0 for i in idx) or any(b <= a for a, b in zip(idx, idx[1:])):
-            raise NumericError(f"indices must be strictly increasing and >= 0: {idx!r}")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", _check_index_set(self.indices, "indices"))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ module of the package, must exist.
 
 One function writes files: ``formats.write_lines`` holds the only ``open``
 call in ``src/setnet`` whose mode writes.
+
+One rule checks counts: no ``__post_init__`` of a class in a layer's
+``__all__`` calls ``int(``, which would truncate a value that
+``numerics._check_count`` rejects.
 """
 
 import ast
@@ -128,3 +132,23 @@ def writing_opens():
 
 def test_only_write_lines_opens_a_file_for_writing():
     assert list(writing_opens()) == [("formats.py", "write_lines")]
+
+
+def post_inits_calling_int():
+    """``layer.Class`` of each class in a layer's ``__all__`` whose
+    ``__post_init__`` calls ``int``."""
+    for layer in LAYERS:
+        module = importlib.import_module(f"setnet.{layer}")
+        tree = ast.parse((SRC / f"{layer}.py").read_text(encoding="utf-8"))
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in getattr(module, "__all__", ())):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "__post_init__" and any(
+                        isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                        and c.func.id == "int" for c in ast.walk(node)):
+                    yield f"{layer}.{cls.name}"
+
+
+def test_no_post_init_truncates_a_count_with_int():
+    assert list(post_inits_calling_int()) == []

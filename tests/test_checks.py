@@ -1,31 +1,47 @@
-"""The library's own range checks, each pinned by its message.
+"""The library's own range checks, each pinned by its message, and the one
+count rule that every count it takes follows.
 
 The CLI checks these inputs before it calls the library, so no command
 reaches them; each case here calls the library directly, and deleting any
 one check fails its case.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 
 from setnet import (
+    AlphaBeta,
+    BoxDetection,
     CardinalityPMF,
     DataError,
     EvalRecord,
     LabelSet,
     MatchResult,
+    NegBinParams,
     NumericError,
+    PredictedSet,
+    ScoredElements,
     TrainConfig,
     TrainingSample,
+    adaptive_nms,
+    card_nll,
     greedy_nms,
     init_model,
     log_avg_miss_rate,
+    map_set,
+    nb_log_pmf,
     predict_batch,
+    predicted_k_eval,
+    regression_loss,
+    topk_sweep,
     train,
 )
-from setnet.detect import adaptive_nms_rows, match_tables
+from setnet.detect import adaptive_nms_rows, match_tables, miss_rate_curve
+from setnet.mlmetrics import top_k_labels
+from setnet.numerics import _check_count
 
 
 def huge_regression():
@@ -40,11 +56,11 @@ NO_BOXES = np.zeros((0, 5))
 # (id, call, error, its whole message)
 CHECKS = [
     ("match-result-negative-count", lambda: MatchResult(tp=0, fp=-1, fn=0),
-     NumericError, "counts must be non-negative"),
+     NumericError, "fp must be a non-negative integer below 2**63, got -1"),
     ("greedy-nms-threshold", lambda: greedy_nms([], 1.0),
      NumericError, "threshold must lie in [0,1), got 1.0"),
     ("adaptive-nms-negative-m-star", lambda: adaptive_nms_rows(NO_BOXES, -1),
-     NumericError, "m_star must be >= 0, got -1"),
+     NumericError, "m_star must be a non-negative integer below 2**63, got -1"),
     ("match-tables-iou-thresh", lambda: match_tables(NO_BOXES, NO_BOXES, 0.0),
      NumericError, "iou_thresh must lie in (0,1), got 0.0"),
     ("miss-rate-no-images", lambda: log_avg_miss_rate([MatchResult(0, 0, 1)], 0),
@@ -71,3 +87,61 @@ CHECKS = [
 def test_check_raises_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Every public entry point that takes a count or an index set, as a call on
+# the value v.  Each holds room for a count of 3: four classes, four elements,
+# and matches with ground truth, so that only the count rule can reject v.
+SCORES = (0.4, 0.1, 0.3, 0.2)
+BOXES = [BoxDetection(0.0, 0.0, 1.0, 1.0, 0.9), BoxDetection(5.0, 5.0, 6.0, 6.0, 0.8)]
+MATCHES = [MatchResult(1, 1, 1, ((0.9, True), (0.5, False)))]
+RECORD = EvalRecord(scores=SCORES, truth=LabelSet(labels=(1,)))
+COUNT_TAKERS = {
+    "TrainingSample.count": lambda v: TrainingSample(features=(0.0,), count=v),
+    "LabelSet.labels": lambda v: LabelSet(labels=(v,)),
+    "EvalRecord.truth": lambda v: EvalRecord(scores=SCORES, truth=LabelSet(labels=(0, v))),
+    "PredictedSet.indices": lambda v: PredictedSet(indices=(v,)),
+    "MatchResult.tp": lambda v: MatchResult(v, 0, 0),
+    "MatchResult.fp": lambda v: MatchResult(0, v, 0),
+    "MatchResult.fn": lambda v: MatchResult(0, 0, v),
+    "adaptive_nms": lambda v: adaptive_nms(BOXES, v),
+    "adaptive_nms_rows": lambda v: adaptive_nms_rows(np.array([[0, 0, 1, 1, 0.9]]), v),
+    "map_set": lambda v: map_set(ScoredElements(probs=SCORES), v),
+    "top_k_labels": lambda v: top_k_labels(SCORES, v),
+    "topk_sweep": lambda v: topk_sweep([RECORD], [3, v]),
+    "predicted_k_eval": lambda v: predicted_k_eval([RECORD] * 2, [3, v]),
+    "predicted_k_eval-array": lambda v: predicted_k_eval([RECORD], np.array([v])),
+    "nb_log_pmf": lambda v: nb_log_pmf(v, NegBinParams(a=2.0, b=0.5)),
+    "card_nll": lambda v: card_nll(v, AlphaBeta(alpha=2.0, beta=1.0)),
+    "regression_loss": lambda v: regression_loss(v, 1.0),
+    "log_avg_miss_rate": lambda v: log_avg_miss_rate(MATCHES, v),  # n_images: v >= 1 or rejected
+    "miss_rate_curve": lambda v: miss_rate_curve(MATCHES, v),
+}
+COUNT_VALUES = [3, 3.0, np.int64(3), np.float64(3.0), -1, 1.5, True, np.bool_(True), "3", None,
+                2**63, math.nan, math.inf]
+
+
+def count_rule_accepts(v):
+    try:
+        _check_count(v)
+    except NumericError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("v", COUNT_VALUES, ids=map(repr, COUNT_VALUES))
+@pytest.mark.parametrize("call", COUNT_TAKERS.values(), ids=COUNT_TAKERS.keys())
+def test_a_count_is_taken_exactly_when_the_count_rule_takes_it(call, v):
+    if count_rule_accepts(v):
+        call(v)
+    else:
+        with pytest.raises(NumericError):
+            call(v)
+
+
+@pytest.mark.parametrize("v", [3.0, np.int64(3), np.float64(3.0)], ids=repr)
+def test_a_stored_count_is_an_int(v):
+    match = MatchResult(v, v, v)
+    stored = [TrainingSample(features=(0.0,), count=v).count, LabelSet((v,)).labels[0],
+              PredictedSet((v,)).indices[0], match.tp, match.fp, match.fn]
+    assert [(type(s), s) for s in stored] == [(int, 3)] * 6

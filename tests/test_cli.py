@@ -1120,6 +1120,7 @@ BAD_MAPS = [
     ("alpha_map", {**GOOD_MAP, "lo": "0.1"}),
     ("alpha_map", {**GOOD_MAP, "wieghts": [1.0]}),
     ("alpha_map", {k: v for k, v in GOOD_MAP.items() if k != "hi"}),
+    ("beta_map", {**{k: v for k, v in GOOD_MAP.items() if k != "bias"}, "bais": 0.0}),
     ("alpha_map", {}),
     ("alpha_map", {**GOOD_MAP, "weights": [[1.0]]}),
     ("alpha_map", {**GOOD_MAP, "weights": [10**400]}),  # beyond the float range
@@ -1128,7 +1129,8 @@ BAD_MAPS = [
 
 
 @pytest.mark.parametrize("key,value", BAD_MAPS, ids=[
-    "weights-string", "bias-bool", "lo-string", "unknown-field", "missing-field", "empty",
+    "weights-string", "bias-bool", "lo-string", "unknown-field", "missing-field",
+    "misspelt-field", "empty",
     "weights-nested", "weights-huge-int", "beta-lo-zero"])
 def test_bad_map_is_one_config_line_naming_its_key(capsys, tmp_path, key, value):
     cfg = {"task": "counting", "n": 200, "d": 3, "seed": 1, key: value}
@@ -1138,6 +1140,11 @@ def test_bad_map_is_one_config_line_naming_its_key(capsys, tmp_path, key, value)
     assert len(line.encode()) < 1024
     out = json.loads(line)
     assert out["code"] == "config" and f"'{key}'" in out["message"], out
+    # A map with unknown or missing fields names them all.
+    unknown = sorted(value.keys() - GOOD_MAP.keys())
+    missing = [f for f in GOOD_MAP if f not in value]
+    if unknown or missing:
+        assert f"unknown fields {unknown}, missing fields {missing}" in out["message"], out
 
 
 def test_good_map_is_cast_like_its_numbers(capsys, tmp_path):
