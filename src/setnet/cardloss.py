@@ -106,7 +106,7 @@ def card_nll_grad(m, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The count check comes first, then ``_nll``'s check, then ``_nll_grad``'s.
     """
-    m = _check_count(m)
+    m = _check_count(m, column=True)
     return (_nll(m, a, b), *_nll_grad(m, a, b))
 
 
@@ -137,12 +137,12 @@ def _nll_grad(m, a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def card_nll(m: int, ab: AlphaBeta) -> float:
     """Negative log NB likelihood of count m under (alpha, beta)."""
-    return float(card_nll_grad(m, ab.alpha, ab.beta)[0])
+    return float(card_nll_grad(_check_count(m), ab.alpha, ab.beta)[0])
 
 
 def card_grad(m: int, ab: AlphaBeta) -> LossGrad:
     """Analytic gradient of ``card_nll`` with respect to (alpha, beta)."""
-    return LossGrad(*map(float, card_nll_grad(m, ab.alpha, ab.beta)[1:]))
+    return LossGrad(*map(float, card_nll_grad(_check_count(m), ab.alpha, ab.beta)[1:]))
 
 
 def sigmoid(z) -> np.ndarray:
@@ -188,5 +188,5 @@ def head_backward(s, w: HeadWeights, d_alpha, d_beta) -> np.ndarray:
 
 def regression_loss(m, m_hat) -> tuple[np.ndarray, np.ndarray]:
     """Squared-error baseline, elementwise: (0.5*(m_hat-m)^2, d/dm_hat)."""
-    r = np.asarray(m_hat, dtype=float) - _check_count(m)
+    r = np.asarray(m_hat, dtype=float) - _check_count(m, column=True)
     return 0.5 * r * r, r

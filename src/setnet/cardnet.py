@@ -221,7 +221,7 @@ def loss_and_grads(
     n = len(counts)
     if n == 0:
         raise NumericError("batch must be non-empty")
-    counts = _check_count(counts)
+    counts = _check_count(counts, column=True)
     grads, heads = _backward(model, X, counts)
     return float(_losses(model, counts, heads).sum() / n), grads  # the mean, without its wrapper
 
@@ -250,7 +250,7 @@ def train(
     n = len(counts)
     if not n:
         raise DataError("training data must be non-empty")
-    counts = _check_count(counts)
+    counts = _check_count(counts, column=True)
     # One flat parameter vector, weights first; the trained model holds views of it.
     params = model.weights + model.biases
     theta = np.concatenate([p.ravel() for p in params])

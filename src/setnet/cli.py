@@ -246,6 +246,12 @@ class _Run:
         """Write the header and ``doc`` to ``file(key, name)`` as one canonical JSON line."""
         formats.write_lines(self.file(key, name), formats.canonical_json(self.header | doc))
 
+    def write_rows(self, key: str, name: str, lines: typing.Iterable[str]) -> str:
+        """Write the header line and the JSONL ``lines`` to ``file(key, name)``; its path."""
+        path = self.file(key, name)
+        formats.write_lines(path, formats.canonical_json(self.header), lines)
+        return path
+
     def stage(self, name: str, rate: str | None = None, items: int = 0) -> None:
         """End the running stage, if any, and start ``name``; ``rate`` names
         the result key of ``items`` per second of it."""
@@ -274,33 +280,47 @@ def _synth_config(cfg: dict) -> synth.SynthConfig:
         for key, default in zip(("alpha_map", "beta_map"), defaults)})
 
 
+# Each ``_*_lines`` template spells its JSONL rows as ``canonical_json`` spells the
+# row object (keys sorted, each int or float of ``.tolist()`` by repr), building none.
+def _count_lines(features: list, counts: typing.Iterable[int]) -> typing.Iterator[str]:
+    """data.jsonl and features.jsonl rows: {"count", "features"}."""
+    return (f'{{"count":{c!r},"features":[{",".join(map(repr, f))}]}}\n'
+            for f, c in zip(features, counts))
+
+
+def _record_lines(scores: list, labels: list) -> typing.Iterator[str]:
+    """records.jsonl rows: {"scores", "truth"}."""
+    return (f'{{"scores":[{",".join(map(repr, s))}],"truth":[{",".join(map(repr, t))}]}}\n'
+            for s, t in zip(scores, labels))
+
+
+def _image_count_lines(counts: typing.Iterable[int]) -> typing.Iterator[str]:
+    """counts.jsonl rows: {"count", "image_id"}, image i the i-th count."""
+    return (f'{{"count":{c!r},"image_id":{i!r}}}\n' for i, c in enumerate(counts))
+
+
 def cmd_synth(cfg: dict, run: _Run) -> dict:
     scfg = _synth_config(cfg)
     task = cfg["task"]
     n_clamped = 0  # the drawn cardinalities above what the task can hold
+    run.stage("draw")
     if task == "counting":
         x, counts = synth.counting_arrays(scfg)
-        path = run.file("data", "data.jsonl")
-        formats.write_jsonl(path, run.header, (
-            {"features": f, "count": c} for f, c in zip(x.tolist(), counts.tolist())
-        ))
+        run.stage("write")
+        path = run.write_rows("data", "data.jsonl", _count_lines(x.tolist(), counts.tolist()))
         log.info("wrote %d counting samples to %s", len(counts), path)
     elif task == "multilabel":
         x, scores, labels, n_clamped = synth.multilabel_arrays(scfg)
-        formats.write_jsonl(run.file("records", "records.jsonl"), run.header, (
-            {"scores": s, "truth": t} for s, t in zip(scores.tolist(), labels)
-        ))
-        formats.write_jsonl(run.file("features", "features.jsonl"), run.header, (
-            {"features": f, "count": len(t)} for f, t in zip(x.tolist(), labels)
-        ))
+        run.stage("write")
+        run.write_rows("records", "records.jsonl", _record_lines(scores.tolist(), labels))
+        run.write_rows("features", "features.jsonl", _count_lines(x.tolist(), map(len, labels)))
     else:
         proposals, gts, n_clamped = synth.box_tables(scfg)
+        run.stage("write")
         formats.write_boxes(run.file("proposals", "proposals.txt"), run.header,
                             enumerate(proposals), with_score=True)
         formats.write_boxes(run.file("gt", "gt.txt"), run.header, enumerate(gts), with_score=False)
-        formats.write_jsonl(run.file("counts", "counts.jsonl"), run.header, (
-            {"image_id": i, "count": len(gt)} for i, gt in enumerate(gts)
-        ))
+        run.write_rows("counts", "counts.jsonl", _image_count_lines(map(len, gts)))
     return {"n": cfg["n"], "n_clamped": n_clamped}
 
 
@@ -309,6 +329,11 @@ def _layer_widths(cfg: dict) -> list[int]:
     then the output width of the ``loss`` kind."""
     _check(cfg, "hidden", min(cfg["hidden"], default=1) >= 1, "widths >= 1")
     return [*cfg["hidden"], cardnet.OUTPUT_WIDTH[cfg["loss"]]]
+
+
+def _loss_lines(losses: list[float]) -> typing.Iterator[str]:
+    """train_log.jsonl rows: {"epoch", "loss"}, epoch e the e-th loss."""
+    return (f'{{"epoch":{e!r},"loss":{l!r}}}\n' for e, l in enumerate(losses))
 
 
 def cmd_train(cfg: dict, run: _Run) -> dict:
@@ -322,15 +347,14 @@ def cmd_train(cfg: dict, run: _Run) -> dict:
     run.stage("train", "samples_per_s", tcfg.epochs * len(counts))
     model = cardnet.init_model([X.shape[1], *widths], activation=cfg["activation"],
                                head=head, seed=cfg["seed"], kind=cfg["loss"])
-    losses: list[dict] = []
+    losses: list[float] = []  # by epoch, from 0
     trained = cardnet.train(model, (X, counts), tcfg,
-                            epoch_callback=lambda e, l: losses.append(
-                                {"epoch": e, "loss": l}))
+                            epoch_callback=lambda e, l: losses.append(l))
     run.stage("write")
     cardnet.save_model(trained, run.file("model", "model.json"),
                        meta={"config_hash": run.header["config_hash"]})
-    formats.write_jsonl(run.file("train_log", "train_log.jsonl"), run.header, losses)
-    return {"final_loss": losses[-1]["loss"], "n_samples": len(counts)}
+    run.write_rows("train_log", "train_log.jsonl", _loss_lines(losses))
+    return {"final_loss": losses[-1], "n_samples": len(counts)}
 
 
 def _prediction_lines(alpha, beta, mode) -> list[str]:
@@ -351,8 +375,7 @@ def cmd_predict(cfg: dict, run: _Run) -> dict:
     run.stage("predict", "rows_per_s", len(X))
     predicted = cardnet.predict_batch(model, X)
     run.stage("write")
-    formats.write_lines(run.file("predictions", "predictions.jsonl"),
-                        formats.canonical_json(run.header), _prediction_lines(*predicted))
+    run.write_rows("predictions", "predictions.jsonl", _prediction_lines(*predicted))
     return {"n": len(X)}
 
 
@@ -497,6 +520,11 @@ def _normalised(values: list[float], key: str) -> np.ndarray:
     return w / total
 
 
+def _sample_lines(sets: list[list]) -> typing.Iterator[str]:
+    """samples.jsonl rows: {"set"}, its ints or floats."""
+    return (f'{{"set":[{",".join(map(repr, s))}]}}\n' for s in sets)
+
+
 def cmd_sample(cfg: dict, run: _Run) -> dict:
     _check(cfg, "n", cfg["n"] >= 0, ">= 0")
     if cfg["card"] == "negbin":
@@ -521,12 +549,12 @@ def cmd_sample(cfg: dict, run: _Run) -> dict:
 
         def sampler(rng: np.random.Generator):
             return float(rng.uniform(lo, hi))
+    run.stage("draw")
     rng = np.random.default_rng(cfg["seed"])
-    rows = [{"set": setinfer.sample_rfs_with(card, sampler, rng)}
-            for _ in range(cfg["n"])]
-    formats.write_jsonl(run.file("samples", "samples.jsonl"), run.header, rows)
-    sizes = [len(r["set"]) for r in rows]
-    return {"n": len(rows), "mean_cardinality": float(np.mean(sizes)) if sizes else 0.0}
+    sets = [setinfer.sample_rfs_with(card, sampler, rng) for _ in range(cfg["n"])]
+    run.stage("write")
+    run.write_rows("samples", "samples.jsonl", _sample_lines(sets))
+    return {"n": len(sets), "mean_cardinality": sum(map(len, sets)) / len(sets) if sets else 0.0}
 
 
 def cmd_gradcheck(cfg: dict, run: _Run) -> dict:
@@ -534,12 +562,14 @@ def cmd_gradcheck(cfg: dict, run: _Run) -> dict:
         _check(cfg, key, cfg[key] >= 1, ">= 1")
     widths = _layer_widths(cfg)
     _check(cfg, "h", 0.0 < cfg["h"] < np.inf, "finite and > 0")
+    run.stage("check")
     rng = np.random.default_rng(cfg["seed"])
     d = cfg["d"]
     model = cardnet.init_model([d, *widths], seed=cfg["seed"], kind=cfg["loss"])
     draws = [(rng.uniform(-1.0, 1.0, size=d), rng.poisson(4.0)) for _ in range(cfg["batch"])]
     X, counts = map(np.array, zip(*draws))
     err = cardnet.gradient_check(model, (X, counts), h=cfg["h"])
+    run.stage("write")
     run.write_json("report", "gradcheck.json", {"max_rel_error": err})
     return {"max_rel_error": err}
 

@@ -6,6 +6,8 @@ seed, so runs are self-describing and diffable:
 
 * JSONL files: first line is the header object, then one record per line
   ({"features": [...], "count": m} / {"scores": [...], "truth": [...]}).
+  Each row kind is spelled by its command's template with the bytes
+  ``canonical_json`` gives the row; that spells headers and JSON documents.
 * Box files: ASCII lines "image_id x1 y1 x2 y2 [score]", an int64 id and
   floats split by whitespace, as one ``np.loadtxt`` call reads them; "#"
   starts a comment anywhere on a line, and the header is the leading
@@ -40,7 +42,6 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "make_header",
-    "write_jsonl",
     "write_lines",
     "read_jsonl",
     "write_boxes",
@@ -70,10 +71,6 @@ def make_header(config: dict, seed: int) -> dict:
         "config_hash": config_hash(config),
         "seed": int(seed),
     }
-
-
-def write_jsonl(path: str, header: dict, rows: Iterable[dict]) -> None:
-    write_lines(path, canonical_json(header), (canonical_json(row) + "\n" for row in rows))
 
 
 def write_lines(path: str, first: str, lines: Iterable[str] = ()) -> None:

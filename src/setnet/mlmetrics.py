@@ -178,8 +178,10 @@ def predicted_k_eval(
     ranks, truth = _stack(data)
     if len(ranks) != len(m_stars):
         raise NumericError(f"got {len(m_stars)} cardinalities for {len(ranks)} records")
-    m = m_stars if isinstance(m_stars, np.ndarray) else [_check_count(v, "m*") for v in m_stars]
-    pred = ranks < np.minimum(_check_count(np.asarray(m), "m*"), ranks.shape[1])[:, None]
+    if not (isinstance(m_stars, np.ndarray) and m_stars.ndim == 1):  # each entry one count
+        m_stars = [_check_count(v, "m*") for v in m_stars]
+    m = _check_count(np.asarray(m_stars), "m*", column=True)
+    pred = ranks < np.minimum(m, ranks.shape[1])[:, None]
     return _summary(*(x.sum(0, dtype=float) for x in (pred & truth, pred, truth)))
 
 

@@ -74,14 +74,15 @@ def _check_finite(values, name: str) -> list[float]:
     return values
 
 
-def _check_count(m, name: str = "m"):
-    """``m`` as an int, or as an int64 array (the array itself when it is
-    one) when it is an ndarray of counts.  Python and numpy integers and
-    integral floats below 2**63 pass; bools, negatives, fractions, lists and
-    non-numbers raise NumericError."""
+def _check_count(m, name: str = "m", column: bool = False):
+    """``m`` as an int, or for a ``column`` caller as an int64 array (the
+    array itself when it is one) when it is an ndarray of counts.  Python and
+    numpy integers and integral floats below 2**63 pass; bools, negatives,
+    fractions, lists, non-numbers and, unless ``column``, an ndarray of one or
+    more dimensions raise NumericError."""
     if type(m) is int and 0 <= m < 2**63:  # fast path: one record field
         return m
-    if isinstance(m, (int, float, np.number, np.ndarray)):
+    if isinstance(m, (int, float, np.number, np.ndarray)) and (column or np.ndim(m) == 0):
         arr = np.asarray(m)
         kind = arr.dtype.kind  # as a float, 2**63 - 1 is 2**63: integers compare as integers
         if kind == "i" and arr.min(initial=0) >= 0 or kind == "u" and arr.max(initial=0) < 2**63 \

@@ -23,7 +23,7 @@ import numpy as np
 from .cardnet import TrainingSample
 from .detect import BoxDetection
 from .errors import NumericError
-from .mlmetrics import EvalRecord, LabelSet
+from .mlmetrics import EvalRecord, LabelSet, _mask
 
 __all__ = [
     "ParamMap",
@@ -159,17 +159,18 @@ def multilabel_arrays(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray, list[li
     sizes drawn above C, which are clamped to C.
 
     True labels score near 1, false labels near 0; additive uniform noise
-    of amplitude ``cfg.noise`` is applied and clipped back to [0,1].
+    of amplitude ``cfg.noise`` is applied and clipped back to [0,1].  Each
+    record draws its labels, then its C noise draws, made uniform in one block.
     """
     rng, x, m = _draw_counts(cfg)
+    k = np.minimum(m, cfg.C)
     labels: list[list[int]] = []
-    truth = np.zeros((cfg.n, cfg.C), dtype=bool)
-    noise = np.empty((cfg.n, cfg.C))
-    for i, k in enumerate(np.minimum(m, cfg.C).tolist()):
-        labels.append(sorted(rng.choice(cfg.C, size=k, replace=False).tolist()) if k else [])
-        truth[i, labels[i]] = True
-        noise[i] = rng.uniform(-1.0, 1.0, size=cfg.C)
-    scores = np.clip(truth + cfg.noise * noise, 0.0, 1.0)
+    u = np.empty((cfg.n, cfg.C))
+    for i, size in enumerate(k.tolist()):
+        labels.append(sorted(rng.choice(cfg.C, size=size, replace=False).tolist()) if size else [])
+        rng.random(out=u[i])
+    truth = _mask([v for t in labels for v in t], np.repeat(np.arange(cfg.n), k), u.shape)
+    scores = np.clip(truth + cfg.noise * _uniform(-1.0, 1.0, u), 0.0, 1.0)
     return x, scores, labels, int(np.sum(m > cfg.C))
 
 

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import types
@@ -224,9 +225,15 @@ def test_log_env_controls_stderr(workdir):
     assert json.loads(proc.stdout.strip())["command"] == "synth"
 
 
+def without_timings(out):
+    """Result lines without their ``timings_ms``, which vary from run to run."""
+    return re.sub(r', "timings_ms": \{[^{}]*\}', "", out)
+
+
 def test_one_parser_serves_every_call(capsys, tmp_path):
     # main parses with one parser per process: after a bad command line, and
-    # from one subcommand to another, each call prints what a fresh process does.
+    # from one subcommand to another, each call prints what a fresh process
+    # does, bar the stage times.
     from setnet import cli
     synth = write_config(tmp_path, "synth.json", {"task": "counting", "n": 20, "d": 4, "seed": 1})
     sample = write_config(tmp_path, "sample.json", {
@@ -240,7 +247,9 @@ def test_one_parser_serves_every_call(capsys, tmp_path):
         fresh = subprocess.run([sys.executable, "-m", "setnet.cli", *argv],
                                capture_output=True, text=True)
         code = cli.main(argv)
-        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout)
+        out = capsys.readouterr().out
+        assert "timings_ms" in out or code
+        assert (code, without_timings(out)) == (fresh.returncode, without_timings(fresh.stdout))
     assert cli.main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: setnet")
 
@@ -1391,6 +1400,30 @@ def test_prediction_template_spells_rows_as_canonical_json(a, b, m):
     assert _prediction_lines(None, None, mode) == [canonical_json({"mode": m}) + "\n"]
 
 
+TEMPLATE_LISTS = st.lists(TEMPLATE_FLOATS, max_size=5)
+TEMPLATE_COUNTS = st.lists(TEMPLATE_MODES, max_size=5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(TEMPLATE_LISTS, TEMPLATE_COUNTS, TEMPLATE_MODES, TEMPLATE_FLOATS)
+@example([-0.0, 5e-324, 1.7976931348623157e308], [], 2**63 - 1, -0.0)
+@example([], [0, 2**63 - 1], 0, 1.7976931348623157e308)
+def test_row_templates_spell_rows_as_canonical_json(floats, counts, m, f):
+    # What each JSONL template spells: the canonical JSON of its row object.
+    from setnet import cli
+    from setnet.formats import canonical_json
+
+    def rows(*objs):
+        return [canonical_json(obj) + "\n" for obj in objs]
+
+    assert list(cli._count_lines([floats], [m])) == rows({"features": floats, "count": m})
+    assert list(cli._record_lines([floats], [counts])) == rows({"scores": floats, "truth": counts})
+    assert list(cli._image_count_lines([m, 0])) == rows({"image_id": 0, "count": m},
+                                                        {"image_id": 1, "count": 0})
+    assert list(cli._loss_lines([f, f])) == rows({"epoch": 0, "loss": f}, {"epoch": 1, "loss": f})
+    assert list(cli._sample_lines([floats, counts])) == rows({"set": floats}, {"set": counts})
+
+
 @pytest.mark.parametrize("kind", ["negbin", "regression"])
 def test_predict_on_10k_rows_runs_no_collector_pass(capsys, tmp_path, kind):
     # Row strings are not tracked by the collector; 10k row dicts started 14 passes.
@@ -1600,9 +1633,9 @@ def test_every_file_is_written_by_write_lines(capsys, tmp_path, monkeypatch):
 # its files keys, by out directory.
 EVERY_LINE = ["command", "config", "config_hash", "files", "seed"]
 RESULT_KEYS = {
-    "counting": (["n", "n_clamped"], ["data"]),
-    "multilabel": (["n", "n_clamped"], ["features", "records"]),
-    "boxes": (["n", "n_clamped"], ["counts", "gt", "proposals"]),
+    "counting": (["n", "n_clamped", "timings_ms"], ["data"]),
+    "multilabel": (["n", "n_clamped", "timings_ms"], ["features", "records"]),
+    "boxes": (["n", "n_clamped", "timings_ms"], ["counts", "gt", "proposals"]),
     "model": (["final_loss", "n_samples", "samples_per_s", "timings_ms"], ["model", "train_log"]),
     "pred": (["n", "rows_per_s", "timings_ms"], ["predictions"]),
     "fixed": (["best", "best_k", "mode", "records_per_s", "sweep", "timings_ms"],
@@ -1612,9 +1645,15 @@ RESULT_KEYS = {
              ["kept"]),
     "eval": (["best_f1", "f1", "images_per_s", "mr", "n_images", "n_matched", "timings_ms"],
              ["curve", "metrics"]),
-    "samples": (["mean_cardinality", "n"], ["samples"]),
-    "gradcheck": (["max_rel_error"], ["report"]),
+    "samples": (["mean_cardinality", "n", "timings_ms"], ["samples"]),
+    "gradcheck": (["max_rel_error", "timings_ms"], ["report"]),
 }
+
+
+# The stages of the synth, sample and gradcheck runs, which no other test times.
+SETUP_STAGES = {"counting": ["draw", "write"], "multilabel": ["draw", "write"],
+                "boxes": ["draw", "write"], "samples": ["draw", "write"],
+                "gradcheck": ["check", "write"]}
 
 
 def test_every_command_prints_its_pinned_result_keys(capsys, tmp_path, monkeypatch):
@@ -1627,3 +1666,8 @@ def test_every_command_prints_its_pinned_result_keys(capsys, tmp_path, monkeypat
         keys, files = RESULT_KEYS[out]
         assert sorted(payload) == sorted(EVERY_LINE + keys), out
         assert sorted(payload["files"]) == files, out
+        if out in SETUP_STAGES:  # stage times, on stdout only
+            assert sorted(payload["timings_ms"]) == SETUP_STAGES[out], out
+            assert all(isinstance(v, float) and v >= 0.0 for v in payload["timings_ms"].values())
+            for name in payload["files"].values():
+                assert "timings" not in (tmp_path / name).read_text(encoding="utf-8"), name

@@ -27,8 +27,13 @@ from setnet.formats import (
     read_jsonl,
     read_records,
     write_boxes,
-    write_jsonl,
+    write_lines,
 )
+
+
+def write_jsonl(path, header, rows):
+    """A JSONL file of ``rows`` after ``header``, each canonical JSON."""
+    write_lines(path, canonical_json(header), (canonical_json(row) + "\n" for row in rows))
 
 
 def test_jsonl_round_trip(tmp_path):

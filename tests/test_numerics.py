@@ -228,19 +228,20 @@ class TestCountValidator:
             COUNT_CALLERS[caller](m)
 
     def test_count_columns(self):
-        # An int64 column is returned as it is, without a copy.
-        column = np.array([0, 3, 2**62])
-        assert _check_count(column) is column
+        # For a column caller, an int64 column is returned as it is, without a copy.
+        counts = np.array([0, 3, 2**62])
+        assert _check_count(counts, column=True) is counts
         for good, want in [(np.array([1.0, 2.0]), [1, 2]),
                            (np.array([4, 5], dtype=np.int32), [4, 5]),
                            (np.array([7], dtype=np.uint64), [7])]:
-            got = _check_count(good)
+            got = _check_count(good, column=True)
             assert got.dtype == np.int64 and got.tolist() == want
-        for bad in (np.array([1, -1]), np.array([2**63], dtype=np.uint64),
-                    np.array([1.5]), np.array([True])):
+        for bad, column in [(np.array([1, -1]), True), (np.array([2**63], dtype=np.uint64), True),
+                            (np.array([1.5]), True), (np.array([True]), True),
+                            (counts, False), (np.array([[1, 2]]), False)]:
             with pytest.raises(NumericError, match=r"^m must be a non-negative integer below "
                                                    r"2\*\*63, got array\("):
-                _check_count(bad)
+                _check_count(bad, column=column)
 
     # 2**63 - 1 is the largest count.  As a float it rounds up to 2**63, so
     # integer inputs are compared as integers, whatever their numpy type.
@@ -251,7 +252,7 @@ class TestCountValidator:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
     def test_largest_count_column_passes(self, dtype):
-        got = _check_count(np.array([0, 2**63 - 1], dtype=dtype))
+        got = _check_count(np.array([0, 2**63 - 1], dtype=dtype), column=True)
         assert got.dtype == np.int64 and got.tolist() == [0, 2**63 - 1]
 
     @pytest.mark.parametrize("over", [2**63, np.uint64(2**63), np.array([2**63], dtype=np.uint64),

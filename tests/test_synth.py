@@ -329,3 +329,37 @@ def test_block_draws_are_numpys_uniform(lo, hi):
         return
     assert _uniform(lo, hi, got.random(7)).tobytes() == expected.tobytes()
     assert got.random() == want.random()
+
+
+def loop_multilabel_arrays(cfg):
+    """multilabel_arrays as a loop over records: each draws its labels, sets
+    its truth row and draws its noise by rng.uniform."""
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.uniform(0.0, 1.0, size=(cfg.n, cfg.d))
+    m = rng.poisson(rng.gamma(shape=cfg.alpha_map(x), scale=1.0 / cfg.beta_map(x)))
+    labels, truth, noise = [], np.zeros((cfg.n, cfg.C), dtype=bool), np.empty((cfg.n, cfg.C))
+    for i, k in enumerate(np.minimum(m, cfg.C).tolist()):
+        labels.append(sorted(rng.choice(cfg.C, size=k, replace=False).tolist()) if k else [])
+        truth[i, labels[i]] = True
+        noise[i] = rng.uniform(-1.0, 1.0, size=cfg.C)
+    return x, np.clip(truth + cfg.noise * noise, 0.0, 1.0), labels, int(np.sum(m > cfg.C))
+
+
+# Maps whose sizes are all 0, all above 16 (clamped), and a mix of both.
+LABEL_MAPS = {"zeros": constant_maps(1e-3, 1.0), "clamped": constant_maps(80.0, 1.0),
+              "mixed": (ParamMap((150.0, 0.8), -64.0, 1e-3, 60.0), ParamMap((), 1.0, 1.0, 1.0))}
+
+
+@pytest.mark.parametrize("maps", list(LABEL_MAPS))
+@pytest.mark.parametrize("n", [1, 50])
+@pytest.mark.parametrize("noise", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("C", [1, 2, 16])
+def test_multilabel_block_draws_are_the_record_loop(C, noise, n, maps):
+    alpha, beta = LABEL_MAPS[maps]
+    cfg = SynthConfig(n=n, d=3, C=C, noise=noise, seed=n + C, alpha_map=alpha, beta_map=beta)
+    want, got = loop_multilabel_arrays(cfg), multilabel_arrays(cfg)
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+    assert got[2:] == want[2:]
+    sizes = {len(t) for t in want[2]}
+    assert {"zeros": sizes == {0}, "clamped": want[3] == n,
+            "mixed": n == 1 or 0 in sizes and want[3] > 0}[maps]
