@@ -13,8 +13,8 @@ fully deterministic under a fixed seed: the same (seed, config, data)
 always yields a byte-identical serialised model.  A batch computes only
 what its update needs, the gradient.  The epoch's losses, which only
 ``epoch_callback`` reads, are evaluated after its last batch from the head
-outputs each batch left, in one loss call; each batch's mean keeps the bits
-of a per-batch evaluation.
+outputs each batch left, one loss call per block of rows; each batch's mean
+keeps the bits of a per-batch evaluation.
 """
 
 from __future__ import annotations
@@ -242,8 +242,10 @@ def train(
     ``epoch_callback(epoch, mean_batch_loss)`` runs after every epoch.
 
     The counts are checked once, before any update.  A batch computes only
-    the gradient; the epoch's losses are one call after its last batch, on
-    the head outputs each batch left.  So a non-finite batch loss, or an
+    the gradient; the epoch's losses come after its last batch, on the head
+    outputs each batch left, one call per block of ``formats._ROWS_PER_BLOCK``
+    rows into one per-row array, so the loss's temporaries do not grow with
+    the data and each loss keeps its bits.  So a non-finite batch loss, or an
     overflow in the loss, raises after the epoch's last batch, not at its batch.
     """
     X, counts = _stack(data)
@@ -262,6 +264,8 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     batches = [(s, min(s + cfg.batch_size, n)) for s in range(0, n, cfg.batch_size)]
     heads = np.empty((OUTPUT_WIDTH[model.kind], n))  # by position in perm
+    rows = np.empty(n)  # the epoch's per-row losses, by position in perm
+    block = formats._ROWS_PER_BLOCK
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         for s, e in batches:
@@ -272,7 +276,8 @@ def train(
             decay = cfg.learning_rate * cfg.weight_decay * theta[:n_weights]
             theta += vel
             theta[:n_weights] -= decay
-        rows = _losses(out, counts[perm], heads)
+        for s in range(0, n, block):
+            rows[s:s + block] = _losses(out, counts[perm[s:s + block]], heads[:, s:s + block])
         epoch_loss = 0.0
         for s, e in batches:
             loss = float(rows[s:e].sum() / (e - s))

@@ -281,17 +281,18 @@ def _synth_config(cfg: dict) -> synth.SynthConfig:
 
 
 # Each ``_*_lines`` template spells its JSONL rows as ``canonical_json`` spells the
-# row object (keys sorted, each int or float of ``.tolist()`` by repr), building none.
-def _count_lines(features: list, counts: typing.Iterable[int]) -> typing.Iterator[str]:
+# row object (keys sorted, each int or float of ``.tolist()`` by repr), building none;
+# an array's values come one block of rows at a time (``formats._block_rows``).
+def _count_lines(features: np.ndarray, counts) -> typing.Iterator[str]:
     """data.jsonl and features.jsonl rows: {"count", "features"}."""
     return (f'{{"count":{c!r},"features":[{",".join(map(repr, f))}]}}\n'
-            for f, c in zip(features, counts))
+            for f, c in formats._block_rows(features, counts))
 
 
-def _record_lines(scores: list, labels: list) -> typing.Iterator[str]:
+def _record_lines(scores: np.ndarray, labels: list) -> typing.Iterator[str]:
     """records.jsonl rows: {"scores", "truth"}."""
     return (f'{{"scores":[{",".join(map(repr, s))}],"truth":[{",".join(map(repr, t))}]}}\n'
-            for s, t in zip(scores, labels))
+            for s, t in formats._block_rows(scores, labels))
 
 
 def _image_count_lines(counts: typing.Iterable[int]) -> typing.Iterator[str]:
@@ -307,13 +308,13 @@ def cmd_synth(cfg: dict, run: _Run) -> dict:
     if task == "counting":
         x, counts = synth.counting_arrays(scfg)
         run.stage("write")
-        path = run.write_rows("data", "data.jsonl", _count_lines(x.tolist(), counts.tolist()))
+        path = run.write_rows("data", "data.jsonl", _count_lines(x, counts))
         log.info("wrote %d counting samples to %s", len(counts), path)
     elif task == "multilabel":
         x, scores, labels, n_clamped = synth.multilabel_arrays(scfg)
         run.stage("write")
-        run.write_rows("records", "records.jsonl", _record_lines(scores.tolist(), labels))
-        run.write_rows("features", "features.jsonl", _count_lines(x.tolist(), map(len, labels)))
+        run.write_rows("records", "records.jsonl", _record_lines(scores, labels))
+        run.write_rows("features", "features.jsonl", _count_lines(x, list(map(len, labels))))
     else:
         proposals, gts, n_clamped = synth.box_tables(scfg)
         run.stage("write")
@@ -357,15 +358,16 @@ def cmd_train(cfg: dict, run: _Run) -> dict:
     return {"final_loss": losses[-1], "n_samples": len(counts)}
 
 
-def _prediction_lines(alpha, beta, mode) -> list[str]:
+def _prediction_lines(alpha, beta, mode) -> typing.Iterator[str]:
     """The predictions.jsonl rows of ``predict_batch``'s arrays, each spelled as
     ``canonical_json`` spells {"alpha", "beta", "mode"} (regression: {"mode"}):
     keys sorted, numbers by repr.  Unlike row dicts, strings never start a
-    collector pass."""
+    collector pass.  The arrays give their values one block of
+    ``formats._ROWS_PER_BLOCK`` rows at a time."""
     if alpha is None:
-        return [f'{{"mode":{m!r}}}\n' for m in mode.tolist()]
-    return [f'{{"alpha":{a!r},"beta":{b!r},"mode":{m!r}}}\n'
-            for a, b, m in zip(alpha.tolist(), beta.tolist(), mode.tolist())]
+        return (f'{{"mode":{m!r}}}\n' for (m,) in formats._block_rows(mode))
+    return (f'{{"alpha":{a!r},"beta":{b!r},"mode":{m!r}}}\n'
+            for a, b, m in formats._block_rows(alpha, beta, mode))
 
 
 def cmd_predict(cfg: dict, run: _Run) -> dict:
@@ -447,7 +449,7 @@ def cmd_eval_det(cfg: dict, run: _Run) -> dict:
     run.stage("write")
     formats.write_lines(run.file("curve", "curve.csv"),
                         f"# {formats.canonical_json(run.header)}\nfppi,miss_rate",
-                        (f"{f!r},{m!r}\n" for f, m in zip(fppi.tolist(), miss.tolist())))
+                        (f"{f!r},{m!r}\n" for f, m in formats._block_rows(fppi, miss)))
     result = {"f1": f1, "best_f1": best_f1, "mr": mr, "n_images": n_images}
     run.write_json("metrics", "metrics.json", result)
     return {**result, "n_matched": sum(m.tp for m in matches)}

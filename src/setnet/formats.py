@@ -15,6 +15,10 @@ seed, so runs are self-describing and diffable:
 * Curve CSVs: the "# {...}" header line, the column line, one row per point.
 * JSON documents (metrics, gradcheck, model): one line, the whole document.
 
+Rows go in blocks of ``_ROWS_PER_BLOCK``: ``read_records`` decodes, checks
+and turns into columns one block of records at a time, and the row writers
+take an array's Python values one block at a time (``_block_rows``), so the
+Python objects of one block are held whatever the file's length.
 ``read_records`` runs with the cyclic collector paused until its rows are
 dropped: decoded JSON is trees, and a collector pass over trees frees nothing.
 """
@@ -26,9 +30,8 @@ import hashlib
 import json
 import warnings
 from contextlib import contextmanager
-from functools import partial
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -43,13 +46,13 @@ __all__ = [
     "config_hash",
     "make_header",
     "write_lines",
-    "read_jsonl",
     "write_boxes",
     "read_boxes",
     "read_records",
 ]
 
 SCHEMA_VERSION = 1
+_ROWS_PER_BLOCK = 4096  # the rows of a block, read or written (see above)
 
 
 # One encoder for every line: json.dumps would build one per call.
@@ -82,6 +85,17 @@ def write_lines(path: str, first: str, lines: Iterable[str] = ()) -> None:
         fh.writelines(lines)
 
 
+def _block_rows(*columns) -> Iterator[tuple]:
+    """The rows of equal-length ``columns``, zipped; an array column gives
+    the Python values of ``.tolist()`` one block of ``_ROWS_PER_BLOCK`` rows
+    at a time, and any other column its slice."""
+    size = _ROWS_PER_BLOCK
+    return chain.from_iterable(
+        zip(*(c[s:s + size].tolist() if isinstance(c, np.ndarray) else c[s:s + size]
+              for c in columns))
+        for s in range(0, len(columns[0]), size))
+
+
 def _lines(path: str) -> Iterator[str]:
     """The lines of a UTF-8 text file, split as text mode splits them.  A line
     that is not UTF-8 raises its UnicodeDecodeError after the lines before it."""
@@ -92,12 +106,12 @@ def _lines(path: str) -> Iterator[str]:
             yield line
 
 
-def read_jsonl(path: str, check: Callable | None = None) -> tuple[dict | None, list[dict]]:
-    """Rows of a JSONL file; a leading header object is split off.  A line
-    that is not JSON or not UTF-8 is a DataError, raised after ``check`` (when
-    given) has seen the rows before it, so that it can raise for one first."""
-    rows: list[dict] = []
-    header = None
+def _blocks(path: str) -> Iterator[list]:
+    """The records of a JSONL file, a leading header object split off, in
+    lists of at most ``_ROWS_PER_BLOCK``.  A line that is not JSON or not
+    UTF-8 is a DataError, raised after the records before it are handed out,
+    so that a fault among them can be raised first."""
+    rows, size = [], _ROWS_PER_BLOCK
     try:
         for ln, line in enumerate(_lines(path)):
             line = line.strip()
@@ -113,18 +127,17 @@ def read_jsonl(path: str, check: Callable | None = None) -> tuple[dict | None, l
                 # A JSONDecodeError, or the ValueError of an integer
                 # past int's digit limit.
                 except (ValueError, RecursionError) as e:
-                    if check is not None:
-                        check(rows)
+                    yield rows
                     raise DataError(f"{path}:{ln + 1}: invalid JSON: {e}") from e
-            if ln == 0 and isinstance(doc, dict) and "schema_version" in doc:
-                header = doc
-            else:
+            if not (ln == 0 and isinstance(doc, dict) and "schema_version" in doc):
                 rows.append(doc)
+                if len(rows) == size:
+                    yield rows
+                    rows = []
     except (OSError, UnicodeDecodeError) as e:
-        if check is not None:
-            check(rows)
+        yield rows
         raise DataError(f"cannot read {path}: {e}") from e
-    return header, rows
+    yield rows
 
 
 def write_boxes(
@@ -135,7 +148,7 @@ def write_boxes(
     cols = 5 if with_score else 4
     write_lines(path, f"# {canonical_json(header)}", (
         f"{image_id} {' '.join(map(repr, row))}\n" for image_id, boxes in images
-        for row in np.asarray(boxes, dtype=float).reshape(-1, 5)[:, :cols].tolist()))
+        for (row,) in _block_rows(np.asarray(boxes, dtype=float).reshape(-1, 5)[:, :cols])))
 
 
 def read_boxes(path: str, with_score: bool) -> dict[int, np.ndarray]:
@@ -208,13 +221,19 @@ def read_records(path: str, *fields: str, width: int | None = None) -> list:
     is not empty; truth labels lie below their record's score count.  An image
     id names one record.  The earliest bad record, else a line that is not
     JSON or not UTF-8, is a DataError, or a NumericError if the record's
-    vector does not fit ``width``."""
-    check = partial(_checked_columns, path, fields, width)
+    vector does not fit ``width``.  Each block of ``_ROWS_PER_BLOCK`` records
+    is checked and turned into columns as it is decoded, so one block of
+    decoded JSON is held at a time; the block columns are joined at the end."""
+    blocks, start, d, seen = [], 0, width, {}
     with _gc_paused():
-        columns = check(read_jsonl(path, check)[1])
-    if "truth" in fields:
-        columns[1] = _mask(*columns[1], columns[0].shape)
-    return columns
+        for rows in _blocks(path):
+            columns, d = _checked_columns(path, fields, width, rows, start, d, seen)
+            if "truth" in fields:
+                columns[1] = _mask(*columns[1], columns[0].shape)
+            blocks.append(columns)
+            start += len(rows)
+            del rows  # so the next block is decoded without this one
+    return [np.concatenate(column) for column in zip(*blocks)]
 
 
 @contextmanager
@@ -228,12 +247,15 @@ def _gc_paused():
             gc.enable()
 
 
-def _checked_columns(path: str, fields: tuple, width: int | None, rows: list) -> list:
-    """The columns of ``read_records`` in ``rows``, a vector column as its
-    (n, d) matrix, or the error of the earliest bad record.  Only when
-    ``_columns`` flags the whole list does it run on one record at a time, to
-    find the first record n that breaks a rule of its own; the rules across
-    records are checked on the records before n."""
+def _checked_columns(path: str, fields: tuple, width: int | None, rows: list, start: int,
+                     d: int | None, seen: dict) -> tuple[list, int | None]:
+    """The columns of ``read_records`` in the block ``rows`` from record
+    ``start`` on, a vector column as its (n, d) matrix, and d; or the error of
+    the earliest bad record.  The blocks before fix ``d``, the vector width
+    (None before any vector), and ``seen``, each image id's first record,
+    which this extends.  Only when ``_columns`` flags the whole block does it
+    run on one record at a time, to find the first record n that breaks a rule
+    of its own; the rules across records are checked on the records before n."""
     n, own = len(rows), None
     try:
         columns, lengths = _columns(rows, fields)
@@ -250,27 +272,29 @@ def _checked_columns(path: str, fields: tuple, width: int | None, rows: list) ->
     # Each fault across records lies before record n; the earliest one wins.
     faults = []
     if lengths is not None:
-        d = width if width is not None else int(lengths[0]) if n else 0
-        if width is None and n and not d:
-            raise DataError(f"{path}: record 0 has no {fields[0]}")
+        if d is None and n:  # the block holds record 0
+            d = int(lengths[0])
+            if not d:
+                raise DataError(f"{path}: record 0 has no {fields[0]}")
         for i in np.flatnonzero(lengths != d)[:1].tolist():
             than = "record 0 has" if width is None else "the model takes"
             faults.append((i, (DataError if width is None else NumericError)(
-                f"{path}: record {i} has {lengths[i]} {fields[0]}; {than} {d}")))
+                f"{path}: record {start + i} has {lengths[i]} {fields[0]}; {than} {d}")))
     if "image_id" in fields:
-        ids = columns[fields.index("image_id")]
-        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-        for i in np.flatnonzero(first[inverse] != np.arange(n))[:1].tolist():
-            faults.append((i, DataError(f"{path}: record {i}: image_id {ids[i]} "
-                                        f"repeats record {first[inverse[i]]}")))
+        for i, image_id in enumerate(columns[fields.index("image_id")].tolist()):
+            first = seen.setdefault(image_id, start + i)
+            if first != start + i:
+                faults.append((i, DataError(f"{path}: record {start + i}: image_id "
+                                            f"{image_id} repeats record {first}")))
+                break
     if faults:
         raise min(faults, key=lambda fault: fault[0])[1]
     if lengths is not None:
-        columns[0] = columns[0].reshape(n, d)
+        columns[0] = columns[0].reshape(n, d or 0)
     if own is not None:
         what = f"no {own} field" if isinstance(own, KeyError) else own
-        raise DataError(f"{path}: record {n}: {what}") from own
-    return columns
+        raise DataError(f"{path}: record {start + n}: {what}") from own
+    return columns, d
 
 
 def _ints(values: list, name: str) -> np.ndarray:

@@ -1395,9 +1395,9 @@ def test_prediction_template_spells_rows_as_canonical_json(a, b, m):
     from setnet.cli import _prediction_lines
     from setnet.formats import canonical_json
     alpha, beta, mode = np.array([a]), np.array([b]), np.array([m], dtype=np.int64)
-    assert _prediction_lines(alpha, beta, mode) == [
+    assert list(_prediction_lines(alpha, beta, mode)) == [
         canonical_json({"alpha": a, "beta": b, "mode": m}) + "\n"]
-    assert _prediction_lines(None, None, mode) == [canonical_json({"mode": m}) + "\n"]
+    assert list(_prediction_lines(None, None, mode)) == [canonical_json({"mode": m}) + "\n"]
 
 
 TEMPLATE_LISTS = st.lists(TEMPLATE_FLOATS, max_size=5)

@@ -24,7 +24,6 @@ from setnet.formats import (
     config_hash,
     make_header,
     read_boxes,
-    read_jsonl,
     read_records,
     write_boxes,
     write_lines,
@@ -41,9 +40,10 @@ def test_jsonl_round_trip(tmp_path):
     header = make_header({"n": 3}, seed=7)
     rows = [{"features": [0.25, -1.5], "count": 2}, {"features": [0.0, 0.0], "count": 0}]
     write_jsonl(path, header, rows)
-    got_header, got_rows = read_jsonl(path)
+    with open(path) as fh:
+        got_header = json.loads(fh.readline())
     assert got_header == header
-    assert got_rows == rows
+    assert [row for block in formats._blocks(path) for row in block] == rows
     assert got_header["schema_version"] == 1
     assert got_header["seed"] == 7
     X, counts = read_records(path, "features", "count")
@@ -87,7 +87,7 @@ def test_malformed_inputs(tmp_path):
     for text in ["not json\n", "[" * 50000 + "]" * 50000 + "\n"]:  # too deep to decode
         bad.write_text(text)
         with pytest.raises(DataError, match=":1: invalid JSON: "):
-            read_jsonl(str(bad))
+            list(formats._blocks(str(bad)))
     badbox = tmp_path / "bad.txt"
     badbox.write_text("1 2 3\n")
     with pytest.raises(DataError):
@@ -496,41 +496,43 @@ def test_read_records_runs_no_collector_pass(tmp_path):
 
 
 # The JSONL reader is checked against the reader it replaced, which called
-# json.loads on each line: the same header and rows, the same error text,
-# and the same rows handed to ``check`` first.
-def ref_read_jsonl(path, check=None):
+# json.loads on each line: the same records, handed out before the error of
+# the first bad line, and the same error text.
+def ref_records(path):
+    """The records before the first line that is not JSON, a leading header
+    object aside, and that line's error (None when there is none)."""
     rows = []
-    header = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, line in enumerate(fh):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+            except (ValueError, RecursionError) as e:
+                return rows, DataError(f"{path}:{ln + 1}: invalid JSON: {e}")
+            if not (ln == 0 and isinstance(doc, dict) and "schema_version" in doc):
+                rows.append(doc)
+    return rows, None
+
+
+def block_records(path):
+    """The records ``formats._blocks`` hands out, joined, and what it raises
+    after them; AssertionError if a block is larger than ``_ROWS_PER_BLOCK``."""
+    rows = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except (ValueError, RecursionError) as e:
-                    if check is not None:
-                        check(rows)
-                    raise DataError(f"{path}:{ln + 1}: invalid JSON: {e}") from e
-                if ln == 0 and isinstance(doc, dict) and "schema_version" in doc:
-                    header = doc
-                else:
-                    rows.append(doc)
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(f"cannot read {path}: {e}") from e
-    return header, rows
+        for block in formats._blocks(path):
+            assert len(block) <= formats._ROWS_PER_BLOCK
+            rows += block
+    except DataError as e:
+        return rows, e
+    return rows, None
 
 
 def jsonl_outcome(read, path):
-    """repr of what ``read`` returns or raises, and of each list ``check`` saw:
-    repr, as a nan is not equal to itself."""
-    seen = []
-    try:
-        got = read(path, lambda rows: seen.append(repr(rows)))
-    except DataError as e:
-        got = (type(e), str(e))
-    return repr(got), seen
+    """repr of the records and the error text: repr, as a nan is not equal to itself."""
+    rows, error = read(path)
+    return repr(rows), error and (type(error), str(error))
 
 
 CHARS = st.characters(exclude_categories=("Cs",))  # any text UTF-8 can encode
@@ -579,4 +581,7 @@ def jsonl_line(draw):
 def test_jsonl_reader_agrees_with_json_loads_per_line(tmp_path_factory, lines, sep, last):
     path = tmp_path_factory.mktemp("jsonl") / "rows.jsonl"
     path.write_bytes((sep.join(lines) + (sep if last else "")).encode("utf-8"))
-    assert jsonl_outcome(read_jsonl, str(path)) == jsonl_outcome(ref_read_jsonl, str(path))
+    want = jsonl_outcome(ref_records, str(path))
+    for block in (1, 2, formats._ROWS_PER_BLOCK):
+        with mock.patch.object(formats, "_ROWS_PER_BLOCK", block):
+            assert jsonl_outcome(block_records, str(path)) == want
