@@ -5,7 +5,10 @@ value until the greedy pass keeps at least the requested number of boxes.
 Note that the kept count of greedy NMS is *not* monotone in the threshold
 (a suppressed box can shadow others), so the sweep stops at the first
 qualifying threshold instead of bisecting.  ``_Sweep`` runs an image's
-passes in a few numpy calls over the overlaps they need.
+passes in a few numpy calls over the overlaps they need.  Each numpy call
+made per image, walk or block is a C entry point (an array method numpy
+writes in C, such as ``.nonzero()`` or ``.argsort()``, or a ufunc), never
+one it writes in Python, such as ``np.flatnonzero`` or ``.sum()``.
 
 The sweep and matching take every IoU from one routine, ``_overlaps``, so
 a threshold comparison sees the same float value whichever caller asks.
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -95,7 +99,7 @@ class BoxDetection:
         # Given x2 > x1, a positive area means y2 > y1; a non-finite field
         # fails a comparison or makes the area non-finite.
         ok = (x2 > x1) & (0.0 < area) & (area < np.inf) & (0.0 <= score) & (score <= 1.0)
-        return np.flatnonzero(~ok)
+        return (~ok).nonzero()[0]
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,13 @@ class NMSConfig:
     @property
     def _span(self) -> float:  # inf for a subnormal step; the sweep has floor(it) + 1 thresholds
         return (self.t_max - self.t0) / self.step + 1e-9
+
+    @cached_property
+    def _thresholds(self) -> np.ndarray:
+        """The sweep's thresholds min(t0 + k*step, t_max), k = 0 .. floor(_span), read-only."""
+        ts = np.minimum(self.t0 + np.arange(math.floor(self._span) + 1) * self.step, self.t_max)
+        ts.flags.writeable = False
+        return ts
 
 
 @dataclass(frozen=True)
@@ -156,7 +167,7 @@ def _geometry(t: np.ndarray) -> np.ndarray:
 
 
 def _by_score(table: np.ndarray) -> np.ndarray:
-    return np.argsort(-table[:, 4], kind="stable")  # equal scores keep their order
+    return (-table[:, 4]).argsort(kind="stable")  # equal scores keep their order
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,26 +217,26 @@ class _Sweep:
         # Row i's candidates: the positions lo[i] .. lo[i] + size[i] - 1 in x order.
         self._lo = np.maximum.accumulate(g[2][self._by_x]).searchsorted(g[0], "right")
         self._size = g[0][self._by_x].searchsorted(g[2], "left") - self._lo
-        self._unbuilt = np.ones(len(table), dtype=bool)
+        self._unbuilt = ~np.zeros(len(table), dtype=bool)
         self._rows: list[tuple[list[int], list[int]] | None] = [None] * len(table)
 
     def _build(self, i: int, free: np.ndarray, rows: int) -> None:
         """Build the rows of the first ``rows`` boxes from box i on that are
         ``free`` (a mask over them, true at box i) and not built, within
         ``_BLOCK`` values."""
-        block = np.flatnonzero(free & self._unbuilt[i:])[:rows] + i
+        block = (free & self._unbuilt[i:]).nonzero()[0][:rows] + i
         size = self._size[block]
         end = size.cumsum()
-        cut = int(end.searchsorted(_BLOCK, "right")) or 1
-        if cut < len(block):
+        if end[-1] > _BLOCK:
+            cut = int(end.searchsorted(_BLOCK, "right")) or 1
             block, size, end = block[:cut], size[:cut], end[:cut]
         own = block.repeat(size)
         j = self._by_x[(self._lo[block] - end + size).repeat(size) + np.arange(end[-1])]
-        later = np.flatnonzero(j > own)
+        later = (j > own).nonzero()[0]
         own, j = own[later], j[later]
         g = self._geometry
         v = _overlaps(g.take(own, axis=1), g.take(j, axis=1))
-        hit = np.flatnonzero(v > self.ts[0])
+        hit = (v > self.ts[0]).nonzero()[0]
         own, j, k = own[hit], j[hit], self.ts.searchsorted(v[hit], "left")
         ends = own.searchsorted(block, "right").tolist()
         js, ks = j.tolist(), k.tolist()
@@ -279,7 +290,7 @@ def greedy_nms(boxes: list[BoxDetection], t: float) -> list[BoxDetection]:
     if not 0.0 <= t < 1.0:
         raise NumericError(f"threshold must lie in [0,1), got {t!r}")
     sweep = _Sweep(box_table(boxes), np.array([t]))
-    return [boxes[i] for i in sweep.order[np.flatnonzero(sweep.greedy(0, 1))]]
+    return [boxes[i] for i in sweep.order[sweep.greedy(0, 1).nonzero()[0]]]
 
 
 def adaptive_nms(
@@ -308,20 +319,20 @@ def adaptive_nms_rows(table: np.ndarray, m_star: int,
     m_star = _check_count(m_star, "m_star")
     if m_star == 0:
         return np.zeros(0, dtype=np.intp), 0
-    ts = np.minimum(cfg.t0 + np.arange(math.floor(cfg._span) + 1) * cfg.step, cfg.t_max)
+    ts = cfg._thresholds
     sweep = _Sweep(table, ts)
     k, width = 0, 1
     while True:
         kept = sweep.greedy(k, width, m_star)[:, None] >> np.arange(width) & 1 != 0
-        met = np.flatnonzero(kept.sum(axis=0) >= m_star)
+        met = (np.add.reduce(kept, axis=0) >= m_star).nonzero()[0]
         if len(met):
-            return sweep.order[np.flatnonzero(kept[:, met[0]])[:m_star]], k + int(met[0])
+            return sweep.order[kept[:, met[0]].nonzero()[0][:m_star]], k + int(met[0])
         if k == 0:  # the pass at t0 was complete: skip to where it can change
-            k = sweep.lapse(np.flatnonzero(kept[:, 0]))
+            k = sweep.lapse(kept[:, 0].nonzero()[0])
         else:
             k += width
         if k >= len(ts):
-            return sweep.order[np.flatnonzero(kept[:, -1])], len(ts) - 1
+            return sweep.order[kept[:, -1].nonzero()[0]], len(ts) - 1
         width = min(_WIDTH, len(ts) - k)
 
 
@@ -347,7 +358,7 @@ def match_tables(dets: np.ndarray, gts: np.ndarray, iou_thresh: float) -> MatchR
     # Only the pairs that reach iou_thresh (> 0) can match: each detection,
     # in score order, takes its untaken one of highest IoU, the first (the
     # lower index) of equal ones.
-    det, gt = np.nonzero(overlaps >= iou_thresh)
+    det, gt = (overlaps >= iou_thresh).nonzero()
     taken, hits = set(), set()
     for d, pairs in groupby(zip(det.tolist(), gt.tolist(), overlaps[det, gt].tolist()),
                             key=itemgetter(0)):

@@ -255,7 +255,8 @@ def _checked_columns(path: str, fields: tuple, width: int | None, rows: list, st
     (None before any vector), and ``seen``, each image id's first record,
     which this extends.  Only when ``_columns`` flags the whole block does it
     run on one record at a time, to find the first record n that breaks a rule
-    of its own; the rules across records are checked on the records before n."""
+    of its own (every rule of ``_columns`` is a rule of one record, so one
+    does); the rules across records are checked on the records before n."""
     n, own = len(rows), None
     try:
         columns, lengths = _columns(rows, fields)
@@ -266,8 +267,6 @@ def _checked_columns(path: str, fields: tuple, width: int | None, rows: list, st
             except (KeyError, TypeError, ValueError) as e:
                 own = e
                 break
-        else:
-            n = len(rows)
         columns, lengths = _columns(rows[:n], fields)
     # Each fault across records lies before record n; the earliest one wins.
     faults = []

@@ -5,6 +5,9 @@ blocks before it fix: record 0's vector width, the first record of each
 image id and the record numbers.  With the block size patched small, files
 whose faults lie across block boundaries read as ``test_cli``'s per-record
 reference reads them: the same columns, or the same error class and text.
+A block that ``formats._columns`` rejects holds a record that it rejects
+on its own, whatever the fault: a missing field, a wrong type, a bool, a
+string, a non-finite value, an unordered or an out-of-range truth label.
 
 Under tracemalloc, the reader, the row writers of ``synth`` and ``predict``
 and ``train``'s epoch loss peak under one bound above the arrays they hold
@@ -12,11 +15,14 @@ by design, on files of 3 and of 12 blocks alike.
 """
 
 import json
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setnet import cardnet, cli, formats, synth
 from setnet.cardloss import HeadWeights
@@ -88,6 +94,64 @@ def test_blocks_read_as_the_per_record_rules(tmp_path, b, kind, lines):
         got = read_outcome(formats.read_records, str(path), fields, width)
     assert got == read_outcome(ref_read_records, str(path), fields, width)
 
+
+
+# -- a block is rejected only for a record's own fault ---------------------
+
+# The faults a record can have on its own: kinds for every field, and two
+# that only a truth list has.
+FAULTS = ("missing", "type", "bool", "string", "non-finite")
+TRUTH_FAULTS = ("unordered", "out-of-range")
+
+
+@st.composite
+def faulty_blocks(draw):
+    """(fields, rows): a block of valid records of a kind, 0-3 of them spoilt
+    by a fault of their own."""
+    kind = draw(st.sampled_from(sorted(READS)))
+    fields = READS[kind][0]
+    rows = [dict(draw(st.sampled_from(VALID_RECORDS[kind]))) for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        field = draw(st.sampled_from(fields))
+        fault = draw(st.sampled_from(FAULTS + (TRUTH_FAULTS if field == "truth" else ())))
+        listed = field in ("features", "scores", "truth")
+        if fault == "missing":
+            row.pop(field, None)
+        elif fault == "type":
+            row[field] = 7 if listed else [1]
+        elif fault == "unordered":
+            row[field] = [2, 0]
+        elif fault == "out-of-range":
+            row[field] = [3]  # a valid record has 3 scores
+        else:  # a bool, a string or a non-finite value in the field or one of its entries
+            value = True if fault == "bool" else "1.5" if fault == "string" else draw(
+                st.sampled_from([math.inf, -math.inf, math.nan, 10**400]))
+            entries = row.get(field)
+            if listed and isinstance(entries, list) and entries:
+                entries = list(entries)
+                entries[draw(st.integers(0, len(entries) - 1))] = value
+                row[field] = entries
+            else:
+                row[field] = [value] if listed else value
+    return fields, rows
+
+
+def rejected(rows, fields):
+    try:
+        formats._columns(rows, fields)
+    except (KeyError, TypeError, ValueError):
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(faulty_blocks())
+def test_block_is_rejected_only_with_a_record_rejected_alone(block):
+    """``_checked_columns`` looks for the record that breaks a rule of its
+    own only when ``_columns`` rejects the whole block: one always does."""
+    fields, rows = block
+    assert rejected(rows, fields) == any(rejected([row], fields) for row in rows)
 
 # -- bounded memory ---------------------------------------------------------
 

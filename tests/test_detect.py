@@ -12,8 +12,11 @@ library has no one-pair IoU; its overlaps are pinned to ``ref_iou`` bit for
 bit at the threshold knife edges of NMS and matching.
 """
 
+import ast
+import dataclasses
 import itertools
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -211,6 +214,72 @@ class TestAdaptiveNms:
             if achievable:
                 assert len(kept) == m_star
 
+
+
+class TestThresholdTable:
+    """``NMSConfig._thresholds``: one read-only table per config, with the
+    bits of the expression each sweep used to rebuild."""
+
+    @staticmethod
+    def per_call(cfg):
+        return np.minimum(cfg.t0 + np.arange(math.floor(cfg._span) + 1) * cfg.step, cfg.t_max)
+
+    @pytest.mark.parametrize("cfg", [
+        NMSConfig(),
+        NMSConfig(t0=0.5, step=0.01, t_max=0.5),  # one threshold
+        NMSConfig(t0=0.4, step=0.7, t_max=0.95),  # the first step lands past t_max
+        NMSConfig(t0=0.1, step=0.1, t_max=0.7),  # the last step lands past t_max: clipped
+        NMSConfig(t0=0.0, step=0.99 / 9999, t_max=0.99),  # 10,000 thresholds
+    ], ids=["default", "one-threshold", "step-past-t-max", "last-step-clipped",
+            "10000-thresholds"])
+    def test_table_keeps_the_per_call_bits(self, cfg):
+        ts, want = cfg._thresholds, self.per_call(cfg)
+        assert ts.dtype == want.dtype and ts.shape == want.shape
+        assert ts.tobytes() == want.tobytes()
+        assert cfg._thresholds is ts  # built once
+
+    def test_table_is_read_only(self):
+        ts = NMSConfig()._thresholds
+        assert not ts.flags.writeable
+        with pytest.raises(ValueError):
+            ts[0] = 0.0
+
+    def test_replace_builds_its_own_table(self):
+        cfg = NMSConfig()
+        same, other = dataclasses.replace(cfg), dataclasses.replace(cfg, t_max=0.9)
+        assert same._thresholds is not cfg._thresholds
+        assert same._thresholds.tobytes() == cfg._thresholds.tobytes()
+        assert other._thresholds.tobytes() == self.per_call(other).tobytes()
+        assert len(other._thresholds) == 51 != len(cfg._thresholds)
+
+
+# The per-image, per-walk and per-block code of detect, and the numpy
+# functions written in Python that it must not call (their array methods
+# and ufuncs are C entry points), and the array reductions whose methods
+# numpy forwards to Python (``np.add.reduce`` is the C entry point of ``sum``).
+PER_IMAGE = {"_Sweep", "adaptive_nms_rows", "greedy_nms", "match_tables", "_by_score",
+             "BoxDetection.rejected_rows"}
+PYTHON_WRAPPERS = {"flatnonzero", "nonzero", "argsort", "ones"}
+PYTHON_METHODS = {"sum", "prod", "any", "all", "min", "max", "mean"}
+
+
+def test_per_image_path_calls_no_python_wrappers():
+    tree = ast.parse(pathlib.Path(detect.__file__).read_text(encoding="utf-8"))
+    found = {}
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef) and top.name != "_Sweep":
+            found.update((f"{top.name}.{node.name}", node) for node in top.body
+                         if isinstance(node, ast.FunctionDef))
+        elif isinstance(top, (ast.ClassDef, ast.FunctionDef)):
+            found[top.name] = top
+    assert PER_IMAGE <= found.keys()
+    calls = sorted(f"{name}: {ast.unparse(node.func)}" for name in PER_IMAGE
+                   for node in ast.walk(found[name])
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and (node.func.attr in PYTHON_METHODS
+                        or isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                        and node.func.attr in PYTHON_WRAPPERS))
+    assert calls == []
 
 class TestMatching:
     def test_perfect(self):
