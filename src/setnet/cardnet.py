@@ -29,7 +29,7 @@ from .cardloss import (HeadWeights, _nll, _nll_grad, head_backward, head_forward
                        regression_loss)
 from .errors import DataError, NumericError
 from . import formats
-from .numerics import _check_count, _check_finite, nb_mode_batch
+from .numerics import _check_count, _check_finite, _check_seed, nb_mode_batch
 
 __all__ = [
     "TrainingSample",
@@ -379,7 +379,7 @@ def model_from_json(text: str) -> MLPModel:
             activation=doc["activation"],
             head=head,
             kind=doc["kind"],
-            seed=_check_count(doc["seed"], "seed"),
+            seed=_check_seed(doc["seed"]),
         )
         if doc["dims"] != model.dims:
             raise ValueError(f"dims {doc['dims']!r} do not match the layers' {model.dims}")

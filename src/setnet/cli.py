@@ -34,7 +34,7 @@ import numpy as np
 from . import cardnet, detect, formats, mlmetrics, setinfer, synth
 from .cardloss import HeadWeights
 from .errors import ConfigError, DataError, NumericError, SetnetError
-from .numerics import NegBinParams, nb_pmf_truncated
+from .numerics import NegBinParams, _check_seed, nb_pmf_truncated
 
 log = logging.getLogger(__name__)
 
@@ -214,6 +214,10 @@ def _resolve_config(command: str, config_path: str | None,
                               f"{what}{null}, got {reprlib.repr(value)}") from None
         except ValueError as e:  # NumericError included
             raise ConfigError(f"{command} config key {key!r}: {e}") from None
+    try:  # every command has a seed
+        _check_seed(typed["seed"])
+    except NumericError as e:
+        raise ConfigError(str(e)) from None
     return config, typed
 
 
@@ -443,9 +447,7 @@ def cmd_eval_det(cfg: dict, run: _Run) -> dict:
     ]
     n_images = len(image_ids) if cfg["n_images"] is None else cfg["n_images"]
     f1 = detect.detection_f1(matches)
-    best_f1 = detect.best_f1_over_thresholds(matches)
-    mr = detect.log_avg_miss_rate(matches, n_images)
-    miss, fppi = detect.miss_rate_curve(matches, n_images)
+    best_f1, miss, fppi, mr = detect.det_scores(matches, n_images)
     run.stage("write")
     formats.write_lines(run.file("curve", "curve.csv"),
                         f"# {formats.canonical_json(run.header)}\nfppi,miss_rate",
@@ -493,19 +495,20 @@ def cmd_nms(cfg: dict, run: _Run) -> dict:
     image_ids = sorted(set(proposals) | set(mstar))
     run.stage("nms", "images_per_s", len(image_ids))
     empty = np.zeros((0, 5))
-    kept, steps = {}, {}
+    kept, steps, work = {}, {}, detect.SweepWork()
     for i in image_ids:
         table = proposals.get(i, empty)
-        rows, k = detect.adaptive_nms_rows(table, mstar[i], nms_cfg)
+        rows, k = detect.adaptive_nms_rows(table, mstar[i], nms_cfg, work)
         kept[i] = table[rows]
         steps[k] = steps.get(k, 0) + 1
     run.stage("write")
     formats.write_boxes(run.file("kept", "kept.txt"), run.header, kept.items(), with_score=True)
     # n_short: the images where no threshold of the sweep kept m* boxes;
-    # sweep_steps: how many images stopped at each threshold index k.
+    # sweep_steps: how many images stopped at each threshold index k;
+    # sweep_work: the walks, threshold passes, overlap rows and IoUs of all sweeps.
     return {"n_images": len(image_ids), "n_kept": sum(map(len, kept.values())),
             "n_short": sum(len(kept[i]) < mstar[i] for i in image_ids),
-            "sweep_steps": steps}
+            "sweep_steps": steps, "sweep_work": dataclasses.asdict(work)}
 
 
 def _normalised(values: list[float], key: str) -> np.ndarray:

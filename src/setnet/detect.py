@@ -4,11 +4,20 @@ The adaptive NMS sweeps the overlap threshold upward from its starting
 value until the greedy pass keeps at least the requested number of boxes.
 Note that the kept count of greedy NMS is *not* monotone in the threshold
 (a suppressed box can shadow others), so the sweep stops at the first
-qualifying threshold instead of bisecting.  ``_Sweep`` runs an image's
-passes in a few numpy calls over the overlaps they need.  Each numpy call
-made per image, walk or block is a C entry point (an array method numpy
-writes in C, such as ``.nonzero()`` or ``.argsort()``, or a ufunc), never
-one it writes in Python, such as ``np.flatnonzero`` or ``.sum()``.
+qualifying threshold instead of bisecting.  After a complete pass at t0 the
+sweep jumps to the first threshold where one of its suppressions lapses,
+then walks windows of consecutive thresholds in increasing order: ``_START``
+thresholds, then each window twice as wide as the last, at most ``_WIDTH``.
+Windows grow because a walk costs what its top threshold costs (the higher
+the threshold, the more boxes its pass keeps and visits), so a short first
+window stops near an answer close to the jump, and doubling keeps the count
+of walks small when the answer is far.  When m* exceeds the image's boxes
+no pass can keep m*, and only the last threshold's pass runs.  ``_Sweep``
+runs an image's passes in a few numpy calls over the overlaps they need,
+and counts its walks, passes, overlap rows and IoUs in a ``SweepWork``.
+Each numpy call made per image, walk or block is a C entry point (an array
+method numpy writes in C, such as ``.nonzero()`` or ``.argsort()``, or a
+ufunc), never one it writes in Python, such as ``np.flatnonzero`` or ``.sum()``.
 
 The sweep and matching take every IoU from one routine, ``_overlaps``, so
 a threshold comparison sees the same float value whichever caller asks.
@@ -22,6 +31,8 @@ Matching and the log-average miss rate follow the usual detection
 benchmark protocol: greedy one-to-one matching in descending score order,
 miss rate sampled at 9 log-spaced false-positives-per-image reference
 points in [1e-2, 1] and averaged in log space with a 1e-10 floor.
+``det_scores`` builds the operating points of its matches once; its best F1,
+miss-rate curve and LAMR read them.
 """
 
 from __future__ import annotations
@@ -47,10 +58,12 @@ __all__ = [
     "greedy_nms",
     "adaptive_nms",
     "adaptive_nms_rows",
+    "SweepWork",
     "match_detections",
     "match_tables",
-    "log_avg_miss_rate",
+    "det_scores",
     "miss_rate_curve",
+    "log_avg_miss_rate",
     "detection_f1",
     "best_f1_over_thresholds",
 ]
@@ -58,7 +71,8 @@ __all__ = [
 MISS_RATE_FLOOR = 1e-10
 FPPI_REFERENCES = tuple(10.0 ** e for e in np.linspace(-2.0, 0.0, 9))
 _BLOCK = 1 << 16  # IoU values per block of overlap rows: bounds its temporaries
-_WIDTH = 63  # thresholds one walk carries: the bits of a mask that an int64 holds
+_WIDTH = 63  # the most thresholds one walk carries: the bits of a mask that an int64 holds
+_START = 8  # thresholds of the first walk after the lapse jump; each next walk doubles
 _MAX_THRESHOLDS = 10_000  # the longest sweep NMSConfig accepts; the default has 56
 
 
@@ -131,6 +145,18 @@ class NMSConfig:
         return ts
 
 
+@dataclass
+class SweepWork:
+    """The work of adaptive-NMS sweeps, summed over the images it is passed for:
+    ``walks``, threshold ``passes`` (the sum of the walks' widths), overlap
+    ``rows`` built and the ``ious`` computed for them."""
+
+    walks: int = 0
+    passes: int = 0
+    rows: int = 0
+    ious: int = 0
+
+
 @dataclass(frozen=True)
 class MatchResult:
     """Per-image matching outcome; ``tp``, ``fp`` and ``fn`` are counts by ``_check_count``.
@@ -193,8 +219,8 @@ class _Sweep:
     (v > ts[k]) exactly when k < K.
 
     A walk runs the passes of up to ``_WIDTH`` consecutive thresholds at
-    once.  Each box carries one int mask: bit b set where it is suppressed
-    at the walk's b-th threshold.  A kept box's pair (j, K) sets, in j's
+    once, a window of the sweep.  Each box carries one int mask: bit b set
+    where it is suppressed at the walk's b-th threshold.  A kept box's pair (j, K) sets, in j's
     mask, the bits of the thresholds where the box is kept and the pair
     suppresses.
 
@@ -209,8 +235,9 @@ class _Sweep:
     on that pair alone, so every value keeps its bits.
     """
 
-    def __init__(self, table: np.ndarray, ts: np.ndarray) -> None:
+    def __init__(self, table: np.ndarray, ts: np.ndarray, work: SweepWork | None = None) -> None:
         self.ts = ts
+        self.work = SweepWork() if work is None else work
         self.order = _by_score(table)
         g = self._geometry = _geometry(table[self.order])
         self._by_x = g[0].argsort(kind="stable")
@@ -234,6 +261,8 @@ class _Sweep:
         j = self._by_x[(self._lo[block] - end + size).repeat(size) + np.arange(end[-1])]
         later = (j > own).nonzero()[0]
         own, j = own[later], j[later]
+        self.work.rows += len(block)
+        self.work.ious += len(own)
         g = self._geometry
         v = _overlaps(g.take(own, axis=1), g.take(j, axis=1))
         hit = (v > self.ts[0]).nonzero()[0]
@@ -252,6 +281,8 @@ class _Sweep:
         with box i.  Bit b of box i's mask is set when the pass at ts[k + b]
         keeps it.  The walk stops once the pass at ts[k] keeps ``limit`` boxes."""
         n, n_ts = len(self.order), len(self.ts)
+        self.work.walks += 1
+        self.work.passes += width
         full = (1 << width) - 1
         # below[K]: the bits b < K - k, at whose thresholds a pair with that K suppresses.
         below = ([0] * (k + 1) + [(1 << b) - 1 for b in range(1, width)]
@@ -311,16 +342,19 @@ def adaptive_nms(
     return [boxes[i] for i in adaptive_nms_rows(box_table(boxes), m_star, cfg)[0]]
 
 
-def adaptive_nms_rows(table: np.ndarray, m_star: int,
-                      cfg: NMSConfig = NMSConfig()) -> tuple[np.ndarray, int]:
+def adaptive_nms_rows(table: np.ndarray, m_star: int, cfg: NMSConfig = NMSConfig(),
+                      work: SweepWork | None = None) -> tuple[np.ndarray, int]:
     """``adaptive_nms`` on a box table: the kept rows' indices, in score order,
     and the index k of the threshold t0 + k*step whose pass they are (the
-    first to keep m_star boxes, else the last); m_star is a count by ``_check_count``."""
+    first to keep m_star boxes, else the last); m_star is a count by ``_check_count``.
+    The sweep's work is added to ``work``, if given."""
     m_star = _check_count(m_star, "m_star")
     if m_star == 0:
         return np.zeros(0, dtype=np.intp), 0
     ts = cfg._thresholds
-    sweep = _Sweep(table, ts)
+    sweep = _Sweep(table, ts, work)
+    if m_star > len(table):  # no pass keeps m_star boxes: the answer is the last pass
+        return sweep.order[sweep.greedy(len(ts) - 1, 1).nonzero()[0]], len(ts) - 1
     k, width = 0, 1
     while True:
         kept = sweep.greedy(k, width, m_star)[:, None] >> np.arange(width) & 1 != 0
@@ -328,12 +362,12 @@ def adaptive_nms_rows(table: np.ndarray, m_star: int,
         if len(met):
             return sweep.order[kept[:, met[0]].nonzero()[0][:m_star]], k + int(met[0])
         if k == 0:  # the pass at t0 was complete: skip to where it can change
-            k = sweep.lapse(kept[:, 0].nonzero()[0])
-        else:
-            k += width
+            k, span = sweep.lapse(kept[:, 0].nonzero()[0]), _START
+        else:  # the next window of thresholds, twice as wide
+            k, span = k + width, 2 * width
         if k >= len(ts):
             return sweep.order[kept[:, -1].nonzero()[0]], len(ts) - 1
-        width = min(_WIDTH, len(ts) - k)
+        width = min(span, _WIDTH, len(ts) - k)
 
 
 def match_detections(
@@ -383,25 +417,38 @@ def _operating_points(matches: list[MatchResult]) -> tuple[np.ndarray, np.ndarra
     return tp[kept], kept - tp[kept], total_gt
 
 
-def miss_rate_curve(matches: list[MatchResult], n_images: int) -> tuple[np.ndarray, np.ndarray]:
-    """Miss rate and FPPI at every score threshold, descending by threshold;
+def det_scores(matches: list[MatchResult],
+               n_images: int) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """The scores ``eval-det`` reports of ``matches``, from one build of their
+    operating points: ``best_f1_over_thresholds``, the ``miss_rate_curve``
+    (miss rate, FPPI) and its ``log_avg_miss_rate``."""
+    points = _operating_points(matches)
+    miss, fppi = miss_rate_curve(points, n_images)
+    lamr = log_avg_miss_rate(points, n_images)
+    return _best_f1(points), miss, fppi, lamr
+
+
+def miss_rate_curve(points: tuple, n_images: int) -> tuple[np.ndarray, np.ndarray]:
+    """Miss rate and FPPI at each of the operating ``points`` of a list of
+    matches (``det_scores`` builds them), descending by score threshold;
     ``n_images`` is a count by ``numerics._check_count``, and >= 1."""
     n_images = _check_count(n_images, "n_images")
     if n_images < 1:
         raise NumericError("n_images must be >= 1")
-    tp, fp, total_gt = _operating_points(matches)
+    tp, fp, total_gt = points
     return 1.0 - _rate(tp, total_gt), fp / n_images
 
 
-def log_avg_miss_rate(matches: list[MatchResult], n_images: int) -> float:
-    """Geometric mean of the miss rate at 9 log-spaced FPPI references.
+def log_avg_miss_rate(points: tuple, n_images: int) -> float:
+    """Geometric mean of the miss rate at 9 log-spaced FPPI references, along
+    the ``miss_rate_curve`` of the operating ``points`` over ``n_images`` images.
 
     For each reference the miss rate of the operating point with the
     largest FPPI not exceeding it is used; rates are floored at 1e-10
     before the log average.
     """
-    miss, fppi = miss_rate_curve(matches, n_images)
-    if sum(m.n_gt for m in matches) == 0:
+    miss, fppi = miss_rate_curve(points, n_images)
+    if points[2] == 0:
         raise NumericError("log-average miss rate is undefined without ground truth")
     # fppi is non-decreasing along the curve from the empty output's 0; the last
     # point at or below a reference has both the nearest FPPI and the lowest miss rate.
@@ -423,5 +470,10 @@ def best_f1_over_thresholds(matches: list[MatchResult]) -> float:
     The fixed-threshold baseline is evaluated this way (its best operating
     point), which is the strictest comparison for the adaptive variant.
     """
-    tp, fp, total_gt = _operating_points(matches)
+    return _best_f1(_operating_points(matches))
+
+
+def _best_f1(points: tuple) -> float:
+    """``best_f1_over_thresholds`` of the operating ``points`` of a list of matches."""
+    tp, fp, total_gt = points
     return max(f1_score(_rate(tp, tp + fp), _rate(tp, total_gt)).tolist())

@@ -16,6 +16,7 @@ those of separate calls, bit for bit.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,17 @@ def _check_count(m, name: str = "m", column: bool = False):
                 or kind == "f" and np.all((arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))):
             return int(arr) if arr.ndim == 0 else arr.astype(np.int64, copy=False)
     raise NumericError(f"{name} must be a non-negative integer below 2**63, got {m!r}")
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int when numpy's generators take it as a u64: an integer,
+    or an integral float, in [0, 2**64); bools and everything else raise
+    NumericError.  The one seed rule, of the CLI's configs and of model files."""
+    if not isinstance(seed, bool) and (isinstance(seed, int) or isinstance(seed, float)
+                                       and seed.is_integer()) and 0 <= seed < 2**64:
+        return int(seed)
+    raise NumericError("seed must be a non-negative integer below 2**64, "
+                       f"got {reprlib.repr(seed)}")
 
 
 def _check_index_set(values, name: str) -> tuple[int, ...]:
@@ -198,18 +210,23 @@ def nb_pmf_truncated(p: NegBinParams) -> list[float]:
     """pmf values over m = 0..M, M the smallest count with CDF >= ``_PMF_MASS``.
     The vector is not re-normalised; its deficit is at most 1 - ``_PMF_MASS``.
     NumericError if M would exceed ``_PMF_CAP``.  The support is evaluated in
-    chunks of counts; the CDF still adds one term at a time.
+    chunks of counts; the CDF still adds one term at a time.  Where ``a`` is so
+    large that ln Gamma overflows, the pmf is NaN and no CDF reaches the mass,
+    so such a law ends at the cap too, without a warning, once its CDF is NaN.
     """
     pmf: list[float] = []
     total = 0.0
     for start in range(0, _PMF_CAP + 1, _PMF_CHUNK):
         m = np.arange(start, min(start + _PMF_CHUNK, _PMF_CAP + 1))
-        q = np.exp(_nb_log_pmf(m, p.a, p.b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.exp(_nb_log_pmf(m, p.a, p.b))
         cdf = np.cumsum(np.concatenate(([total], q)))[1:]
         reached = np.flatnonzero(cdf >= _PMF_MASS)
         if reached.size:
             return pmf + q[: reached[0] + 1].tolist()
         pmf += q.tolist()
         total = cdf[-1]
+        if math.isnan(total):  # a NaN CDF never reaches the mass
+            break
     raise NumericError(f"NB law a={p.a!r}, b={p.b!r} has more than {1.0 - _PMF_MASS:.0e} "
                        f"of its mass beyond the pmf cap of {_PMF_CAP} counts")

@@ -39,7 +39,7 @@ from setnet import (
     topk_sweep,
     train,
 )
-from setnet.detect import adaptive_nms_rows, match_tables, miss_rate_curve
+from setnet.detect import _operating_points, adaptive_nms_rows, match_tables, miss_rate_curve
 from setnet.mlmetrics import top_k_labels
 from setnet.numerics import _check_count
 
@@ -63,7 +63,8 @@ CHECKS = [
      NumericError, "m_star must be a non-negative integer below 2**63, got -1"),
     ("match-tables-iou-thresh", lambda: match_tables(NO_BOXES, NO_BOXES, 0.0),
      NumericError, "iou_thresh must lie in (0,1), got 0.0"),
-    ("miss-rate-no-images", lambda: log_avg_miss_rate([MatchResult(0, 0, 1)], 0),
+    ("miss-rate-no-images",
+     lambda: log_avg_miss_rate(_operating_points([MatchResult(0, 0, 1)]), 0),
      NumericError, "n_images must be >= 1"),
     ("empty-cardinality-pmf", lambda: CardinalityPMF(pmf=()),
      NumericError, "pmf must have at least one entry"),
@@ -114,8 +115,9 @@ COUNT_TAKERS = {
     "nb_log_pmf": lambda v: nb_log_pmf(v, NegBinParams(a=2.0, b=0.5)),
     "card_nll": lambda v: card_nll(v, AlphaBeta(alpha=2.0, beta=1.0)),
     "regression_loss": lambda v: regression_loss(v, 1.0),
-    "log_avg_miss_rate": lambda v: log_avg_miss_rate(MATCHES, v),  # n_images: v >= 1 or rejected
-    "miss_rate_curve": lambda v: miss_rate_curve(MATCHES, v),
+    # n_images: v >= 1 or rejected.
+    "log_avg_miss_rate": lambda v: log_avg_miss_rate(_operating_points(MATCHES), v),
+    "miss_rate_curve": lambda v: miss_rate_curve(_operating_points(MATCHES), v),
 }
 # The takers whose count may also be a count array, elementwise; every other
 # taker takes one count, so a count array is NumericError there.

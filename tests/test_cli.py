@@ -301,6 +301,16 @@ def test_sample_draws_from_an_nb_law_near_the_pmf_cap(capsys, tmp_path):
     assert len(rows) == 2
 
 
+def test_sample_rejects_an_nb_law_whose_log_gamma_overflows(capsys, tmp_path):
+    # ln Gamma(1e308) overflows, so the pmf is NaN: the law ends at the pmf cap
+    # as one config line, and no RuntimeWarning of its evaluation reaches stderr.
+    code, lines, err = run_main(capsys, tmp_path, "sample", {"n": 2, "a": 1e308})
+    assert (code, err) == (1, "")
+    assert lines == [json.dumps({"code": "config", "message": (
+        "NB law a=1e+308, b=0.5 has more than 1e-12 of its mass beyond "
+        "the pmf cap of 1000000 counts")})]
+
+
 def test_gradcheck_defaults(workdir):
     code, out = run_cli("gradcheck", "--out", str(workdir / "g"))
     assert code == 0
@@ -597,6 +607,38 @@ OUT_OF_RANGE = [
     ("gradcheck", {"h": -1}),
     ("gradcheck", {"h": 0}),
 ]
+
+
+# Every command seeds numpy with a u64: a seed outside [0, 2**64) is one config line,
+# given in the config or by --seed, before any file is read.
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**70)])
+@pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_seed_outside_u64_is_one_config_line(capsys, tmp_path, command, by_flag, seed):
+    from setnet import cli
+    cfg = {**REQUIRED[command], **({} if by_flag else {"seed": seed})}
+    flag = ["--seed", str(seed)] if by_flag else []
+    code = cli.main([command, "--config", write_config(tmp_path, "cfg.json", cfg), *flag,
+                     "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [json.dumps({"code": "config", "message": (
+        f"seed must be a non-negative integer below 2**64, got {seed}")})]
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
+def test_a_model_trained_at_a_u64_seed_predicts(capsys, tmp_path, monkeypatch, seed):
+    # The config rule and the model file's rule are one seed rule: a model
+    # that train writes at a seed of 2**63 or above loads for predict.
+    from setnet import cli
+    monkeypatch.chdir(tmp_path)
+    for i, (command, cfg, out) in enumerate(EVERY_COMMAND[i] for i in (0, 3, 4)):
+        flag = ["--seed", str(seed)] if command == "train" else []
+        code = cli.main([command, "--config", write_config(tmp_path, f"{i}.json", cfg),
+                         *flag, "--out", out])
+        lines, err = capsys.readouterr()
+        assert (code, err) == (0, ""), lines
+        assert command != "train" or json.loads(lines)["seed"] == seed
 
 
 @pytest.mark.parametrize(
@@ -1545,6 +1587,23 @@ def test_nms_and_eval_det_report_their_stage_times_on_stdout_only(capsys, tmp_pa
         assert "sweep_steps" not in (tmp_path / payload["files"]["kept"]).read_text()
 
 
+def test_nms_reports_its_sweep_work_on_stdout_only(capsys, tmp_path, monkeypatch):
+    # sweep_work counts the walks, threshold passes, overlap rows built and IoU
+    # values of all sweeps.  The counts repeat from run to run.
+    first, again = (run_det_chain(capsys, tmp_path, monkeypatch)[1:4] for _ in range(2))
+    assert [p["sweep_work"] for p in first] == [p["sweep_work"] for p in again]
+    for payload in first:
+        work = payload["sweep_work"]
+        assert sorted(work) == ["ious", "passes", "rows", "walks"]
+        assert all(type(v) is int for v in work.values())
+        assert 0 < work["walks"] <= work["passes"]  # an image of m* = 0 runs no walk
+        assert 0 < work["rows"] <= work["ious"]
+        assert "sweep_work" not in (tmp_path / payload["files"]["kept"]).read_text()
+    # m* = 10,000 exceeds every image's boxes: each image runs only its t_max pass.
+    unreachable = first[2]["sweep_work"]
+    assert unreachable["walks"] == unreachable["passes"] == first[2]["n_images"]
+
+
 def test_nms_counts_images_that_only_its_mstar_file_names(capsys, tmp_path):
     # Images 4 and 5 are in the m* file but have no proposals: they keep no
     # boxes, and image 4, whose m* is 1, is short of it, so its sweep ends at
@@ -1641,8 +1700,8 @@ RESULT_KEYS = {
     "fixed": (["best", "best_k", "mode", "records_per_s", "sweep", "timings_ms"],
               ["curve", "metrics"]),
     "predicted": (["metrics", "mode", "records_per_s", "timings_ms"], ["metrics"]),
-    "kept": (["images_per_s", "n_images", "n_kept", "n_short", "sweep_steps", "timings_ms"],
-             ["kept"]),
+    "kept": (["images_per_s", "n_images", "n_kept", "n_short", "sweep_steps", "sweep_work",
+              "timings_ms"], ["kept"]),
     "eval": (["best_f1", "f1", "images_per_s", "mr", "n_images", "n_matched", "timings_ms"],
              ["curve", "metrics"]),
     "samples": (["mean_cardinality", "n", "timings_ms"], ["samples"]),

@@ -36,7 +36,7 @@ from setnet import (
     match_detections,
 )
 from setnet import detect
-from setnet.detect import best_f1_over_thresholds, miss_rate_curve
+from setnet.detect import best_f1_over_thresholds, det_scores, miss_rate_curve
 from setnet.mlmetrics import f1_score
 
 
@@ -178,11 +178,14 @@ class TestAdaptiveNms:
 
     def test_sweep_length_is_bounded(self):
         # The longest sweep NMSConfig accepts has 10,000 thresholds; one box
-        # under an unreachable m* walks all of them.
+        # under an unreachable m* ends at the last of them, and so do two boxes
+        # of IoU 0.99 under m* = 2, whose windows walk to the last threshold.
         table = np.array([[0.0, 0.0, 5.0, 5.0, 0.5]])
+        pair = np.array([[0.0, 0.0, 100.0, 1.0, 0.9], [0.0, 0.0, 99.0, 1.0, 0.8]])
         for step in [0.99 / 9999, 9.900001e-5]:
             cfg = NMSConfig(t0=0.0, step=step, t_max=0.99)
             assert detect.adaptive_nms_rows(table, 2, cfg)[1] + 1 == 10_000
+            assert detect.adaptive_nms_rows(pair, 2, cfg)[1] + 1 == 10_000
         for step in [0.99 / 10_000, 1e-6, 5e-324]:
             with pytest.raises(NumericError, match=r"sweeps more than 10000 thresholds"):
                 NMSConfig(t0=0.0, step=step, t_max=0.99)
@@ -213,6 +216,48 @@ class TestAdaptiveNms:
             )
             if achievable:
                 assert len(kept) == m_star
+
+
+class TestWalkPlan:
+    """The (k, width) of each walk that ``adaptive_nms_rows`` asks of
+    ``_Sweep.greedy``: the pass at t0, then, from the lapse, windows of
+    ``_START`` thresholds, each next one twice as wide, at most ``_WIDTH``."""
+
+    @staticmethod
+    def walks(table, m_star, cfg=NMSConfig()):
+        # autospec passes the sweep as the first argument; wraps= does not
+        # reach an autospecced method on Python 3.11, side_effect does.
+        with mock.patch.object(detect._Sweep, "greedy", autospec=True,
+                               side_effect=detect._Sweep.greedy) as greedy:
+            result = detect.adaptive_nms_rows(table, m_star, cfg)
+        return result, [call.args[1:3] for call in greedy.call_args_list]
+
+    def test_mstar_above_the_boxes_runs_only_the_last_pass(self):
+        rng = np.random.default_rng(5)
+        ts = NMSConfig()._thresholds
+        for _ in range(10):
+            cloud = random_cloud(rng)
+            (rows, k), walks = self.walks(detect.box_table(cloud), len(cloud) + 1)
+            assert walks == [(len(ts) - 1, 1)] and k == len(ts) - 1
+            assert ids([cloud[i] for i in rows]) == ids(ref_greedy_nms(cloud, ts[-1]))
+
+    def test_windows_after_the_lapse_follow_the_schedule(self):
+        # Two pairs of IoU 6/14 and 8/12 (shifts 4 and 2 of 10-wide boxes):
+        # the t0 pass keeps 2 of 4, the first pair's suppression lapses at
+        # 0.43 and the second's at 0.67, so m* = 4 is met past the 16th threshold.
+        table = np.array([[0, 0, 10, 1, 0.9], [4, 0, 14, 1, 0.8],
+                          [30, 0, 40, 1, 0.7], [32, 0, 42, 1, 0.6]], dtype=float)
+        (rows, answer), walks = self.walks(table, 4)
+        n_ts = len(NMSConfig()._thresholds)
+        assert rows.tolist() == [0, 1, 2, 3] and answer > 16
+        assert walks[0] == (0, 1) and walks[1][0] == 3 and len(walks) >= 3  # from the lapse
+        span = detect._START
+        for (k, width), (k_next, _) in zip(walks[1:], walks[2:] + [(None, None)]):
+            assert width == min(span, detect._WIDTH, n_ts - k)
+            assert k_next is None or k_next == k + width  # contiguous, increasing
+            span = 2 * width
+        k, width = walks[-1]
+        assert k <= answer < k + width  # the last window holds the answer
 
 
 
@@ -334,16 +379,19 @@ class TestMatching:
             assert m.tp <= min(len(dets), len(gts))
 
 
+points = detect._operating_points  # the operating points that the curve and LAMR read
+
+
 class TestMissRate:
     def test_perfect_detector(self):
         gts = [box(0, 0, 5, 5)]
         dets = [box(0, 0, 5, 5, 0.9)]
         m = [match_detections(dets, gts, 0.5)]
-        assert log_avg_miss_rate(m, 1) == pytest.approx(1e-10)
+        assert log_avg_miss_rate(points(m), 1) == pytest.approx(1e-10)
 
     def test_silent_detector(self):
         m = [match_detections([], [box(0, 0, 5, 5)], 0.5)]
-        assert log_avg_miss_rate(m, 1) == 1.0
+        assert log_avg_miss_rate(points(m), 1) == 1.0
 
     def test_two_image_hand_trace(self):
         # Image 0: one GT matched at score 0.9 plus one FP at 0.8.
@@ -354,7 +402,7 @@ class TestMissRate:
             [box(0, 0, 5, 5, 0.9), box(50, 50, 55, 55, 0.8)],
             [box(0, 0, 5, 5)], 0.5)
         img1 = match_detections([], [box(0, 0, 5, 5)], 0.5)
-        assert log_avg_miss_rate([img0, img1], 2) == pytest.approx(0.5)
+        assert log_avg_miss_rate(points([img0, img1]), 2) == pytest.approx(0.5)
 
     def test_pure_tp_addition_never_hurts(self):
         rng = np.random.default_rng(45)
@@ -374,20 +422,33 @@ class TestMissRate:
                 improved.append(MatchResult(
                     tp=tp + 1, fp=n_det - tp, fn=fn - 1,
                     flags=((1.0, True),) + flags))
-            base = log_avg_miss_rate(matches, 4)
-            better = log_avg_miss_rate(improved, 4)
+            base = log_avg_miss_rate(points(matches), 4)
+            better = log_avg_miss_rate(points(improved), 4)
             assert better <= base + 1e-12
 
     def test_requires_ground_truth(self):
         with pytest.raises(NumericError, match="undefined without ground truth"):
-            log_avg_miss_rate([MatchResult(tp=0, fp=1, fn=0,
-                                           flags=((0.5, False),))], 1)
+            log_avg_miss_rate(points([MatchResult(tp=0, fp=1, fn=0,
+                                                  flags=((0.5, False),))]), 1)
 
     def test_curve_without_ground_truth_misses_nothing(self):
         # No ground truth: recall is 100% at every point (the 100% rule), not 0/0.
         ms = [MatchResult(0, 2, 0, ((0.5, False), (0.25, False)))]
-        miss, fppi = miss_rate_curve(ms, 2)
+        miss, fppi = miss_rate_curve(points(ms), 2)
         assert miss.tolist() == [0.0, 0.0, 0.0] and fppi.tolist() == [0.0, 0.5, 1.0]
+
+    def test_det_scores_build_the_operating_points_once(self):
+        # eval-det's best F1, curve and LAMR read one build of the points, and
+        # each equals what its own function gives.
+        img0 = match_detections([box(0, 0, 5, 5, 0.9), box(50, 50, 55, 55, 0.8)],
+                                [box(0, 0, 5, 5), box(20, 20, 25, 25)], 0.5)
+        ms = [img0, match_detections([box(0, 0, 5, 5, 0.7)], [box(0, 0, 5, 5)], 0.5)]
+        with mock.patch.object(detect, "_operating_points", wraps=points) as build:
+            best, miss, fppi, lamr = det_scores(ms, 3)
+        assert build.call_count == 1
+        want_miss, want_fppi = miss_rate_curve(points(ms), 3)
+        assert miss.tobytes() == want_miss.tobytes() and fppi.tobytes() == want_fppi.tobytes()
+        assert (best, lamr) == (best_f1_over_thresholds(ms), log_avg_miss_rate(points(ms), 3))
 
 
 class TestDetectionF1:
@@ -633,13 +694,15 @@ class TestAgainstScalarReference:
     @given(st.data())
     def test_sweep_in_small_blocks_and_walks(self, data):
         # The sweep builds overlap rows in blocks of at most _BLOCK IoU values
-        # and runs up to _WIDTH thresholds in one walk; at these sizes a cloud
-        # needs many blocks and walks.
+        # and runs up to _WIDTH thresholds in one walk, in windows that start
+        # at _START thresholds; at these sizes a cloud needs many blocks,
+        # windows and walks.
         cloud = data.draw(clouds(max_size=30), label="cloud")
         cfg = data.draw(sweep_configs(cloud) | edge_configs(cloud), label="cfg")
         m_star = data.draw(st.integers(0, len(cloud) + 1), label="m_star")
         sizes = {"_BLOCK": data.draw(st.sampled_from([1, 5, 64]), label="block"),
-                 "_WIDTH": data.draw(st.sampled_from([1, 2, 5]), label="width")}
+                 "_WIDTH": data.draw(st.sampled_from([1, 2, 5]), label="width"),
+                 "_START": data.draw(st.sampled_from([1, 2, 5]), label="start")}
         with mock.patch.multiple(detect, **sizes):
             kept = adaptive_nms(cloud, m_star, cfg)
             greedy = greedy_nms(cloud, cfg.t0)

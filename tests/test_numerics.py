@@ -121,6 +121,13 @@ class TestNegBin:
         pmf = nb_pmf_truncated(NegBinParams(a=a, b=b))
         assert abs(sum(pmf) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("a", [1e306, 1e308])
+    def test_law_whose_log_gamma_overflows_ends_at_the_cap_without_a_warning(self, a):
+        # ln Gamma(a) overflows and the pmf is NaN; the RuntimeWarnings of that
+        # evaluation are errors under the test settings.
+        with pytest.raises(NumericError, match="beyond the pmf cap of 1000000 counts"):
+            nb_pmf_truncated(NegBinParams(a=a, b=0.5))
+
     def test_matches_scipy(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
